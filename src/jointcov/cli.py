@@ -14,6 +14,7 @@ import sys
 import numpy as np
 
 from . import harness, io_pgo, joint
+from .covariance import UnboundedProblem
 from .harness import ExperimentConfig
 
 _GRID_KEYS = {"noise_grid"}
@@ -39,6 +40,8 @@ def load_config_file(path) -> dict:
             if not parts or parts[0].startswith("#"):
                 continue
             key, values = parts[0], parts[1:]
+            if not values:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} needs a value")
             if key in _GRID_KEYS:
                 overrides[key] = tuple(float(v) for v in values)
             elif key in _INT_KEYS:
@@ -176,8 +179,7 @@ def _covariance_payload(information: dict) -> dict:
 def main(argv=None) -> int:
     try:
         return _dispatch(_build_parser().parse_args(argv))
-    except (OSError, ValueError, io_pgo.GraphFormatError,
-            io_pgo.GraphConnectivityError) as err:
+    except (OSError, ValueError, UnboundedProblem) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

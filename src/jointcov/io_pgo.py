@@ -78,6 +78,11 @@ def _classify(i: int, j: int) -> str:
     return ODOMETRY if abs(i - j) == 1 else LOOP
 
 
+def _require_finite(vals, lineno: int) -> None:
+    if not all(np.isfinite(vals)):
+        raise GraphFormatError(f"line {lineno}: non-finite value in {vals}")
+
+
 def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph2D:
     """Parse g2o-style SE(2) text into a pose graph.
 
@@ -101,6 +106,7 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
                 vals = [float(p) for p in parts[2:5]]
             except ValueError as err:
                 raise GraphFormatError(f"line {lineno}: {err}") from None
+            _require_finite(vals, lineno)
             if vid in poses:
                 raise GraphFormatError(f"line {lineno}: duplicate vertex {vid}")
             poses[vid] = np.array(vals)
@@ -112,6 +118,7 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
                 vals = [float(p) for p in parts[3:12]]
             except ValueError as err:
                 raise GraphFormatError(f"line {lineno}: {err}") from None
+            _require_finite(vals, lineno)
             z = np.array(vals[:3])
             q11, q12, q13, q22, q23, q33 = vals[3:]
             info = np.array([[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]])

@@ -6,9 +6,11 @@ functions broadcast over leading axes, so a single pose has shape ``(3,)``
 and a batch of ``n`` poses has shape ``(n, 3)``.
 
 Tangent vectors are plain flat float arrays whose block layout is given by a
-:class:`ManifoldSpec`; ``boxplus`` is the retraction (Euclidean addition /
-right composition with the SE(2) exponential) and ``boxminus`` its local
-inverse.
+:class:`ManifoldSpec`.  A :class:`ManifoldPoint` stores its poses as one
+``(n, 3)`` array and its Euclidean blocks as one vector, so ``boxplus`` (the
+retraction: Euclidean addition / right composition with the SE(2)
+exponential) and ``boxminus`` (its local inverse) are a few array
+operations over all blocks at once.
 """
 
 from __future__ import annotations
@@ -163,7 +165,10 @@ class ManifoldSpec:
     """Ordered declaration of the product manifold's blocks.
 
     The tangent dimension is the sum of Euclidean dimensions plus 3 per
-    SE(2) block; block ids must be unique.
+    SE(2) block; block ids must be unique.  Tangent vectors follow the
+    declared (interleaved) block order, while a :class:`ManifoldPoint`
+    stores all poses in one array and all Euclidean entries in another; the
+    spec holds the index maps between the two layouts.
     """
 
     blocks: tuple[Block, ...]
@@ -194,14 +199,41 @@ class ManifoldSpec:
     def _positions(self) -> dict:
         return {b.block_id: i for i, b in enumerate(self.blocks)}
 
+    @cached_property
+    def pose_rows(self) -> dict:
+        """SE(2) block id -> its row of :attr:`ManifoldPoint.poses`."""
+        se2_ids = [b.block_id for b in self.blocks if b.kind == SE2]
+        return {bid: row for row, bid in enumerate(se2_ids)}
+
+    @cached_property
+    def pose_tangent_index(self) -> np.ndarray:
+        """``(n_se2, 3)`` tangent indices of each pose's ``(vx, vy, w)``."""
+        idx = [range(self._offsets[bid], self._offsets[bid] + 3) for bid in self.pose_rows]
+        return np.array(idx, dtype=np.intp).reshape(-1, 3)
+
+    @cached_property
+    def vector_tangent_index(self) -> np.ndarray:
+        """Tangent indices of :attr:`ManifoldPoint.vector`, entry by entry."""
+        slices = [self.tangent_slice(b.block_id) for b in self.blocks if b.kind == EUCLIDEAN]
+        return np.array([i for sl in slices for i in range(sl.start, sl.stop)], dtype=np.intp)
+
+    @cached_property
+    def _storage(self) -> tuple:
+        """Per block: True and its pose row, or False and its vector slice."""
+        out, pos = [], 0
+        for b in self.blocks:
+            if b.kind == SE2:
+                out.append((True, self.pose_rows[b.block_id]))
+            else:
+                out.append((False, slice(pos, pos + b.dim)))
+                pos += b.dim
+        return tuple(out)
+
     def block(self, block_id: Hashable) -> Block:
         return self._by_id[block_id]
 
     def position(self, block_id: Hashable) -> int:
         return self._positions[block_id]
-
-    def tangent_offset(self, block_id: Hashable) -> int:
-        return self._offsets[block_id]
 
     def tangent_slice(self, block_id: Hashable) -> slice:
         off = self._offsets[block_id]
@@ -209,65 +241,90 @@ class ManifoldSpec:
 
     def identity(self) -> "ManifoldPoint":
         """The origin: zero vectors and identity poses."""
-        return ManifoldPoint(self, tuple(np.zeros(b.dim) for b in self.blocks))
+        return ManifoldPoint._from_arrays(
+            self, np.zeros((len(self.pose_rows), 3)),
+            np.zeros(len(self.vector_tangent_index)))
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
-
-
-@dataclass(frozen=True, eq=False)
 class ManifoldPoint:
     """Immutable point on a :class:`ManifoldSpec`.
 
-    Euclidean blocks hold plain vectors; SE(2) blocks hold ``(x, y, theta)``
-    with the angle wrapped into ``(-pi, pi]`` at construction.
+    Stored as two read-only arrays: ``poses``, shape ``(n_se2, 3)``, with
+    one ``(x, y, theta)`` row per SE(2) block in declaration order and the
+    angle wrapped into ``(-pi, pi]``, and ``vector``, the Euclidean blocks'
+    entries concatenated in declaration order.
+
+    ``ManifoldPoint(spec, values)`` is the validating constructor for
+    outside input: one array per block, in block order.  ``values`` gives
+    them back as read-only views.
     """
 
-    spec: ManifoldSpec
-    values: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.spec.blocks):
+    def __init__(self, spec: ManifoldSpec, values: Sequence):
+        values = tuple(values)
+        if len(values) != len(spec.blocks):
             raise ValueError("value count does not match block count")
-        frozen = []
-        for blk, val in zip(self.spec.blocks, self.values):
-            v = np.array(val, dtype=float).reshape(-1)
+        poses = np.empty((len(spec.pose_rows), 3))
+        vector = np.empty(len(spec.vector_tangent_index))
+        for blk, (is_pose, where), val in zip(spec.blocks, spec._storage, values):
+            v = np.asarray(val, dtype=float).reshape(-1)
             if v.shape != (blk.dim,):
                 raise ValueError(
                     f"block {blk.block_id!r} expects shape ({blk.dim},), got {v.shape}"
                 )
-            if blk.kind == SE2:
-                v[2] = wrap_angle(v[2])
-            frozen.append(_freeze(v))
-        object.__setattr__(self, "values", tuple(frozen))
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"block {blk.block_id!r} has non-finite values {v}")
+            if is_pose:
+                poses[where] = v
+            else:
+                vector[where] = v
+        poses[:, 2] = wrap_angle(poses[:, 2])
+        self._set(spec, poses, vector)
+
+    @classmethod
+    def _from_arrays(cls, spec: ManifoldSpec, poses: np.ndarray,
+                     vector: np.ndarray) -> "ManifoldPoint":
+        """Unchecked constructor for arrays this module computed and owns."""
+        x = cls.__new__(cls)
+        x._set(spec, poses, vector)
+        return x
+
+    def _set(self, spec, poses, vector):
+        poses.setflags(write=False)
+        vector.setflags(write=False)
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "vector", vector)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ManifoldPoint is immutable")
 
     @classmethod
     def from_blocks(cls, spec: ManifoldSpec, blocks: Mapping) -> "ManifoldPoint":
         return cls(spec, tuple(blocks[b.block_id] for b in spec.blocks))
 
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        """Read-only view of each block, in block order."""
+        return tuple(self.poses[i] if is_pose else self.vector[i]
+                     for is_pose, i in self.spec._storage)
+
     def block(self, block_id: Hashable) -> np.ndarray:
+        """Read-only view of one block's value."""
         return self.values[self.spec.position(block_id)]
 
 
 def boxplus(x: ManifoldPoint, v: Sequence[float]) -> ManifoldPoint:
     """Retraction: Euclidean blocks add, SE(2) blocks compose with ``exp_se2``."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (x.spec.tangent_dim,):
+    spec = x.spec
+    if v.shape != (spec.tangent_dim,):
         raise ValueError(
-            f"tangent vector has length {v.shape}, expected ({x.spec.tangent_dim},)"
+            f"tangent vector has length {v.shape}, expected ({spec.tangent_dim},)"
         )
-    out, pos = [], 0
-    for blk, val in zip(x.spec.blocks, x.values):
-        vb = v[pos : pos + blk.dim]
-        if blk.kind == EUCLIDEAN:
-            out.append(val + vb)
-        else:
-            out.append(se2_compose(val, exp_se2(vb)))
-        pos += blk.dim
-    return ManifoldPoint(x.spec, tuple(out))
+    poses = x.poses
+    if len(poses):
+        poses = se2_compose(poses, exp_se2(v[spec.pose_tangent_index]))
+    return ManifoldPoint._from_arrays(spec, poses, x.vector + v[spec.vector_tangent_index])
 
 
 def boxminus(z: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
@@ -277,14 +334,10 @@ def boxminus(z: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
     Raises :class:`CutLocusError` if a relative rotation lands on the cut
     locus.
     """
-    if z.spec is not y.spec and z.spec != y.spec:
+    spec = z.spec
+    if spec is not y.spec and spec != y.spec:
         raise ValueError("points live on different manifold specs")
-    out = np.empty(z.spec.tangent_dim)
-    pos = 0
-    for blk, zv, yv in zip(z.spec.blocks, z.values, y.values):
-        if blk.kind == EUCLIDEAN:
-            out[pos : pos + blk.dim] = zv - yv
-        else:
-            out[pos : pos + 3] = log_se2(se2_compose(se2_inverse(yv), zv))
-        pos += blk.dim
+    out = np.empty(spec.tangent_dim)
+    out[spec.pose_tangent_index] = log_se2(se2_compose(se2_inverse(y.poses), z.poses))
+    out[spec.vector_tangent_index] = z.vector - y.vector
     return out

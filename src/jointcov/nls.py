@@ -23,7 +23,7 @@ import scipy.sparse.linalg
 
 from .manifold import CutLocusError, ManifoldPoint, boxplus
 from .problem import (
-    RELATIVE_SE2,
+    ActiveIndex,
     JointProblem,
     _batch_relative_se2,
     group_residuals,
@@ -61,40 +61,6 @@ class NlsConfig:
             raise ValueError(f"unknown step mode {self.step_mode!r}")
 
 
-@dataclass(frozen=True)
-class ActiveIndex:
-    """Tangent indexing with gauge-fixed blocks removed."""
-
-    block_ids: tuple
-    offsets: dict
-    dim: int
-    full_dim: int
-    full_slices: dict
-
-    @classmethod
-    def build(cls, problem: JointProblem) -> "ActiveIndex":
-        spec = problem.manifold
-        ids, offsets, slices, pos = [], {}, {}, 0
-        for b in spec.blocks:
-            if b.block_id in problem.gauge_fixed:
-                offsets[b.block_id] = -1
-            else:
-                ids.append(b.block_id)
-                offsets[b.block_id] = pos
-                pos += b.dim
-            slices[b.block_id] = spec.tangent_slice(b.block_id)
-        return cls(tuple(ids), offsets, pos, spec.tangent_dim, slices)
-
-    def scatter(self, delta: np.ndarray) -> np.ndarray:
-        """Embed an active-tangent step into the full tangent space."""
-        v = np.zeros(self.full_dim)
-        for bid in self.block_ids:
-            sl = self.full_slices[bid]
-            off = self.offsets[bid]
-            v[sl] = delta[off : off + (sl.stop - sl.start)]
-        return v
-
-
 @dataclass
 class LinearizedSystem:
     """Normal equations J^T W J delta = -J^T W r at the linearization point."""
@@ -103,7 +69,6 @@ class LinearizedSystem:
     gradient: np.ndarray
     cost: float
     index: ActiveIndex
-    block_pairs: frozenset = frozenset()
 
     @property
     def gradient_norm(self) -> float:
@@ -159,13 +124,16 @@ def weighted_cost(problem: JointProblem, x: ManifoldPoint,
 def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
                  with_hessian: bool = True,
                  dense_threshold: int = 200) -> LinearizedSystem:
-    """Linearize all factors at x and assemble gradient (and Hessian)."""
-    index = ActiveIndex.build(problem)
+    """Linearize all factors at x and assemble gradient (and Hessian).
+
+    All-SE(2) groups go through their compiled batch; other groups are
+    linearized factor by factor.
+    """
+    index = problem.active_index
     n = index.dim
     use_dense = n < dense_threshold
     grad = np.zeros(n)
     cost = 0.0
-    pairs = set()
     H = np.zeros((n, n)) if (with_hessian and use_dense) else None
     coo_rows, coo_cols, coo_vals = [], [], []
 
@@ -181,69 +149,51 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
             coo_cols.append(c.ravel())
             coo_vals.append(np.asarray(block).ravel())
 
-    se2_factors = [f for f in problem.factors if f.kind == RELATIVE_SE2]
-    other_factors = [f for f in problem.factors if f.kind != RELATIVE_SE2]
-
-    if se2_factors:
-        r, Ja, Jb = _batch_relative_se2(x, se2_factors, with_jacobians=True)
-        W = np.stack([weights[f.group_id] for f in se2_factors])
-        Wr = np.einsum("nij,nj->ni", W, r)
-        cost += 0.5 * float(np.einsum("ni,ni->", r, Wr))
-        offa = np.array([index.offsets[f.block_ids[0]] for f in se2_factors])
-        offb = np.array([index.offsets[f.block_ids[1]] for f in se2_factors])
-        ga = np.einsum("nji,nj->ni", Ja, Wr)
-        gb = np.einsum("nji,nj->ni", Jb, Wr)
-        va, vb = offa >= 0, offb >= 0
-        if np.any(va):
-            np.add.at(grad, offa[va, None] + np.arange(3)[None, :], ga[va])
-        if np.any(vb):
-            np.add.at(grad, offb[vb, None] + np.arange(3)[None, :], gb[vb])
-        if with_hessian:
-            WJa = np.einsum("nij,njk->nik", W, Ja)
-            WJb = np.einsum("nij,njk->nik", W, Jb)
-            Haa = np.einsum("nji,njk->nik", Ja, WJa)
-            Hab = np.einsum("nji,njk->nik", Ja, WJb)
-            Hbb = np.einsum("nji,njk->nik", Jb, WJb)
-            _scatter_se2_blocks(H, coo_rows, coo_cols, coo_vals,
-                                offa, offb, va, vb, Haa, Hab, Hbb)
-            for f in se2_factors:
-                u, v = f.block_ids
-                if index.offsets[u] >= 0:
-                    pairs.add((u, u))
-                if index.offsets[v] >= 0:
-                    pairs.add((v, v))
-                if index.offsets[u] >= 0 and index.offsets[v] >= 0:
-                    pairs.add(_ordered_pair(index, u, v))
-
-    for f in other_factors:
-        r = residual(f, x)
-        Wg = np.asarray(weights[f.group_id], dtype=float)
-        Wr = Wg @ r
-        cost += 0.5 * float(r @ Wr)
-        J = residual_jacobian(f, x)
-        col = 0
-        cols = []
-        for bid in f.block_ids:
-            dim = x.spec.block(bid).dim
-            cols.append((bid, J[:, col : col + dim]))
-            col += dim
-        if with_hessian:
-            for u_bid, Ju in cols:
-                ou = index.offsets[u_bid]
+    for g in problem.groups:
+        Wg = np.asarray(weights[g.group_id], dtype=float)
+        batch = problem.se2_batches.get(g.group_id)
+        if batch is not None:
+            r, Ja, Jb = _batch_relative_se2(x, batch, with_jacobians=True)
+            W = np.broadcast_to(Wg, (len(r), 3, 3))
+            Wr = np.einsum("nij,nj->ni", W, r)
+            cost += 0.5 * float(np.einsum("ni,ni->", r, Wr))
+            offa = index.pose_offsets[batch.ia]
+            offb = index.pose_offsets[batch.ib]
+            ga = np.einsum("nji,nj->ni", Ja, Wr)
+            gb = np.einsum("nji,nj->ni", Jb, Wr)
+            va, vb = offa >= 0, offb >= 0
+            if np.any(va):
+                np.add.at(grad, offa[va, None] + np.arange(3)[None, :], ga[va])
+            if np.any(vb):
+                np.add.at(grad, offb[vb, None] + np.arange(3)[None, :], gb[vb])
+            if with_hessian:
+                WJa = np.einsum("nij,njk->nik", W, Ja)
+                WJb = np.einsum("nij,njk->nik", W, Jb)
+                Haa = np.einsum("nji,njk->nik", Ja, WJa)
+                Hab = np.einsum("nji,njk->nik", Ja, WJb)
+                Hbb = np.einsum("nji,njk->nik", Jb, WJb)
+                _scatter_se2_blocks(H, coo_rows, coo_cols, coo_vals,
+                                    offa, offb, va, vb, Haa, Hab, Hbb)
+            continue
+        for f in problem.factors_by_group[g.group_id]:
+            r = residual(f, x)
+            Wr = Wg @ r
+            cost += 0.5 * float(r @ Wr)
+            J = residual_jacobian(f, x)
+            col = 0
+            cols = []
+            for bid in f.block_ids:
+                dim = x.spec.block(bid).dim
+                cols.append((index.offsets[bid], J[:, col : col + dim]))
+                col += dim
+            for ou, Ju in cols:
                 if ou < 0:
                     continue
-                pairs.add((u_bid, u_bid))
-                for v_bid, Jv in cols:
-                    ov = index.offsets[v_bid]
-                    if ov < 0:
-                        continue
-                    add_block(ou, ov, Ju.T @ Wg @ Jv)
-                    if u_bid != v_bid:
-                        pairs.add(_ordered_pair(index, u_bid, v_bid))
-        for u_bid, Ju in cols:
-            ou = index.offsets[u_bid]
-            if ou >= 0:
                 grad[ou : ou + Ju.shape[1]] += Ju.T @ Wr
+                if with_hessian:
+                    for ov, Jv in cols:
+                        if ov >= 0:
+                            add_block(ou, ov, Ju.T @ Wg @ Jv)
 
     hessian = H
     if with_hessian and not use_dense:
@@ -251,11 +201,7 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         cols_ = np.concatenate(coo_cols) if coo_cols else np.zeros(0, dtype=int)
         vals = np.concatenate(coo_vals) if coo_vals else np.zeros(0)
         hessian = scipy.sparse.coo_matrix((vals, (rows, cols_)), shape=(n, n)).tocsc()
-    return LinearizedSystem(hessian, grad, cost, index, frozenset(pairs))
-
-
-def _ordered_pair(index: ActiveIndex, u, v):
-    return (u, v) if index.offsets[u] <= index.offsets[v] else (v, u)
+    return LinearizedSystem(hessian, grad, cost, index)
 
 
 def _scatter_se2_blocks(H, coo_rows, coo_cols, coo_vals,

@@ -2,8 +2,9 @@
 
 A :class:`JointProblem` bundles a manifold declaration, a factor list, a
 table of noise groups, and a gauge (the block ids held fixed).  Residual and
-Jacobian evaluation is stateless and reentrant; relative-pose factors also
-have a vectorized batch path used by the solvers.
+Jacobian evaluation is stateless and reentrant.  Relative-pose factors are
+evaluated in batches: a problem compiles each all-SE(2) group once into
+pose-row index arrays and stacked measurements.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .covariance import (
     symmetrize,
 )
 from .manifold import (
+    SE2,
     ManifoldPoint,
     ManifoldSpec,
     boxplus,
@@ -214,6 +216,9 @@ class JointProblem:
             for bid in f.block_ids:
                 if bid not in self.manifold._by_id:
                     raise ValueError(f"factor {f.factor_id} references unknown block {bid!r}")
+            if f.kind == RELATIVE_SE2 and any(
+                    self.manifold.block(bid).kind != SE2 for bid in f.block_ids):
+                raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
             if f.group_id not in by_id:
                 raise ValueError(f"factor {f.factor_id} references unknown group {f.group_id!r}")
             g = by_id[f.group_id]
@@ -241,8 +246,76 @@ class JointProblem:
             out[f.group_id].append(f)
         return {gid: tuple(fs) for gid, fs in out.items()}
 
+    @cached_property
+    def se2_batches(self) -> dict:
+        """Group id -> compiled :class:`Se2Batch`, for all-SE(2) groups."""
+        return {gid: Se2Batch.compile(self.manifold, fs)
+                for gid, fs in self.factors_by_group.items()
+                if all(f.kind == RELATIVE_SE2 for f in fs)}
+
+    @cached_property
+    def active_index(self) -> "ActiveIndex":
+        """Tangent indexing of the blocks the solvers move."""
+        spec = self.manifold
+        offsets, full = {}, []
+        for b in spec.blocks:
+            if b.block_id in self.gauge_fixed:
+                offsets[b.block_id] = -1
+                continue
+            offsets[b.block_id] = len(full)
+            sl = spec.tangent_slice(b.block_id)
+            full.extend(range(sl.start, sl.stop))
+        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
+        return ActiveIndex(offsets, pose_offsets, np.array(full, dtype=np.intp),
+                           spec.tangent_dim)
+
     def group(self, group_id) -> NoiseGroup:
         return self.group_table[group_id]
+
+
+@dataclass(frozen=True, eq=False)
+class ActiveIndex:
+    """Tangent indexing with gauge-fixed blocks removed.
+
+    ``offsets`` maps a block id, and ``pose_offsets`` a pose row, to its
+    offset in the active tangent (-1 when gauge-fixed); ``full_index`` holds
+    each active coordinate's index in the full tangent.
+    """
+
+    offsets: dict
+    pose_offsets: np.ndarray
+    full_index: np.ndarray
+    full_dim: int
+
+    @property
+    def dim(self) -> int:
+        return len(self.full_index)
+
+    def scatter(self, delta: np.ndarray) -> np.ndarray:
+        """Embed an active-tangent step into the full tangent space."""
+        v = np.zeros(self.full_dim)
+        v[self.full_index] = delta
+        return v
+
+
+@dataclass(frozen=True, eq=False)
+class Se2Batch:
+    """Relative-pose factors compiled for vectorized evaluation.
+
+    ``ia`` and ``ib`` are the rows of the two connected poses in
+    :attr:`ManifoldPoint.poses`, ``z`` the stacked measurements ``(n, 3)``.
+    """
+
+    ia: np.ndarray
+    ib: np.ndarray
+    z: np.ndarray
+
+    @classmethod
+    def compile(cls, spec: ManifoldSpec, factors) -> "Se2Batch":
+        rows = spec.pose_rows
+        ia = np.array([rows[f.block_ids[0]] for f in factors], dtype=np.intp)
+        ib = np.array([rows[f.block_ids[1]] for f in factors], dtype=np.intp)
+        return cls(ia, ib, np.array([f.z for f in factors], dtype=float).reshape(-1, 3))
 
 
 def _stacked_euclidean(x: ManifoldPoint, block_ids) -> np.ndarray:
@@ -264,75 +337,6 @@ def residual(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
                       dtype=float)
 
 
-# ---------------------------------------------------------------------------
-# Analytic SE(2) Jacobian pieces, in (x, y, theta) chart coordinates.
-# ---------------------------------------------------------------------------
-
-def _rot(th):
-    c, s = np.cos(th), np.sin(th)
-    return np.array([[c, -s], [s, c]])
-
-
-def _drot(th):
-    c, s = np.cos(th), np.sin(th)
-    return np.array([[-s, -c], [c, -s]])
-
-
-def _dcompose_first(a, b):
-    """d(a.b)/da in chart coordinates."""
-    J = np.eye(3)
-    J[:2, 2] = _drot(a[2]) @ b[:2]
-    return J
-
-
-def _dcompose_second(a):
-    """d(a.b)/db in chart coordinates (independent of b)."""
-    J = np.eye(3)
-    J[:2, :2] = _rot(a[2])
-    return J
-
-
-def _dinverse(a):
-    """d(a^-1)/da in chart coordinates."""
-    J = np.zeros((3, 3))
-    J[:2, :2] = -_rot(a[2]).T
-    J[:2, 2] = -_drot(a[2]).T @ a[:2]
-    J[2, 2] = -1.0
-    return J
-
-
-def _dlog(g):
-    """d(log_se2(g))/dg in chart coordinates."""
-    th = g[2]
-    if abs(th) < 1e-7:
-        alpha, dalpha = 1.0 - th * th / 12.0, -th / 6.0
-    else:
-        half = 0.5 * th
-        sin_half = np.sin(half)
-        alpha = half * np.cos(half) / sin_half
-        dalpha = (np.sin(th) - th) / (4.0 * sin_half * sin_half)
-    J = np.zeros((3, 3))
-    J[0, 0] = J[1, 1] = alpha
-    J[0, 1] = 0.5 * th
-    J[1, 0] = -0.5 * th
-    J[0, 2] = dalpha * g[0] + 0.5 * g[1]
-    J[1, 2] = -0.5 * g[0] + dalpha * g[1]
-    J[2, 2] = 1.0
-    return J
-
-
-def _relative_se2_jacobian(a, b, z):
-    """d r / d (right perturbations of a, b) for r = log(b^-1 a z)."""
-    az = se2_compose(a, z)
-    b_inv = se2_inverse(b)
-    g = se2_compose(b_inv, az)
-    dlog = _dlog(g)
-    # right perturbation enters through d(a . exp(d))/dd at 0 = [[R(a), 0], [0, 1]]
-    Ja = dlog @ _dcompose_second(b_inv) @ _dcompose_first(a, z) @ _dcompose_second(a)
-    Jb = dlog @ _dcompose_first(b_inv, az) @ _dinverse(b) @ _dcompose_second(b)
-    return Ja, Jb
-
-
 def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     """Jacobian of r with respect to the tangent of the connected blocks.
 
@@ -345,10 +349,9 @@ def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     if f.kind == PRIOR_EUCLIDEAN:
         return -np.eye(f.dim)
     if f.kind == RELATIVE_SE2:
-        a = x.block(f.block_ids[0])
-        b = x.block(f.block_ids[1])
-        Ja, Jb = _relative_se2_jacobian(a, b, f.z)
-        return np.hstack([Ja, Jb])
+        _, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(x.spec, (f,)),
+                                        with_jacobians=True)
+        return np.hstack([Ja[0], Jb[0]])
     return _fd_jacobian(f, x)
 
 
@@ -376,23 +379,15 @@ def _fd_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
 # Batched evaluation (hot path for pose graphs).
 # ---------------------------------------------------------------------------
 
-def _batch_relative_se2(x: ManifoldPoint, factors, with_jacobians: bool):
-    """Vectorized residuals (n, 3) and Jacobians (n, 3, 3) for SE(2) edges."""
-    spec = x.spec
-    if all(blk.dim == 3 for blk in spec.blocks):
-        # uniform block size: one stacked gather instead of per-factor lookups
-        pose_matrix = np.stack(x.values)
-        pos = spec._positions
-        ia = np.fromiter((pos[f.block_ids[0]] for f in factors), dtype=np.intp,
-                         count=len(factors))
-        ib = np.fromiter((pos[f.block_ids[1]] for f in factors), dtype=np.intp,
-                         count=len(factors))
-        a = pose_matrix[ia]
-        b = pose_matrix[ib]
-    else:
-        a = np.stack([x.block(f.block_ids[0]) for f in factors])
-        b = np.stack([x.block(f.block_ids[1]) for f in factors])
-    z = np.stack([f.z for f in factors])
+def _batch_relative_se2(x: ManifoldPoint, batch: Se2Batch, with_jacobians: bool):
+    """Residuals (n, 3) and right-perturbation Jacobians (n, 3, 3) of a batch.
+
+    ``r = log(b^-1 . a . z)``; ``Ja`` and ``Jb`` differentiate it with
+    respect to the tangent of the first and second pose.
+    """
+    a = x.poses[batch.ia]
+    b = x.poses[batch.ib]
+    z = batch.z
 
     az = se2_compose(a, z)
     b_inv = se2_inverse(b)
@@ -401,11 +396,10 @@ def _batch_relative_se2(x: ManifoldPoint, factors, with_jacobians: bool):
     if not with_jacobians:
         return r, None, None
 
-    n = len(factors)
-    cb, sb = np.cos(b_inv[:, 2]), np.sin(b_inv[:, 2])
-    ca, sa = np.cos(a[:, 2]), np.sin(a[:, 2])
-
-    # dlog(g)
+    # With t_g and th the translation and angle of g, r = (V^-1(th) t_g, th).
+    # A right perturbation (rho, w) of a moves t_g by R(th_a - th_b)
+    # (rho + w J t_z) and th by w; one (sigma, psi) of b moves t_g by
+    # -sigma - psi J t_g and th by -psi, where J is the 90-degree rotation.
     th = g[:, 2]
     small = np.abs(th) < 1e-7
     ths = np.where(small, 1.0, th)
@@ -414,71 +408,33 @@ def _batch_relative_se2(x: ManifoldPoint, factors, with_jacobians: bool):
     alpha = np.where(small, 1.0 - th * th / 12.0, half * np.cos(half) / sin_half)
     dalpha = np.where(small, -th / 6.0,
                       (np.sin(ths) - ths) / (4.0 * sin_half * sin_half))
-    dlog = np.zeros((n, 3, 3))
-    dlog[:, 0, 0] = dlog[:, 1, 1] = alpha
-    dlog[:, 0, 1] = 0.5 * th
-    dlog[:, 1, 0] = -0.5 * th
-    dlog[:, 0, 2] = dalpha * g[:, 0] + 0.5 * g[:, 1]
-    dlog[:, 1, 2] = -0.5 * g[:, 0] + dalpha * g[:, 1]
-    dlog[:, 2, 2] = 1.0
+    beta = 0.5 * th
 
-    # chain: Ja = dlog . R(b_inv) . dcompose_first(a, z) . R(a)
-    A = np.zeros((n, 3, 3))  # dcompose_second(b_inv): rotation of b_inv
-    A[:, 0, 0] = cb
-    A[:, 0, 1] = -sb
-    A[:, 1, 0] = sb
-    A[:, 1, 1] = cb
-    A[:, 2, 2] = 1.0
+    def v_inv(u0, u1):  # V^-1(th) u
+        return np.stack([alpha * u0 + beta * u1, alpha * u1 - beta * u0], axis=-1)
 
-    B = np.zeros((n, 3, 3))  # dcompose_first(a, z)
-    B[:, 0, 0] = B[:, 1, 1] = B[:, 2, 2] = 1.0
-    B[:, 0, 2] = -sa * z[:, 0] - ca * z[:, 1]
-    B[:, 1, 2] = ca * z[:, 0] - sa * z[:, 1]
-
-    Ra = np.zeros((n, 3, 3))  # dcompose_second(a): rotation of a
-    Ra[:, 0, 0] = ca
-    Ra[:, 0, 1] = -sa
-    Ra[:, 1, 0] = sa
-    Ra[:, 1, 1] = ca
-    Ra[:, 2, 2] = 1.0
-
-    Ja = dlog @ A @ B @ Ra
-
-    # Jb = dlog . dcompose_first(b_inv, az) . dinverse(b) . R(b)
-    C = np.zeros((n, 3, 3))  # dcompose_first(b_inv, az)
-    C[:, 0, 0] = C[:, 1, 1] = C[:, 2, 2] = 1.0
-    C[:, 0, 2] = -sb * az[:, 0] - cb * az[:, 1]
-    C[:, 1, 2] = cb * az[:, 0] - sb * az[:, 1]
-
-    cbb, sbb = np.cos(b[:, 2]), np.sin(b[:, 2])
-    Dinv = np.zeros((n, 3, 3))  # dinverse(b)
-    Dinv[:, 0, 0] = -cbb
-    Dinv[:, 0, 1] = -sbb
-    Dinv[:, 1, 0] = sbb
-    Dinv[:, 1, 1] = -cbb
-    Dinv[:, 0, 2] = sbb * b[:, 0] - cbb * b[:, 1]
-    Dinv[:, 1, 2] = cbb * b[:, 0] + sbb * b[:, 1]
-    Dinv[:, 2, 2] = -1.0
-
-    Rb = np.zeros((n, 3, 3))  # dcompose_second(b): rotation of b
-    Rb[:, 0, 0] = cbb
-    Rb[:, 0, 1] = -sbb
-    Rb[:, 1, 0] = sbb
-    Rb[:, 1, 1] = cbb
-    Rb[:, 2, 2] = 1.0
-
-    Jb = dlog @ C @ Dinv @ Rb
+    dv = np.stack([dalpha * g[:, 0] + 0.5 * g[:, 1],
+                   dalpha * g[:, 1] - 0.5 * g[:, 0]], axis=-1)  # dV^-1/dth t_g
+    c, s = np.cos(a[:, 2] - b[:, 2]), np.sin(a[:, 2] - b[:, 2])
+    Ja = np.zeros((len(z), 3, 3))
+    Ja[:, :2, 0] = v_inv(c, s)
+    Ja[:, :2, 1] = v_inv(-s, c)
+    Ja[:, :2, 2] = v_inv(-c * z[:, 1] - s * z[:, 0], c * z[:, 0] - s * z[:, 1]) + dv
+    Ja[:, 2, 2] = 1.0
+    Jb = np.zeros((len(z), 3, 3))
+    Jb[:, :2, 0] = v_inv(-np.ones_like(th), np.zeros_like(th))
+    Jb[:, :2, 1] = v_inv(np.zeros_like(th), -np.ones_like(th))
+    Jb[:, :2, 2] = v_inv(g[:, 1], -g[:, 0]) - dv
+    Jb[:, 2, 2] = -1.0
     return r, Ja, Jb
 
 
 def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:
     """All residuals of a group stacked into a (k, m) array."""
-    factors = problem.factors_by_group[group_id]
-    se2_factors = [f for f in factors if f.kind == RELATIVE_SE2]
-    if len(se2_factors) == len(factors) and factors:
-        r, _, _ = _batch_relative_se2(x, factors, with_jacobians=False)
-        return r
-    return np.stack([residual(f, x) for f in factors])
+    batch = problem.se2_batches.get(group_id)
+    if batch is not None:
+        return _batch_relative_se2(x, batch, with_jacobians=False)[0]
+    return np.stack([residual(f, x) for f in problem.factors_by_group[group_id]])
 
 
 def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from jointcov.cli import load_config_file, main
 from jointcov.harness import read_results
 from jointcov.io_pgo import (
+    PoseGraph2D,
     SyntheticNoiseSpec,
     generate_manhattan_like,
     load_g2o,
@@ -116,6 +117,30 @@ class TestSolveCommand:
         assert np.linalg.eigvalsh(cov).min() > 0
 
 
+@pytest.fixture
+def noise_free_graph(tmp_path):
+    graph, truth = generate_manhattan_like(30, "nearby", None, trajectory_seed=5)
+    noisy = tmp_path / "clean.g2o"
+    save_g2o(graph, noisy)
+    gt = tmp_path / "clean_gt.g2o"
+    save_g2o(PoseGraph2D(poses={i: np.asarray(truth.block(i)) for i in graph.poses},
+                         edges=graph.edges), gt)
+    return noisy, gt
+
+
+class TestUnboundedProblem:
+    @pytest.mark.parametrize("command", ["solve", "calibrate"])
+    def test_noise_free_ml_fails_in_one_line(self, noise_free_graph, capsys, command):
+        noisy, gt = noise_free_graph
+        argv = [command, "--input", str(noisy), "--variant", "ml"]
+        if command == "calibrate":
+            argv += ["--ground-truth", str(gt)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: group 'all': sample covariance is singular")
+
+
 class TestCalibrateCommand:
     def test_recovers_noise_scale(self, small_graph_files, tmp_path, capsys):
         noisy, gt = small_graph_files
@@ -144,3 +169,13 @@ class TestConfigFile:
         cfg.write_text("bogus 1\n")
         with pytest.raises(ValueError, match="unknown config key"):
             load_config_file(cfg)
+
+    def test_key_without_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "bare.txt"
+        cfg.write_text("# comment\ntrials\n")
+        with pytest.raises(ValueError, match=r"bare.txt:2: config key 'trials' needs a value"):
+            load_config_file(cfg)
+        rc = main(["linear-mc", "--config", str(cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {cfg}:2: config key 'trials' needs a value"]

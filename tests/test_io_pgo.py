@@ -86,6 +86,16 @@ class TestParser:
         with pytest.raises(GraphFormatError, match="line 2"):
             parse_g2o("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 nope 0 0\n")
 
+    @pytest.mark.parametrize("line", [
+        "EDGE_SE2 0 1 nan 0 0 1 0 0 1 0 1",
+        "EDGE_SE2 0 1 1 0 0 inf 0 0 1 0 1",
+        "VERTEX_SE2 2 0 -inf 0",
+    ])
+    def test_non_finite_value_rejected(self, line):
+        text = "VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n" + line + "\n"
+        with pytest.raises(GraphFormatError, match="line 3: non-finite"):
+            parse_g2o(text)
+
     def test_missing_vertex_rejected(self):
         with pytest.raises(GraphFormatError, match="missing vertex"):
             parse_g2o("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointcov.manifold import (
     CutLocusError,
@@ -119,6 +121,30 @@ class TestBoxOps:
             v = rng.uniform(-0.5, 0.5, size=5)
             np.testing.assert_allclose(boxminus(boxplus(x, v), x), v, atol=1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        # mixed Euclidean + SE(2) specs; pose angles include values near
+        # +/-pi, tangent rotations stay inside (-pi, pi) where log inverts exp
+        kinds = data.draw(st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=5))
+        spec = ManifoldSpec(tuple(
+            se2_block(i) if k == 0 else euclidean_block(i, k) for i, k in enumerate(kinds)))
+        coord = st.floats(-10.0, 10.0)
+        angle = st.one_of(st.floats(-np.pi, np.pi),
+                          st.floats(np.pi - 1e-6, np.pi),
+                          st.floats(-np.pi, -np.pi + 1e-6))
+        values, v = [], []
+        for k in kinds:
+            if k == 0:
+                values.append([data.draw(coord), data.draw(coord), data.draw(angle)])
+                v += [data.draw(st.floats(-5.0, 5.0)), data.draw(st.floats(-5.0, 5.0)),
+                      data.draw(st.floats(-3.0, 3.0))]
+            else:
+                values.append([data.draw(coord) for _ in range(k)])
+                v += [data.draw(st.floats(-5.0, 5.0)) for _ in range(k)]
+        x = ManifoldPoint(spec, values)
+        np.testing.assert_allclose(boxminus(boxplus(x, v), x), v, atol=1e-9)
+
     def test_dimension_mismatch(self):
         spec = make_spec()
         with pytest.raises(ValueError):
@@ -161,6 +187,31 @@ class TestTypes:
         x = ManifoldPoint(spec, (np.array([1.0, 2.0]),))
         with pytest.raises(ValueError):
             x.block("v")[0] = 9.0
+
+    def test_block_views_read_only(self):
+        spec = make_spec()
+        x = boxplus(ManifoldPoint(spec, ([1.0, 2.0], [0.1, 0.2, 0.3])), np.ones(5))
+        for view in (x.block("v"), x.block("p"), *x.values, x.poses, x.vector):
+            with pytest.raises(ValueError):
+                view[0] = 9.0
+        with pytest.raises(AttributeError):
+            x.poses = np.zeros((1, 3))
+
+    def test_columnar_storage(self):
+        spec = ManifoldSpec((se2_block("a"), euclidean_block("v", 2), se2_block("b")))
+        x = ManifoldPoint(spec, ([1.0, 2.0, 0.5], [7.0, 8.0], [3.0, 4.0, -0.5]))
+        np.testing.assert_array_equal(x.poses, [[1.0, 2.0, 0.5], [3.0, 4.0, -0.5]])
+        np.testing.assert_array_equal(x.vector, [7.0, 8.0])
+        np.testing.assert_array_equal(spec.pose_tangent_index, [[0, 1, 2], [5, 6, 7]])
+        np.testing.assert_array_equal(spec.vector_tangent_index, [3, 4])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        spec = make_spec()
+        with pytest.raises(ValueError, match="non-finite"):
+            ManifoldPoint(spec, ([0.0, 0.0], [0.0, 1.0, bad]))
+        with pytest.raises(ValueError, match="non-finite"):
+            ManifoldPoint(spec, ([bad, 0.0], [0.0, 1.0, 0.0]))
 
     def test_tangent_slices(self):
         spec = make_spec()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jointcov.covariance import mode_match_prior
 from jointcov.manifold import (
@@ -8,10 +10,12 @@ from jointcov.manifold import (
     boxplus,
     euclidean_block,
     se2_block,
+    wrap_angle,
 )
 from jointcov.problem import (
     JointProblem,
     NoiseGroup,
+    Se2Batch,
     _batch_relative_se2,
     custom_factor,
     group_residuals,
@@ -101,6 +105,21 @@ class TestJacobians:
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J - J_fd).max() / scale <= 1e-5
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=9, max_size=9))
+    def test_batched_jacobians_match_finite_differences(self, vals):
+        a, b, z = np.reshape(vals, (3, 3))
+        # keep the residual's rotation log(b^-1 a z) away from the cut locus
+        assume(abs(wrap_angle(a[2] + z[2] - b[2])) < np.pi - 0.1)
+        spec = ManifoldSpec((se2_block(0), se2_block(1)))
+        x = ManifoldPoint(spec, (a, b))
+        f = relative_se2_factor(0, 0, 1, z, "g")
+        _, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(spec, (f,)), True)
+        J_fd = _fd_oracle(f, x)
+        scale = max(1.0, np.abs(J_fd).max())
+        assert np.abs(Ja[0] - J_fd[:, :3]).max() / scale <= 1e-5
+        assert np.abs(Jb[0] - J_fd[:, 3:]).max() / scale <= 1e-5
+
     def test_custom_uses_finite_differences(self):
         f = custom_factor(0, ("x",), np.array([0.0]),
                           "g", lambda z, v: z - v ** 3)
@@ -182,7 +201,8 @@ class TestBatchPath:
             i, j = rng.choice(n, size=2, replace=False)
             factors.append(relative_se2_factor(
                 k, int(i), int(j), rng.uniform(-1, 1, size=3), "g"))
-        r, Ja, Jb = _batch_relative_se2(x, factors, with_jacobians=True)
+        r, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(spec, factors),
+                                        with_jacobians=True)
         for k, f in enumerate(factors):
             np.testing.assert_allclose(r[k], residual(f, x), atol=1e-14)
             J = residual_jacobian(f, x)
@@ -241,6 +261,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="rank deficient"):
             linear_factor(0, "x", np.eye(2), np.zeros(2), "g",
                           preprocess_jacobian=np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    def test_relative_se2_needs_pose_blocks(self):
+        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p")))
+        f = relative_se2_factor(0, "x", "p", np.zeros(3), "g")
+        with pytest.raises(ValueError, match="non-SE"):
+            make_problem([f], [NoiseGroup("g", 3, "ml")], spec)
 
     def test_gauge_block_must_exist(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
