@@ -26,7 +26,6 @@ forms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,60 +89,22 @@ def spd_inverse(a: np.ndarray) -> np.ndarray:
     return symmetrize(inv)
 
 
-def jacobi_eigh(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60):
-    """Eigendecomposition of a small symmetric matrix by cyclic Jacobi rotations.
+def jacobi_eigh(a: np.ndarray):
+    """Eigendecomposition of a small symmetric matrix, with pinned signs.
 
-    Sweeps run in fixed row-major order over the strict upper triangle and
-    stop when the off-diagonal Frobenius norm falls below ``tol`` relative to
-    the input norm, so results are bit-reproducible across platforms.
-    Eigenvalues are returned ascending; each eigenvector's largest-magnitude
-    component is made positive to pin the sign.
+    LAPACK (``numpy.linalg.eigh``) followed by sign pinning: each
+    eigenvector's largest-magnitude component is made positive.  Results
+    are deterministic on one machine and BLAS/LAPACK build, not bit-equal
+    across platforms.  The name is kept from the earlier cyclic-Jacobi
+    implementation because callers and the benchmark tracer refer to it.
+    Eigenvalues are returned ascending.
 
     Returns:
         (eigenvalues ``(m,)``, eigenvectors as columns ``(m, m)``)
     """
-    a = symmetrize(np.array(a, dtype=float))
-    m = a.shape[0]
-    v = np.eye(m)
-    scale = max(float(np.linalg.norm(a)), np.finfo(float).tiny)
-    off_mask = ~np.eye(m, dtype=bool)
-    for _ in range(max_sweeps):
-        off = float(np.linalg.norm(a[off_mask]))
-        if off <= tol * scale:
-            break
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p, q]
-                if abs(apq) <= 1e-3 * tol * scale / (m * m):
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                for i in range(m):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = a[i, p], a[i, q]
-                    a[i, p] = a[p, i] = c * aip - s * aiq
-                    a[i, q] = a[q, i] = s * aip + c * aiq
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s * v[:, q]
-                v[:, q] = s * vp + c * v[:, q]
-    else:
-        raise RuntimeError("Jacobi eigendecomposition did not converge")
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    v = v[:, order]
-    for j in range(m):
-        i = int(np.argmax(np.abs(v[:, j])))
-        if v[i, j] < 0.0:
-            v[:, j] = -v[:, j]
-    return eigvals, v
+    eigvals, v = np.linalg.eigh(symmetrize(a))
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return eigvals, np.where(pivots < 0.0, -v, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,9 +368,9 @@ def numeric_inner_oracle(M: np.ndarray, variant: str,
     ``[1/lam_max, 1/lam_min]``.  Runs until the projected-gradient residual
     drops below ``grad_tol``.
 
-    Deliberately independent of the analytic route: linear algebra goes
-    through LAPACK (``numpy.linalg``) rather than the package's Jacobi and
-    Cholesky helpers.
+    Deliberately independent of the analytic route: it descends on ``P``
+    with plain ``numpy.linalg`` calls and uses none of the closed forms or
+    the package's eigendecomposition and Cholesky helpers.
     """
     if variant not in INNER_VARIANTS:
         raise ValueError(f"unknown inner variant {variant!r}")

@@ -30,15 +30,33 @@ from typing import Iterable
 import numpy as np
 
 from . import io_pgo, joint, nls
-from .covariance import jacobi_eigh, mode_match_prior, symmetrize
+from .covariance import (
+    NotPositiveDefiniteError,
+    UnboundedProblem,
+    jacobi_eigh,
+    mode_match_prior,
+    symmetrize,
+)
 from .io_pgo import LOOP, ODOMETRY, SyntheticNoiseSpec, counter_rng
-from .manifold import EUCLIDEAN, SE2, ManifoldPoint, ManifoldSpec, euclidean_block
+from .manifold import (
+    EUCLIDEAN,
+    SE2,
+    CutLocusError,
+    ManifoldPoint,
+    ManifoldSpec,
+    euclidean_block,
+)
 from .problem import JointProblem, NoiseGroup, linear_factor
 
 RESULT_COLUMNS = (
     "experiment", "trial", "seed", "algorithm", "noise_level",
     "rmse", "w2_odometry", "w2_loop", "final_F", "iters", "wall_ms", "status",
 )
+
+# The documented domain failures a trial records in its status column;
+# anything else is a programming error and propagates.
+TRIAL_FAILURES = (UnboundedProblem, CutLocusError, np.linalg.LinAlgError,
+                  NotPositiveDefiniteError)
 
 LINEAR_ALGORITHMS = ("elimination", "bcd", "fixed-true", "fixed-identity")
 PGO_ALGORITHMS = ("bcd", "bcd-diag", "bcd-wishart", "bcd-diag-wishart",
@@ -256,7 +274,7 @@ def _run_linear_algorithm(config, algorithm, Hs, zs, sigma_true, x_true_vec,
         rec.w2_odometry = wasserstein2(sigma_est, sigma_true)
         rec.final_F = float(final_F)
         rec.iters = int(iters)
-    except Exception as err:  # per-trial failure: record and continue
+    except TRIAL_FAILURES as err:  # per-trial failure: record and continue
         rec.status = f"error: {type(err).__name__}: {err}"
     else:
         _check_finite(rec)
@@ -433,7 +451,7 @@ def _run_pgo_algorithm(config, algorithm, graph, truth, x_init, noise,
                                                noise.covariance_for("all"))
         rec.final_F = float(final_F)
         rec.iters = int(iters)
-    except Exception as err:  # per-trial failure: record and continue
+    except TRIAL_FAILURES as err:  # per-trial failure: record and continue
         rec.status = f"error: {type(err).__name__}: {err}"
     else:
         _check_finite(rec)

@@ -19,7 +19,6 @@ from io import StringIO
 from typing import Iterable, Mapping, TextIO
 
 import numpy as np
-import scipy.spatial
 
 from .manifold import (
     ManifoldPoint,
@@ -323,7 +322,9 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
     positions = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
     truth = np.column_stack([positions, headings])
 
-    pairs = scipy.spatial.cKDTree(positions).query_pairs(loop_radius, output_type="ndarray")
+    from scipy.spatial import cKDTree  # here, not at module level: it slows every import
+
+    pairs = cKDTree(positions).query_pairs(loop_radius, output_type="ndarray")
     candidates = sorted(
         (int(i), int(j)) for i, j in pairs if abs(int(j) - int(i)) >= loop_gap)
     target = int(round(loop_fraction * num_poses))

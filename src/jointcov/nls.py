@@ -126,8 +126,8 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
                  dense_threshold: int = 200) -> LinearizedSystem:
     """Linearize all factors at x and assemble gradient (and Hessian).
 
-    All-SE(2) groups go through their compiled batch; other groups are
-    linearized factor by factor.
+    All-SE(2) groups and groups of linear and prior factors go through their
+    compiled batch; other groups are linearized factor by factor.
     """
     index = problem.active_index
     n = index.dim
@@ -175,6 +175,11 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
                 _scatter_se2_blocks(H, coo_rows, coo_cols, coo_vals,
                                     offa, offb, va, vb, Haa, Hab, Hbb)
             continue
+        batch = problem.linear_batches.get(g.group_id)
+        if batch is not None:
+            cost = _add_linear_batch(batch, x, Wg, cost, grad, with_hessian,
+                                     H, coo_rows, coo_cols, coo_vals)
+            continue
         for f in problem.factors_by_group[g.group_id]:
             r = residual(f, x)
             Wr = Wg @ r
@@ -202,6 +207,49 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         vals = np.concatenate(coo_vals) if coo_vals else np.zeros(0)
         hessian = scipy.sparse.coo_matrix((vals, (rows, cols_)), shape=(n, n)).tocsc()
     return LinearizedSystem(hessian, grad, cost, index)
+
+
+def _in_factor_order(start, terms):
+    """``start + terms[0] + terms[1] + ...`` summed left to right over the
+    factor axis, so the result has the per-factor loop's rounding."""
+    return np.cumsum(np.concatenate((start[None], terms)), axis=0)[-1]
+
+
+def _add_linear_batch(batch, x, Wg, cost, grad, with_hessian,
+                      H, coo_rows, coo_cols, coo_vals) -> float:
+    """Add a compiled linear batch's cost, gradient and Hessian terms.
+
+    Every factor's term is one stacked matmul item, the same BLAS call the
+    per-factor loop makes, and the terms are summed in factor order, so the
+    result equals the per-factor loop's bit for bit.  Returns the new cost.
+    """
+    r = batch.residuals(x)
+    Wr = (Wg @ r[:, :, None])[:, :, 0]
+    cost = float(_in_factor_order(np.array(cost), 0.5 * np.vecdot(r, Wr)))
+    J = -batch.H
+    active = [(J[:, :, c0:c1], off) for c0, c1, off in batch.blocks if off >= 0]
+    pairs = []  # (ou, ov, (k, du, dv) blocks) in the per-factor loop's order
+    for Ju, ou in active:
+        JuT = np.swapaxes(Ju, 1, 2)
+        seg = grad[ou : ou + Ju.shape[2]]
+        seg[...] = _in_factor_order(seg, (JuT @ Wr[:, :, None])[:, :, 0])
+        if with_hessian:
+            JuTW = JuT @ Wg
+            pairs += [(ou, ov, JuTW @ Jv) for Jv, ov in active]
+    if H is not None:
+        for ou, ov, blocks in pairs:
+            seg = H[ou : ou + blocks.shape[1], ov : ov + blocks.shape[2]]
+            seg[...] = _in_factor_order(seg, blocks)
+    elif pairs:
+        # Factor-major COO entries, as the per-factor loop emits them.
+        k = len(r)
+        coo_vals.append(np.concatenate([b.reshape(k, -1) for _, _, b in pairs],
+                                       axis=1).ravel())
+        coo_rows.append(np.tile(np.concatenate(
+            [np.repeat(ou + np.arange(b.shape[1]), b.shape[2]) for ou, _, b in pairs]), k))
+        coo_cols.append(np.tile(np.concatenate(
+            [np.tile(ov + np.arange(b.shape[2]), b.shape[1]) for _, ov, b in pairs]), k))
+    return cost
 
 
 def _scatter_se2_blocks(H, coo_rows, coo_cols, coo_vals,

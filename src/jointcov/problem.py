@@ -2,9 +2,11 @@
 
 A :class:`JointProblem` bundles a manifold declaration, a factor list, a
 table of noise groups, and a gauge (the block ids held fixed).  Residual and
-Jacobian evaluation is stateless and reentrant.  Relative-pose factors are
-evaluated in batches: a problem compiles each all-SE(2) group once into
-pose-row index arrays and stacked measurements.
+Jacobian evaluation is stateless and reentrant.  Factors are evaluated in
+batches where a group allows it: a problem compiles each all-SE(2) group once
+into pose-row index arrays and stacked measurements, and each group of linear
+and prior factors on the same Euclidean blocks into stacked observation
+matrices.  Custom factors and mixed groups are evaluated factor by factor.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .covariance import (
     symmetrize,
 )
 from .manifold import (
+    EUCLIDEAN,
     SE2,
     ManifoldPoint,
     ManifoldSpec,
@@ -95,6 +98,9 @@ class MeasurementFactor:
             J = np.asarray(self.preprocess_jacobian, dtype=float)
             if J.ndim != 2 or J.shape[0] != J.shape[1]:
                 raise ValueError("preprocessing Jacobian must be square")
+            if not np.all(np.isfinite(J)):
+                raise ValueError(f"factor {self.factor_id}: preprocessing Jacobian "
+                                 "has non-finite values")
             if np.linalg.cond(J) >= _MAX_PREPROCESS_COND:
                 raise ValueError("preprocessing Jacobian is numerically rank deficient")
             object.__setattr__(self, "preprocess_jacobian", J)
@@ -161,6 +167,8 @@ class NoiseGroup:
             raise ValueError(f"group {self.group_id!r}: MAP variants need a prior")
         if self.prior is not None and self.prior.m != self.m:
             raise ValueError("prior dimension does not match group dimension")
+        if self.bounds is not None and not np.all(np.isfinite(self.bounds)):
+            raise ValueError(f"group {self.group_id!r}: bounds must be finite")
         if constraint in ("eig", "diag-eig"):
             if self.bounds is None:
                 raise ValueError(f"group {self.group_id!r}: eig variants need bounds")
@@ -173,6 +181,8 @@ class NoiseGroup:
         P = symmetrize(np.asarray(P, dtype=float))
         if P.shape != (self.m, self.m):
             raise ValueError("information matrix shape does not match m")
+        if not np.all(np.isfinite(P)):
+            raise ValueError(f"group {self.group_id!r}: information matrix is not finite")
         if cholesky_or_none(P) is None:
             raise ValueError("information matrix must be positive definite")
         if self.bounds is not None and self.variant != "fixed":
@@ -216,9 +226,15 @@ class JointProblem:
             for bid in f.block_ids:
                 if bid not in self.manifold._by_id:
                     raise ValueError(f"factor {f.factor_id} references unknown block {bid!r}")
-            if f.kind == RELATIVE_SE2 and any(
-                    self.manifold.block(bid).kind != SE2 for bid in f.block_ids):
-                raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
+            if f.kind == RELATIVE_SE2:
+                if any(self.manifold.block(bid).kind != SE2 for bid in f.block_ids):
+                    raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
+            elif f.kind != CUSTOM:  # linear or prior: H (a prior's is I) fits x and z
+                d = sum(self.manifold.block(bid).dim for bid in f.block_ids)
+                H_shape = (f.dim, f.dim) if f.H is None else f.H.shape
+                if f.z.shape != (f.dim,) or H_shape != (f.dim, d):
+                    raise ValueError(
+                        f"factor {f.factor_id} does not fit its {d} state entries")
             if f.group_id not in by_id:
                 raise ValueError(f"factor {f.factor_id} references unknown group {f.group_id!r}")
             g = by_id[f.group_id]
@@ -234,6 +250,16 @@ class JointProblem:
         for bid in self.gauge_fixed:
             if bid not in self.manifold._by_id:
                 raise ValueError(f"gauge-fixed block {bid!r} is not in the manifold")
+        self._check_finite()
+
+    def _check_finite(self):
+        """Reject non-finite measurements and observation matrices with one
+        vectorized test (a per-factor test would slow large graphs' set-up)."""
+        arrays = [f.z for f in self.factors] + [f.H for f in self.factors if f.H is not None]
+        if arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all():
+            bad = next(f for f in self.factors
+                       if not all(np.all(np.isfinite(a)) for a in (f.z, f.H) if a is not None))
+            raise ValueError(f"factor {bad.factor_id} has non-finite values")
 
     @cached_property
     def group_table(self) -> dict:
@@ -252,6 +278,32 @@ class JointProblem:
         return {gid: Se2Batch.compile(self.manifold, fs)
                 for gid, fs in self.factors_by_group.items()
                 if all(f.kind == RELATIVE_SE2 for f in fs)}
+
+    @cached_property
+    def linear_batches(self) -> dict:
+        """Group id -> compiled :class:`LinearBatch`, for groups whose factors
+        are all linear or prior factors on the same distinct Euclidean blocks."""
+        out = {}
+        for gid, fs in self.factors_by_group.items():
+            ids = fs[0].block_ids
+            if (len(set(ids)) == len(ids)
+                    and all(self.manifold.block(bid).kind == EUCLIDEAN for bid in ids)
+                    and all(f.kind in (LINEAR_GAUSSIAN, PRIOR_EUCLIDEAN)
+                            and f.block_ids == ids for f in fs)):
+                out[gid] = LinearBatch.compile(self.manifold, self.active_index, fs)
+        return out
+
+    @cached_property
+    def preprocess_inverses(self) -> dict:
+        """Group id -> (rows, stacked inverses) of the group's factors that
+        carry a preprocessing Jacobian, or None when none does."""
+        out = {}
+        for gid, fs in self.factors_by_group.items():
+            rows = [i for i, f in enumerate(fs) if f.preprocess_jacobian_inv is not None]
+            out[gid] = (np.array(rows, dtype=np.intp),
+                        np.array([fs[i].preprocess_jacobian_inv for i in rows])
+                        ) if rows else None
+        return out
 
     @cached_property
     def active_index(self) -> "ActiveIndex":
@@ -316,6 +368,39 @@ class Se2Batch:
         ia = np.array([rows[f.block_ids[0]] for f in factors], dtype=np.intp)
         ib = np.array([rows[f.block_ids[1]] for f in factors], dtype=np.intp)
         return cls(ia, ib, np.array([f.z for f in factors], dtype=float).reshape(-1, 3))
+
+
+@dataclass(frozen=True, eq=False)
+class LinearBatch:
+    """Linear and prior factors on the same Euclidean blocks, compiled once.
+
+    ``cols`` are the blocks' entries in :attr:`ManifoldPoint.vector`, in the
+    factors' block order; ``H`` ``(k, m, d)`` and ``z`` ``(k, m)`` stack the
+    observation matrices (the identity for a prior) and the measurements, so
+    the residual Jacobian is ``-H``.  ``blocks`` holds, per block, its column
+    range in ``H`` and its active-tangent offset (-1 when gauge-fixed).
+    """
+
+    cols: np.ndarray
+    H: np.ndarray
+    z: np.ndarray
+    blocks: tuple
+
+    @classmethod
+    def compile(cls, spec: ManifoldSpec, index: "ActiveIndex", factors) -> "LinearBatch":
+        ids = factors[0].block_ids
+        slices = [spec._storage[spec.position(bid)][1] for bid in ids]
+        blocks, start = [], 0
+        for bid, sl in zip(ids, slices):
+            blocks.append((start, start + sl.stop - sl.start, index.offsets[bid]))
+            start += sl.stop - sl.start
+        H = np.array([f.H if f.kind == LINEAR_GAUSSIAN else np.eye(f.dim) for f in factors])
+        return cls(np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+                   H, np.array([f.z for f in factors]), tuple(blocks))
+
+    def residuals(self, x: ManifoldPoint) -> np.ndarray:
+        """``z - H x`` per factor, ``(k, m)``."""
+        return self.z - self.H @ x.vector[self.cols]
 
 
 def _stacked_euclidean(x: ManifoldPoint, block_ids) -> np.ndarray:
@@ -434,6 +519,9 @@ def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.nda
     batch = problem.se2_batches.get(group_id)
     if batch is not None:
         return _batch_relative_se2(x, batch, with_jacobians=False)[0]
+    batch = problem.linear_batches.get(group_id)
+    if batch is not None:
+        return batch.residuals(x)
     return np.stack([residual(f, x) for f in problem.factors_by_group[group_id]])
 
 
@@ -445,9 +533,9 @@ def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.n
     space.  The result is symmetric PSD but may be singular; singularity
     handling is the caller's concern.
     """
-    factors = problem.factors_by_group[group_id]
     R = group_residuals(problem, x, group_id)
-    for i, f in enumerate(factors):
-        if f.preprocess_jacobian_inv is not None:
-            R[i] = f.preprocess_jacobian_inv @ R[i]
-    return symmetrize(R.T @ R / len(factors))
+    inverses = problem.preprocess_inverses[group_id]
+    if inverses is not None:
+        rows, J_inv = inverses
+        R[rows] = (J_inv @ R[rows][:, :, None])[:, :, 0]
+    return symmetrize(R.T @ R / len(R))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from jointcov.covariance import (
     DIAG_EIG,
@@ -15,6 +17,7 @@ from jointcov.covariance import (
     jacobi_eigh,
     mode_match_prior,
     numeric_inner_oracle,
+    solve_inner,
     solve_inner_diag_eig,
     solve_inner_diagonal,
     solve_inner_eig,
@@ -323,3 +326,34 @@ class TestNumericOracle:
         sol = solve_inner_eig(M, 0.5, 2.0)
         P = numeric_inner_oracle(M, EIG, 0.5, 2.0)
         np.testing.assert_allclose(P, sol.information, atol=1e-8)
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(1, 4), rank_deficient=st.booleans(),
+           variant=st.sampled_from([UNCONSTRAINED, DIAGONAL, EIG, DIAG_EIG]),
+           lam_min=st.floats(0.05, 1.0), lam_ratio=st.floats(1.0, 10.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_closed_forms_match_oracle(self, m, rank_deficient, variant,
+                                       lam_min, lam_ratio, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(m, m)))
+        eigs = rng.uniform(0.1, 3.0, size=m)
+        if rank_deficient:
+            eigs[rng.permutation(m)[: rng.integers(1, m + 1)]] = 0.0
+        M = (q * eigs) @ q.T
+        lam = (lam_min, lam_min * lam_ratio)
+        bounded = variant in (EIG, DIAG_EIG)
+        if variant == UNCONSTRAINED and rank_deficient:
+            # unbounded below; the P update flags it before solving (Cholesky
+            # of a rounded singular M may still succeed)
+            assert diagnose_singularity(M).is_ill_posed
+            return
+        if variant == DIAGONAL and np.diag(M).min() <= 0.0:
+            with pytest.raises(UnboundedProblem):
+                solve_inner(M, variant)
+            return
+        # keep the prior-free diagonal optimum 1 / M_ii within the oracle's reach
+        assume(variant != DIAGONAL or np.diag(M).min() >= 1e-3)
+        sol = solve_inner(M, variant, *(lam if bounded else ()))
+        P = numeric_inner_oracle(M, variant, *(lam if bounded else ()))
+        err = np.linalg.norm(P - sol.information) / np.linalg.norm(sol.information)
+        assert err <= 1e-8

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from jointcov import joint
+from jointcov.covariance import UnboundedProblem
 from jointcov.harness import (
     RESULT_COLUMNS,
     ExperimentConfig,
@@ -208,3 +210,34 @@ class TestDeterminism:
         records = run_pgo_ablation(cfg)
         assert len(records) == 1
         assert records[0].status == "ok" or records[0].status.startswith("error:")
+
+
+class TestTrialFailures:
+    """A trial records documented domain failures and lets other errors out."""
+
+    CASES = [
+        ("run_block_exact_bcd", ExperimentConfig(
+            experiment="linear-mc", trials=1, noise_grid=(1.0,),
+            algorithms=("bcd",)), run_linear_mc),
+        ("run_hybrid_bcd", ExperimentConfig(
+            experiment="pgo-ablation", trials=1, noise_grid=(2.0,),
+            num_poses=30, algorithms=("bcd",)), run_pgo_ablation),
+    ]
+
+    @pytest.mark.parametrize("solver, cfg, run", CASES, ids=["linear", "pgo"])
+    def test_programming_error_propagates(self, monkeypatch, solver, cfg, run):
+        def broken(*args, **kwargs):
+            raise TypeError("bad argument")
+
+        monkeypatch.setattr(joint, solver, broken)
+        with pytest.raises(TypeError, match="bad argument"):
+            run(cfg)
+
+    @pytest.mark.parametrize("solver, cfg, run", CASES, ids=["linear", "pgo"])
+    def test_domain_failure_recorded(self, monkeypatch, solver, cfg, run):
+        def unbounded(*args, **kwargs):
+            raise UnboundedProblem("singular")
+
+        monkeypatch.setattr(joint, solver, unbounded)
+        (record,) = run(cfg)
+        assert record.status == "error: UnboundedProblem: singular"

@@ -1,5 +1,11 @@
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+import jointcov
 
 from jointcov.harness import wasserstein2
 from jointcov.io_pgo import (
@@ -256,6 +262,14 @@ class TestGenerator:
                                        trajectory_seed=8)
         for e in g.edges:
             np.testing.assert_array_equal(e.information, np.eye(3))
+
+
+def test_package_import_defers_scipy_spatial():
+    # only the synthetic graph generator needs the KD-tree
+    src = str(pathlib.Path(jointcov.__file__).parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jointcov.cli, "
+            "jointcov.harness; sys.exit('scipy.spatial' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestGeneratorConfig:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jointcov.manifold import (
     ManifoldPoint,
@@ -20,6 +22,7 @@ from jointcov.nls import (
 from jointcov.problem import (
     JointProblem,
     NoiseGroup,
+    group_residuals,
     linear_factor,
     prior_factor,
     relative_se2_factor,
@@ -215,3 +218,68 @@ class TestStepOnce:
         W = {"g": np.eye(3)}
         x1 = step_once(pb, x0, W, NlsConfig(step_mode=RIEMANNIAN_GD, gd_step=1e-3))
         assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
+
+
+class TestLinearBatch:
+    """The compiled linear batch reproduces the per-factor loop bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_batch_matches_per_factor(self, data):
+        dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), "dims")
+        k = data.draw(st.integers(1, 40), "k")
+        gauge = data.draw(st.sampled_from([None, *range(len(dims))]), "gauge")
+        dense_threshold = data.draw(st.sampled_from([200, 1]), "dense_threshold")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        # interleave an unused pose and vector so the batch gathers real columns
+        ids = [f"b{i}" for i in range(len(dims))]
+        spec = ManifoldSpec((euclidean_block("pad", 2), se2_block("p"),
+                             *(euclidean_block(b, d) for b, d in zip(ids, dims))))
+        order = tuple(rng.permutation(ids))
+        d = sum(dims)
+        if len(dims) == 1 and data.draw(st.booleans(), "with_priors"):
+            m = d  # a mix of priors and square linear factors on one block
+            factors = [prior_factor(i, ids[0], rng.normal(size=m), "g")
+                       if rng.random() < 0.5 else
+                       linear_factor(i, order, rng.normal(size=(m, d)),
+                                     rng.normal(size=m), "g")
+                       for i in range(k)]
+        else:
+            m = data.draw(st.integers(1, 5), "m")
+            factors = [linear_factor(i, order, rng.normal(size=(m, d)),
+                                     rng.normal(size=m), "g") for i in range(k)]
+        gauge_fixed = () if gauge is None else (ids[gauge],)
+        A = rng.normal(size=(m, m))
+        weights = {"g": A @ A.T + 0.1 * np.eye(m)}
+
+        def problem():
+            return JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),),
+                                frozenset(gauge_fixed))
+
+        batched, per_factor = problem(), problem()
+        per_factor.__dict__["linear_batches"] = {}  # sends "g" through the loop
+        assert "g" in batched.linear_batches
+        x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
+        a = build_system(batched, x, weights, dense_threshold=dense_threshold)
+        b = build_system(per_factor, x, weights, dense_threshold=dense_threshold)
+        assert a.cost == b.cost
+        np.testing.assert_array_equal(a.gradient, b.gradient)
+        if dense_threshold == 1:
+            for part in ("indptr", "indices", "data"):
+                np.testing.assert_array_equal(getattr(a.hessian, part),
+                                              getattr(b.hessian, part))
+        else:
+            np.testing.assert_array_equal(a.hessian, b.hessian)
+        np.testing.assert_array_equal(group_residuals(batched, x, "g"),
+                                      group_residuals(per_factor, x, "g"))
+
+    def test_mixed_block_sets_use_the_loop(self):
+        spec = ManifoldSpec((euclidean_block("x", 2), euclidean_block("y", 2)))
+        factors = (prior_factor(0, "x", np.zeros(2), "g"),
+                   prior_factor(1, "y", np.zeros(2), "g"))
+        pb = JointProblem(spec, factors, (NoiseGroup("g", 2, "ml"),))
+        assert pb.linear_batches == {}
+        x = ManifoldPoint(spec, (np.ones(2), 2.0 * np.ones(2)))
+        system = build_system(pb, x, {"g": np.eye(2)})
+        np.testing.assert_array_equal(system.gradient, [1.0, 1.0, 2.0, 2.0])
+        np.testing.assert_array_equal(system.hessian, np.eye(4))

@@ -273,3 +273,42 @@ class TestValidation:
         f = prior_factor(0, "x", [0.0, 0.0], "g")
         with pytest.raises(ValueError, match="gauge"):
             make_problem([f], [NoiseGroup("g", 2, "ml")], spec, gauge=("z",))
+
+    @pytest.mark.parametrize("make_factor", [
+        lambda: relative_se2_factor(7, "a", "b", [np.nan, 0.0, 0.0], "g"),
+        lambda: linear_factor(7, "x", np.full((3, 3), np.inf), np.zeros(3), "g"),
+        lambda: linear_factor(7, "x", np.eye(3), [0.0, -np.inf, 0.0], "g"),
+        lambda: prior_factor(7, "x", [0.0, 0.0, np.nan], "g"),
+    ], ids=["se2-z", "linear-H", "linear-z", "prior-z"])
+    def test_non_finite_factor_rejected(self, make_factor):
+        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("a"), se2_block("b")))
+        good = prior_factor(0, "x", np.zeros(3), "g")
+        with pytest.raises(ValueError, match="factor 7 has non-finite"):
+            make_problem([good, make_factor()], [NoiseGroup("g", 3, "ml")], spec)
+
+    def test_non_finite_preprocess_jacobian_rejected(self):
+        with pytest.raises(ValueError, match="factor 7: preprocessing Jacobian has non-finite"):
+            linear_factor(7, "x", np.eye(3), np.zeros(3), "g",
+                          preprocess_jacobian=np.diag([1.0, np.nan, 1.0]))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"information": np.diag([1.0, np.nan, 1.0])},
+        {"information": np.diag([1.0, np.inf, 1.0])},
+        {"bounds": (1e-4, np.inf)},
+        {"bounds": (np.nan, 1.0)},
+    ], ids=["information-nan", "information-inf", "bounds-inf", "bounds-nan"])
+    def test_non_finite_group_rejected(self, kwargs):
+        variant = "ml-eig" if "bounds" in kwargs else "ml"
+        with pytest.raises(ValueError, match="finite"):
+            NoiseGroup("g", 3, variant, **kwargs)
+
+    @pytest.mark.parametrize("make_factor", [
+        lambda: linear_factor(0, "x", np.ones((3, 2)), np.zeros(3), "g"),
+        lambda: linear_factor(0, "x", np.ones((3, 3)), np.zeros(2), "g"),
+        lambda: prior_factor(0, "x", np.zeros(2), "g"),
+    ], ids=["H-columns", "z-length", "prior-length"])
+    def test_linear_shape_mismatch_rejected(self, make_factor):
+        spec = ManifoldSpec((euclidean_block("x", 3),))
+        f = make_factor()
+        with pytest.raises(ValueError, match="does not fit its 3 state entries"):
+            make_problem([f], [NoiseGroup("g", f.dim, "ml")], spec)
