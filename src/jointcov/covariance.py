@@ -218,19 +218,21 @@ def _no_flags(m: int) -> np.ndarray:
 def solve_inner_unconstrained(M: np.ndarray) -> InnerSolution:
     """``P* = M^-1``; requires ``M`` positive definite.
 
-    At the optimum ``<M, P*> = m`` and the objective reduces to
-    ``log det M + m``.
+    Raises :class:`UnboundedProblem` when :func:`diagnose_singularity` finds
+    ``M`` singular: Cholesky of an exactly rank-deficient ``M`` can succeed
+    after rounding and would return a huge ``P``.  At the optimum
+    ``<M, P*> = m`` and the objective reduces to ``log det M + m``.
     """
     M = symmetrize(M)
     m = M.shape[0]
-    chol = cholesky_or_none(M)
+    report = diagnose_singularity(M)
+    chol = None if report.is_ill_posed else cholesky_or_none(M)
     if chol is None:
-        eigvals, _ = jacobi_eigh(M)
         raise UnboundedProblem(
             "second-moment matrix is singular "
-            f"(min eigenvalue {eigvals[0]:.3e}); the unconstrained covariance "
+            f"(min eigenvalue {report.min_eigenvalue:.3e}); the unconstrained covariance "
             "update is unbounded below — add an eigenvalue lower bound or a prior",
-            min_eigenvalue=float(eigvals[0]),
+            min_eigenvalue=report.min_eigenvalue,
         )
     P = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m)))
     objective = chol_logdet(chol) + m
@@ -238,13 +240,15 @@ def solve_inner_unconstrained(M: np.ndarray) -> InnerSolution:
 
 
 def solve_inner_diagonal(M: np.ndarray) -> InnerSolution:
-    """``P* = Diag(M)^-1``; requires a strictly positive diagonal."""
+    """``P* = Diag(M)^-1``; requires every diagonal entry above
+    ``1e-12 * trace(M) / m`` (the relative test of
+    :func:`diagnose_singularity`, without its eigensolve)."""
     M = np.asarray(M, dtype=float)
     m = M.shape[0]
     d = np.diag(M).copy()
-    if np.any(d <= 0.0):
+    if d.min() <= 1e-12 * d.sum() / m:
         raise UnboundedProblem(
-            "second moment has a nonpositive diagonal entry "
+            "second moment has a (near-)zero diagonal entry "
             f"(min {d.min():.3e}); the diagonal covariance update is "
             "unbounded below — add an eigenvalue lower bound or a prior",
             min_eigenvalue=float(d.min()),

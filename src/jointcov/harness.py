@@ -171,7 +171,12 @@ def _spd_sqrt(a: np.ndarray) -> np.ndarray:
 def wasserstein2(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
     """2-Wasserstein distance between zero-mean Gaussians:
     ``sqrt(trace(A + B - 2 (A^1/2 B A^1/2)^1/2))``, clamped at zero for
-    round-off under the radical."""
+    round-off under the radical.
+
+    For nearly equal covariances the radicand keeps only round-off, so
+    values below about 1e-7 are noise: an estimate ``inv(inv(Sigma))`` of
+    ``Sigma`` reads about 7e-08, not 0.
+    """
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
     if sigma_a.shape != sigma_b.shape:

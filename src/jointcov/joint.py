@@ -32,7 +32,6 @@ from . import nls
 from .covariance import (
     UnboundedProblem,
     assemble_M,
-    diagnose_singularity,
     inner_objective,
     solve_inner,
 )
@@ -128,9 +127,10 @@ def information_update(problem: JointProblem, x: ManifoldPoint
                        ) -> tuple[dict, dict]:
     """Analytic P update for every group at the current state.
 
-    Fixed groups keep their information matrix.  Prior-free unconstrained
-    and diagonal variants are checked for singular sample covariance first
-    and raise :class:`UnboundedProblem` naming the offending group.
+    Fixed groups keep their information matrix.  The unconstrained and
+    diagonal solvers reject a singular second moment (for a prior-free group
+    the sample covariance); the :class:`UnboundedProblem` is re-raised here
+    naming the offending group.
 
     Returns:
         (information per group id, InnerSolution per estimated group id)
@@ -141,25 +141,20 @@ def information_update(problem: JointProblem, x: ManifoldPoint
         if g.variant == "fixed":
             P[g.group_id] = g.information
             continue
-        S = sample_covariance(problem, x, g.group_id)
-        if g.estimator == "ml" and g.constraint in ("unconstrained", "diagonal"):
-            report = diagnose_singularity(S)
-            bad = (report.is_ill_posed if g.constraint == "unconstrained"
-                   else report.is_ill_posed_diagonal)
-            if bad:
-                raise UnboundedProblem(
-                    f"group {g.group_id!r}: sample covariance is singular "
-                    f"(min eigenvalue {report.min_eigenvalue:.3e}); the "
-                    "prior-free covariance update is unbounded below",
-                    group_id=g.group_id,
-                    min_eigenvalue=report.min_eigenvalue,
-                )
-        M = S
+        M = sample_covariance(problem, x, g.group_id)
         if g.estimator == "map":
-            M = assemble_M(S, len(problem.factors_by_group[g.group_id]),
+            M = assemble_M(M, len(problem.factors_by_group[g.group_id]),
                            g.prior, g.m)
         lam_min, lam_max = g.bounds if g.bounds is not None else (None, None)
-        sol = solve_inner(M, g.constraint, lam_min, lam_max)
+        try:
+            sol = solve_inner(M, g.constraint, lam_min, lam_max)
+        except UnboundedProblem as err:
+            what = "eigenvalue" if g.constraint == "unconstrained" else "diagonal entry"
+            raise UnboundedProblem(
+                f"group {g.group_id!r}: sample covariance is singular "
+                f"(min {what} {err.min_eigenvalue:.3e}); the prior-free "
+                "covariance update is unbounded below",
+                group_id=g.group_id, min_eigenvalue=err.min_eigenvalue) from None
         P[g.group_id] = sol.information
         solutions[g.group_id] = sol
     return P, solutions
@@ -228,7 +223,7 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
             if res.lm_failure:
                 flags.add(FLAG_LM_FAILURE)
         else:
-            x, grad_proxy = nls._step_once_impl(problem, x, weights, config.nls)
+            x, grad_proxy = nls.step_once(problem, x, weights, config.nls)
         if config.record_traces:
             record(iterations, "x-step", joint_objective(problem, x, P), grad_proxy)
 

@@ -2,11 +2,20 @@
 
 A :class:`JointProblem` bundles a manifold declaration, a factor list, a
 table of noise groups, and a gauge (the block ids held fixed).  Residual and
-Jacobian evaluation is stateless and reentrant.  Factors are evaluated in
-batches where a group allows it: a problem compiles each all-SE(2) group once
-into pose-row index arrays and stacked measurements, and each group of linear
-and prior factors on the same Euclidean blocks into stacked observation
-matrices.  Custom factors and mixed groups are evaluated factor by factor.
+Jacobian evaluation is stateless and reentrant.
+
+Every group is compiled once into batches (:attr:`JointProblem.batches`)
+that cover its factors in order: an all-SE(2) group becomes one
+:class:`Se2Batch`, a group of linear and prior factors on the same Euclidean
+blocks one :class:`LinearBatch`, and every other factor a
+:class:`FactorBatch` of one built on :func:`residual` and
+:func:`residual_jacobian`.  A batch of k factors gives residuals ``(k, m)``,
+Jacobians ``(k, m, D)`` over its D connected tangent coordinates, and each
+coordinate's position in the active tangent.  Positions are laid out
+factor-major (all of factor i's before factor i+1's) because assembly adds
+terms in that order: summed in factor order, a batch linearizes bit for bit
+like the same factors as batches of one, and scipy's duplicate summation of
+sparse triplets depends on their order.
 """
 
 from __future__ import annotations
@@ -273,24 +282,22 @@ class JointProblem:
         return {gid: tuple(fs) for gid, fs in out.items()}
 
     @cached_property
-    def se2_batches(self) -> dict:
-        """Group id -> compiled :class:`Se2Batch`, for all-SE(2) groups."""
-        return {gid: Se2Batch.compile(self.manifold, fs)
-                for gid, fs in self.factors_by_group.items()
-                if all(f.kind == RELATIVE_SE2 for f in fs)}
-
-    @cached_property
-    def linear_batches(self) -> dict:
-        """Group id -> compiled :class:`LinearBatch`, for groups whose factors
-        are all linear or prior factors on the same distinct Euclidean blocks."""
+    def batches(self) -> dict:
+        """Group id -> tuple of compiled batches covering the group's factors
+        in order (see the module docstring)."""
+        spec, index = self.manifold, self.active_index
         out = {}
         for gid, fs in self.factors_by_group.items():
             ids = fs[0].block_ids
-            if (len(set(ids)) == len(ids)
-                    and all(self.manifold.block(bid).kind == EUCLIDEAN for bid in ids)
+            if all(f.kind == RELATIVE_SE2 for f in fs):
+                out[gid] = (Se2Batch.compile(spec, index, fs),)
+            elif (len(set(ids)) == len(ids)
+                    and all(spec.block(bid).kind == EUCLIDEAN for bid in ids)
                     and all(f.kind in (LINEAR_GAUSSIAN, PRIOR_EUCLIDEAN)
                             and f.block_ids == ids for f in fs)):
-                out[gid] = LinearBatch.compile(self.manifold, self.active_index, fs)
+                out[gid] = (LinearBatch.compile(spec, index, fs),)
+            else:
+                out[gid] = tuple(FactorBatch.compile(spec, index, f) for f in fs)
         return out
 
     @cached_property
@@ -311,12 +318,11 @@ class JointProblem:
         spec = self.manifold
         offsets, full = {}, []
         for b in spec.blocks:
-            if b.block_id in self.gauge_fixed:
-                offsets[b.block_id] = -1
-                continue
-            offsets[b.block_id] = len(full)
-            sl = spec.tangent_slice(b.block_id)
-            full.extend(range(sl.start, sl.stop))
+            if b.block_id not in self.gauge_fixed:
+                offsets[b.block_id] = len(full)
+                sl = spec.tangent_slice(b.block_id)
+                full.extend(range(sl.start, sl.stop))
+        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
         pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
         return ActiveIndex(offsets, pose_offsets, np.array(full, dtype=np.intp),
                            spec.tangent_dim)
@@ -330,8 +336,10 @@ class ActiveIndex:
     """Tangent indexing with gauge-fixed blocks removed.
 
     ``offsets`` maps a block id, and ``pose_offsets`` a pose row, to its
-    offset in the active tangent (-1 when gauge-fixed); ``full_index`` holds
-    each active coordinate's index in the full tangent.
+    offset in the active tangent of dimension ``dim``; a gauge-fixed block's
+    offset is ``dim``, so its coordinates fall past the active tangent (and
+    below ``full_dim``).  ``full_index`` holds each active coordinate's index
+    in the full tangent.
     """
 
     offsets: dict
@@ -351,56 +359,111 @@ class ActiveIndex:
 
 
 @dataclass(frozen=True, eq=False)
-class Se2Batch:
-    """Relative-pose factors compiled for vectorized evaluation.
+class Batch:
+    """Factors compiled for stacked linearization (see the module docstring).
 
-    ``ia`` and ``ib`` are the rows of the two connected poses in
-    :attr:`ManifoldPoint.poses`, ``z`` the stacked measurements ``(n, 3)``.
+    Slot s is the s-th connected block of every factor: ``dims[s]`` is its
+    tangent dimension and ``offsets[s]`` ``(k,)`` each factor's
+    :attr:`ActiveIndex.offsets` entry for that block, in an active tangent of
+    dimension ``n``.  Subclasses give ``residuals(x)`` ``(k, m)`` and
+    ``linearize(x)``: the residuals and the Jacobians ``(k, m, sum(dims))``.
     """
+
+    offsets: tuple
+    dims: tuple
+    n: int
+
+    def positions(self) -> np.ndarray:
+        """Tangent position of each factor's Jacobian columns,
+        ``(k, sum(dims))``; positions ``>= n`` belong to gauge-fixed blocks."""
+        return np.concatenate([off[:, None] + np.arange(d)
+                               for off, d in zip(self.offsets, self.dims)], axis=1)
+
+    @cached_property
+    def dense_hessian_index(self) -> np.ndarray:
+        """Flat index of the factors' ``(D, D)`` Hessian blocks, raveled
+        factor-major, into an ``n * n + 1`` buffer whose last entry collects
+        gauge-fixed terms (``np.add.at`` is much faster on a 1-D index)."""
+        p, n = self.positions(), self.n
+        return np.where((p[:, :, None] < n) & (p[:, None, :] < n),
+                        p[:, :, None] * n + p[:, None, :], n * n).ravel()
+
+
+@dataclass(frozen=True, eq=False)
+class Se2Batch(Batch):
+    """Relative-pose factors: ``ia`` and ``ib`` are the rows of the two
+    connected poses in :attr:`ManifoldPoint.poses`, ``z`` the stacked
+    measurements ``(k, 3)``."""
 
     ia: np.ndarray
     ib: np.ndarray
     z: np.ndarray
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, factors) -> "Se2Batch":
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "Se2Batch":
         rows = spec.pose_rows
         ia = np.array([rows[f.block_ids[0]] for f in factors], dtype=np.intp)
         ib = np.array([rows[f.block_ids[1]] for f in factors], dtype=np.intp)
-        return cls(ia, ib, np.array([f.z for f in factors], dtype=float).reshape(-1, 3))
+        return cls((index.pose_offsets[ia], index.pose_offsets[ib]), (3, 3), index.dim,
+                   ia, ib, np.array([f.z for f in factors], dtype=float).reshape(-1, 3))
+
+    def residuals(self, x: ManifoldPoint) -> np.ndarray:
+        return _batch_relative_se2(x, self.ia, self.ib, self.z, with_jacobians=False)[0]
+
+    def linearize(self, x: ManifoldPoint):
+        return _batch_relative_se2(x, self.ia, self.ib, self.z, with_jacobians=True)
 
 
 @dataclass(frozen=True, eq=False)
-class LinearBatch:
-    """Linear and prior factors on the same Euclidean blocks, compiled once.
+class LinearBatch(Batch):
+    """Linear and prior factors on the same distinct Euclidean blocks.
 
     ``cols`` are the blocks' entries in :attr:`ManifoldPoint.vector`, in the
     factors' block order; ``H`` ``(k, m, d)`` and ``z`` ``(k, m)`` stack the
     observation matrices (the identity for a prior) and the measurements, so
-    the residual Jacobian is ``-H``.  ``blocks`` holds, per block, its column
-    range in ``H`` and its active-tangent offset (-1 when gauge-fixed).
+    the Jacobian is ``-H``.
     """
 
     cols: np.ndarray
     H: np.ndarray
     z: np.ndarray
-    blocks: tuple
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, index: "ActiveIndex", factors) -> "LinearBatch":
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "LinearBatch":
         ids = factors[0].block_ids
         slices = [spec._storage[spec.position(bid)][1] for bid in ids]
-        blocks, start = [], 0
-        for bid, sl in zip(ids, slices):
-            blocks.append((start, start + sl.stop - sl.start, index.offsets[bid]))
-            start += sl.stop - sl.start
         H = np.array([f.H if f.kind == LINEAR_GAUSSIAN else np.eye(f.dim) for f in factors])
-        return cls(np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
-                   H, np.array([f.z for f in factors]), tuple(blocks))
+        return cls(tuple(np.full(len(factors), index.offsets[bid]) for bid in ids),
+                   tuple(sl.stop - sl.start for sl in slices), index.dim,
+                   np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+                   H, np.array([f.z for f in factors]))
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
-        """``z - H x`` per factor, ``(k, m)``."""
         return self.z - self.H @ x.vector[self.cols]
+
+    def linearize(self, x: ManifoldPoint):
+        return self.residuals(x), -self.H
+
+
+@dataclass(frozen=True, eq=False)
+class FactorBatch(Batch):
+    """One factor of any kind, evaluated by :func:`residual` and
+    :func:`residual_jacobian`."""
+
+    factor: MeasurementFactor
+
+    @classmethod
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex,
+                factor: MeasurementFactor) -> "FactorBatch":
+        ids = factor.block_ids
+        return cls(tuple(np.array([index.offsets[bid]]) for bid in ids),
+                   tuple(spec.block(bid).dim for bid in ids), index.dim, factor)
+
+    def residuals(self, x: ManifoldPoint) -> np.ndarray:
+        return residual(self.factor, x)[None]
+
+    def linearize(self, x: ManifoldPoint):
+        return self.residuals(x), residual_jacobian(self.factor, x)[None]
 
 
 def _stacked_euclidean(x: ManifoldPoint, block_ids) -> np.ndarray:
@@ -434,9 +497,9 @@ def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     if f.kind == PRIOR_EUCLIDEAN:
         return -np.eye(f.dim)
     if f.kind == RELATIVE_SE2:
-        _, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(x.spec, (f,)),
-                                        with_jacobians=True)
-        return np.hstack([Ja[0], Jb[0]])
+        rows = x.spec.pose_rows
+        return _batch_relative_se2(x, [rows[f.block_ids[0]]], [rows[f.block_ids[1]]],
+                                   f.z[None], with_jacobians=True)[1][0]
     return _fd_jacobian(f, x)
 
 
@@ -461,25 +524,26 @@ def _fd_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Batched evaluation (hot path for pose graphs).
+# Relative-pose kernel, shared by Se2Batch and residual_jacobian.
 # ---------------------------------------------------------------------------
 
-def _batch_relative_se2(x: ManifoldPoint, batch: Se2Batch, with_jacobians: bool):
-    """Residuals (n, 3) and right-perturbation Jacobians (n, 3, 3) of a batch.
+def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians: bool):
+    """Residuals (k, 3) and right-perturbation Jacobians (k, 3, 6) of
+    relative-pose factors between the pose rows ``ia`` and ``ib``.
 
-    ``r = log(b^-1 . a . z)``; ``Ja`` and ``Jb`` differentiate it with
-    respect to the tangent of the first and second pose.
+    ``r = log(b^-1 . a . z)``; the Jacobian's first three columns
+    differentiate it with respect to the tangent of the first pose, the
+    last three with respect to the second.
     """
-    a = x.poses[batch.ia]
-    b = x.poses[batch.ib]
-    z = batch.z
+    a = x.poses[ia]
+    b = x.poses[ib]
 
     az = se2_compose(a, z)
     b_inv = se2_inverse(b)
     g = se2_compose(b_inv, az)
     r = log_se2(g)
     if not with_jacobians:
-        return r, None, None
+        return r, None
 
     # With t_g and th the translation and angle of g, r = (V^-1(th) t_g, th).
     # A right perturbation (rho, w) of a moves t_g by R(th_a - th_b)
@@ -501,28 +565,21 @@ def _batch_relative_se2(x: ManifoldPoint, batch: Se2Batch, with_jacobians: bool)
     dv = np.stack([dalpha * g[:, 0] + 0.5 * g[:, 1],
                    dalpha * g[:, 1] - 0.5 * g[:, 0]], axis=-1)  # dV^-1/dth t_g
     c, s = np.cos(a[:, 2] - b[:, 2]), np.sin(a[:, 2] - b[:, 2])
-    Ja = np.zeros((len(z), 3, 3))
-    Ja[:, :2, 0] = v_inv(c, s)
-    Ja[:, :2, 1] = v_inv(-s, c)
-    Ja[:, :2, 2] = v_inv(-c * z[:, 1] - s * z[:, 0], c * z[:, 0] - s * z[:, 1]) + dv
-    Ja[:, 2, 2] = 1.0
-    Jb = np.zeros((len(z), 3, 3))
-    Jb[:, :2, 0] = v_inv(-np.ones_like(th), np.zeros_like(th))
-    Jb[:, :2, 1] = v_inv(np.zeros_like(th), -np.ones_like(th))
-    Jb[:, :2, 2] = v_inv(g[:, 1], -g[:, 0]) - dv
-    Jb[:, 2, 2] = -1.0
-    return r, Ja, Jb
+    J = np.zeros((len(z), 3, 6))
+    J[:, :2, 0] = v_inv(c, s)
+    J[:, :2, 1] = v_inv(-s, c)
+    J[:, :2, 2] = v_inv(-c * z[:, 1] - s * z[:, 0], c * z[:, 0] - s * z[:, 1]) + dv
+    J[:, 2, 2] = 1.0
+    J[:, :2, 3] = v_inv(-np.ones_like(th), np.zeros_like(th))
+    J[:, :2, 4] = v_inv(np.zeros_like(th), -np.ones_like(th))
+    J[:, :2, 5] = v_inv(g[:, 1], -g[:, 0]) - dv
+    J[:, 2, 5] = -1.0
+    return r, J
 
 
 def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:
     """All residuals of a group stacked into a (k, m) array."""
-    batch = problem.se2_batches.get(group_id)
-    if batch is not None:
-        return _batch_relative_se2(x, batch, with_jacobians=False)[0]
-    batch = problem.linear_batches.get(group_id)
-    if batch is not None:
-        return batch.residuals(x)
-    return np.stack([residual(f, x) for f in problem.factors_by_group[group_id]])
+    return np.concatenate([b.residuals(x) for b in problem.batches[group_id]])
 
 
 def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:

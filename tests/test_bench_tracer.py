@@ -1,0 +1,75 @@
+"""The benchmark tracer's targets exist and see the batched evaluation.
+
+``bench/tracer.py`` patches library functions by module attribute.  A target
+that is renamed, or a batch that calls a kernel through a reference bound
+at compile time instead of the module global, would leave its traced counts
+silently at 0.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from jointcov import io_pgo, joint
+from jointcov.manifold import ManifoldPoint, ManifoldSpec, euclidean_block
+from jointcov.nls import SINGLE_ITERATION, NlsConfig
+from jointcov.problem import JointProblem, NoiseGroup, linear_factor
+
+_TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", _TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def traced_calls(tracer_module, solve, problem):
+    problem.batches  # compile before the patches go in
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        solve()
+    finally:
+        tracer.uninstall()
+    return {name: stat[0] for name, stat in tracer.stats.items()}
+
+
+def test_every_layer_target_resolves():
+    tracer_module = load_tracer()
+    for _, targets, _ in tracer_module.LAYERS:
+        for target in targets:
+            _, _, original = tracer_module._resolve(target)
+            assert callable(original), target
+
+
+def test_pose_graph_hybrid_reaches_the_se2_kernel():
+    noise = io_pgo.SyntheticNoiseSpec({"all": np.diag([100.0, 100.0, 200.0])}, seed=3)
+    graph, _ = io_pgo.generate_manhattan_like(30, "nearby", noise, trajectory_seed=1)
+    problem = io_pgo.pose_graph_problem(
+        graph, [NoiseGroup("all", 3, "ml-eig", bounds=(1e-4, 1e4))])
+    x0 = io_pgo.spanning_tree_init(graph)
+    config = joint.JointConfig(algorithm=joint.HYBRID_BCD, max_outer_iterations=2,
+                               nls=NlsConfig(step_mode=SINGLE_ITERATION))
+    calls = traced_calls(load_tracer(),
+                         lambda: joint.run_hybrid_bcd(problem, x0, config), problem)
+    assert calls["problem.batch_se2"] > 0
+    assert calls["nls.build_system"] > 0
+    assert calls["problem.residual"] == 0
+
+
+def test_linear_group_never_calls_the_per_factor_residual():
+    rng = np.random.default_rng(4)
+    n, m, k = 4, 3, 20
+    spec = ManifoldSpec((euclidean_block("x", n),))
+    factors = [linear_factor(i, "x", rng.normal(size=(m, n)), rng.normal(size=m), "g")
+               for i in range(k)]
+    problem = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+    x0 = ManifoldPoint(spec, (np.zeros(n),))
+    calls = traced_calls(load_tracer(),
+                         lambda: joint.run_block_exact_bcd(problem, x0), problem)
+    assert calls["nls.build_system"] > 0
+    assert calls["problem.group_residuals"] > 0
+    assert calls["problem.residual"] == 0

@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from jointcov.manifold import (
     se2_block,
     se2_compose,
 )
+from jointcov import nls
 from jointcov.nls import (
     RIEMANNIAN_GD,
     SINGLE_ITERATION,
@@ -20,7 +23,9 @@ from jointcov.nls import (
     weighted_cost,
 )
 from jointcov.problem import (
+    FactorBatch,
     JointProblem,
+    LinearBatch,
     NoiseGroup,
     group_residuals,
     linear_factor,
@@ -144,19 +149,19 @@ class TestSolveFixedP:
     def test_missing_gauge_detected_as_singular(self):
         pb, _ = chain_problem(noise=0.05, gauge=False)
         x0 = pb.manifold.identity()
-        system = build_system(pb, x0, {"g": np.eye(3)})
-        assert not system.hessian_is_positive_definite()
+        eigs = np.linalg.eigvalsh(build_system(pb, x0, {"g": np.eye(3)}).hessian)
+        assert eigs[0] <= 1e-10 * eigs[-1]
         pb2, _ = chain_problem(noise=0.05, gauge=True)
-        system2 = build_system(pb2, x0, {"g": np.eye(3)})
-        assert system2.hessian_is_positive_definite()
+        eigs2 = np.linalg.eigvalsh(build_system(pb2, x0, {"g": np.eye(3)}).hessian)
+        assert eigs2[0] > 1e-10 * eigs2[-1]
 
     def test_sparse_path_matches_dense(self):
         pb, _ = chain_problem(noise=0.03)
         x0 = pb.manifold.identity()
-        cfg_dense = NlsConfig(dense_threshold=10_000)
-        cfg_sparse = NlsConfig(dense_threshold=1)
-        rd = solve_fixed_P(pb, x0, {"g": np.eye(3)}, cfg_dense)
-        rs = solve_fixed_P(pb, x0, {"g": np.eye(3)}, cfg_sparse)
+        with patch.object(nls, "DENSE_THRESHOLD", 10_000):
+            rd = solve_fixed_P(pb, x0, {"g": np.eye(3)})
+        with patch.object(nls, "DENSE_THRESHOLD", 1):
+            rs = solve_fixed_P(pb, x0, {"g": np.eye(3)})
         for i in range(6):
             np.testing.assert_allclose(rs.x.block(i), rd.x.block(i), atol=1e-8)
 
@@ -165,8 +170,8 @@ class TestSparsity:
     def test_hessian_fill_matches_adjacency(self):
         pb, _ = chain_problem(noise=0.02)
         x0 = pb.manifold.identity()
-        system = build_system(pb, x0, {"g": np.eye(3)},
-                              dense_threshold=1)  # force sparse
+        with patch.object(nls, "DENSE_THRESHOLD", 1):  # force sparse
+            system = build_system(pb, x0, {"g": np.eye(3)})
         # expected block pairs: factor connectivity among active blocks
         expected = set()
         for f in pb.factors:
@@ -193,7 +198,7 @@ class TestStepOnce:
         pb, spec, Hs, zs, _ = linear_problem(rng)
         P = np.eye(3)
         x_star = ManifoldPoint(spec, (gls_solution(Hs, zs, P),))
-        x_next = step_once(pb, x_star, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
+        x_next, _ = step_once(pb, x_star, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
         np.testing.assert_allclose(x_next.block("x"), x_star.block("x"), atol=1e-10)
 
     def test_linear_single_iteration_reaches_gls(self):
@@ -201,7 +206,7 @@ class TestStepOnce:
         pb, spec, Hs, zs, _ = linear_problem(rng)
         P = np.diag([1.0, 3.0, 0.5])
         x0 = ManifoldPoint(spec, (rng.normal(size=6),))
-        x1 = step_once(pb, x0, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
+        x1, _ = step_once(pb, x0, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
         np.testing.assert_allclose(x1.block("x"), gls_solution(Hs, zs, P), atol=1e-9)
 
     def test_descent_on_pose_graph(self):
@@ -209,19 +214,20 @@ class TestStepOnce:
         x0 = pb.manifold.identity()
         W = {"g": np.eye(3)}
         for mode in (SINGLE_ITERATION, RIEMANNIAN_GD):
-            x1 = step_once(pb, x0, W, NlsConfig(step_mode=mode))
+            x1, _ = step_once(pb, x0, W, NlsConfig(step_mode=mode))
             assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
 
     def test_riemannian_gd_fixed_step_descends_or_stays(self):
         pb, _ = chain_problem(noise=0.1)
         x0 = pb.manifold.identity()
         W = {"g": np.eye(3)}
-        x1 = step_once(pb, x0, W, NlsConfig(step_mode=RIEMANNIAN_GD, gd_step=1e-3))
+        x1, _ = step_once(pb, x0, W, NlsConfig(step_mode=RIEMANNIAN_GD, gd_step=1e-3))
         assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
 
 
 class TestLinearBatch:
-    """The compiled linear batch reproduces the per-factor loop bit for bit."""
+    """The compiled linear batch reproduces the same factors as batches of
+    one bit for bit."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -229,7 +235,7 @@ class TestLinearBatch:
         dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), "dims")
         k = data.draw(st.integers(1, 40), "k")
         gauge = data.draw(st.sampled_from([None, *range(len(dims))]), "gauge")
-        dense_threshold = data.draw(st.sampled_from([200, 1]), "dense_threshold")
+        dense = data.draw(st.booleans(), "dense")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
         # interleave an unused pose and vector so the batch gathers real columns
         ids = [f"b{i}" for i in range(len(dims))]
@@ -257,28 +263,30 @@ class TestLinearBatch:
                                 frozenset(gauge_fixed))
 
         batched, per_factor = problem(), problem()
-        per_factor.__dict__["linear_batches"] = {}  # sends "g" through the loop
-        assert "g" in batched.linear_batches
+        per_factor.__dict__["batches"] = {"g": tuple(
+            FactorBatch.compile(spec, per_factor.active_index, f) for f in factors)}
+        assert isinstance(batched.batches["g"][0], LinearBatch)
         x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
-        a = build_system(batched, x, weights, dense_threshold=dense_threshold)
-        b = build_system(per_factor, x, weights, dense_threshold=dense_threshold)
+        with patch.object(nls, "DENSE_THRESHOLD", 200 if dense else 1):
+            a = build_system(batched, x, weights)
+            b = build_system(per_factor, x, weights)
         assert a.cost == b.cost
         np.testing.assert_array_equal(a.gradient, b.gradient)
-        if dense_threshold == 1:
+        if dense:
+            np.testing.assert_array_equal(a.hessian, b.hessian)
+        else:
             for part in ("indptr", "indices", "data"):
                 np.testing.assert_array_equal(getattr(a.hessian, part),
                                               getattr(b.hessian, part))
-        else:
-            np.testing.assert_array_equal(a.hessian, b.hessian)
         np.testing.assert_array_equal(group_residuals(batched, x, "g"),
                                       group_residuals(per_factor, x, "g"))
 
-    def test_mixed_block_sets_use_the_loop(self):
+    def test_mixed_block_sets_compile_to_batches_of_one(self):
         spec = ManifoldSpec((euclidean_block("x", 2), euclidean_block("y", 2)))
         factors = (prior_factor(0, "x", np.zeros(2), "g"),
                    prior_factor(1, "y", np.zeros(2), "g"))
         pb = JointProblem(spec, factors, (NoiseGroup("g", 2, "ml"),))
-        assert pb.linear_batches == {}
+        assert [type(b) for b in pb.batches["g"]] == [FactorBatch, FactorBatch]
         x = ManifoldPoint(spec, (np.ones(2), 2.0 * np.ones(2)))
         system = build_system(pb, x, {"g": np.eye(2)})
         np.testing.assert_array_equal(system.gradient, [1.0, 1.0, 2.0, 2.0])

@@ -16,7 +16,6 @@ from jointcov.problem import (
     JointProblem,
     NoiseGroup,
     Se2Batch,
-    _batch_relative_se2,
     custom_factor,
     group_residuals,
     linear_factor,
@@ -114,11 +113,11 @@ class TestJacobians:
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
         x = ManifoldPoint(spec, (a, b))
         f = relative_se2_factor(0, 0, 1, z, "g")
-        _, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(spec, (f,)), True)
+        (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        _, J = batch.linearize(x)
         J_fd = _fd_oracle(f, x)
         scale = max(1.0, np.abs(J_fd).max())
-        assert np.abs(Ja[0] - J_fd[:, :3]).max() / scale <= 1e-5
-        assert np.abs(Jb[0] - J_fd[:, 3:]).max() / scale <= 1e-5
+        assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
 
     def test_custom_uses_finite_differences(self):
         f = custom_factor(0, ("x",), np.array([0.0]),
@@ -201,13 +200,12 @@ class TestBatchPath:
             i, j = rng.choice(n, size=2, replace=False)
             factors.append(relative_se2_factor(
                 k, int(i), int(j), rng.uniform(-1, 1, size=3), "g"))
-        r, Ja, Jb = _batch_relative_se2(x, Se2Batch.compile(spec, factors),
-                                        with_jacobians=True)
+        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        assert isinstance(batch, Se2Batch)
+        r, J = batch.linearize(x)
         for k, f in enumerate(factors):
             np.testing.assert_allclose(r[k], residual(f, x), atol=1e-14)
-            J = residual_jacobian(f, x)
-            np.testing.assert_allclose(Ja[k], J[:, :3], atol=1e-13)
-            np.testing.assert_allclose(Jb[k], J[:, 3:], atol=1e-13)
+            np.testing.assert_allclose(J[k], residual_jacobian(f, x), atol=1e-13)
 
     def test_group_residuals_stacks(self):
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
