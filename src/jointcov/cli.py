@@ -8,6 +8,7 @@ and `calibrate` also print a short summary.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -17,14 +18,17 @@ from . import harness, io_pgo, joint
 from .covariance import UnboundedProblem
 from .harness import ExperimentConfig
 
+
+def _keys_of_type(*types: str) -> set:
+    """Config keys: the ExperimentConfig fields annotated with one of ``types``."""
+    return {f.name for f in dataclasses.fields(ExperimentConfig) if f.type in types}
+
+
 _GRID_KEYS = {"noise_grid"}
-_INT_KEYS = {"trials", "seed", "num_poses", "outer_iterations",
-             "baseline_iterations", "bcd_iterations", "elimination_iterations",
-             "state_dim", "num_measurements", "residual_dim"}
-_FLOAT_KEYS = {"w_prior", "sigma0", "lam_min", "lam_max"}
-_BOOL_KEYS = {"heteroscedastic"}
-_STR_KEYS = {"experiment", "scheme", "output", "format", "generator",
-             "dataset", "dataset_truth"}
+_INT_KEYS = _keys_of_type("int")
+_FLOAT_KEYS = _keys_of_type("float")
+_BOOL_KEYS = _keys_of_type("bool")
+_STR_KEYS = _keys_of_type("str", "str | None")
 
 
 def _parse_grid(text: str) -> tuple:

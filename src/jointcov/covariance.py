@@ -71,10 +71,6 @@ def cholesky_or_none(a: np.ndarray):
         return None
 
 
-def is_positive_definite(a: np.ndarray) -> bool:
-    return cholesky_or_none(symmetrize(a)) is not None
-
-
 def chol_logdet(chol: np.ndarray) -> float:
     """log det of A given its lower Cholesky factor."""
     return 2.0 * float(np.sum(np.log(np.diag(chol))))

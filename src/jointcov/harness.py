@@ -38,14 +38,7 @@ from .covariance import (
     symmetrize,
 )
 from .io_pgo import LOOP, ODOMETRY, SyntheticNoiseSpec, counter_rng
-from .manifold import (
-    EUCLIDEAN,
-    SE2,
-    CutLocusError,
-    ManifoldPoint,
-    ManifoldSpec,
-    euclidean_block,
-)
+from .manifold import CutLocusError, ManifoldPoint, ManifoldSpec, euclidean_block
 from .problem import JointProblem, NoiseGroup, linear_factor
 
 RESULT_COLUMNS = (
@@ -150,16 +143,11 @@ def rmse(x_est: ManifoldPoint, x_true: ManifoldPoint, which: str = "all") -> flo
         raise ValueError("points live on different manifold specs")
     if which not in ("all", "positions"):
         raise ValueError(f"unknown selector {which!r}")
-    sq = []
-    for blk, est, true in zip(x_est.spec.blocks, x_est.values, x_true.values):
-        if blk.kind == EUCLIDEAN:
-            if which == "all":
-                sq.extend((est - true) ** 2)
-        elif blk.kind == SE2:
-            sq.extend((est[:2] - true[:2]) ** 2)
-    if not sq:
+    err = np.concatenate([(x_est.poses[:, :2] - x_true.poses[:, :2]).ravel(),
+                          x_est.vector - x_true.vector if which == "all" else []])
+    if not err.size:
         raise ValueError("no components selected")
-    return float(np.sqrt(np.mean(sq)))
+    return float(np.sqrt(np.mean(err ** 2)))
 
 
 def _spd_sqrt(a: np.ndarray) -> np.ndarray:

@@ -391,15 +391,3 @@ def parse_generator_config(source: str | TextIO) -> dict:
             raise GraphFormatError(f"line {lineno}: {err}") from None
     return cfg
 
-
-def generate_from_config(cfg: dict):
-    """Generate a synthetic graph from a parsed generator config."""
-    noise = None
-    if cfg.get("information"):
-        noise = SyntheticNoiseSpec(cfg["information"], seed=cfg.get("seed", 0),
-                                   alpha=cfg.get("alpha"))
-    kwargs = {k: cfg[k] for k in ("loop_fraction", "loop_radius", "loop_gap")
-              if k in cfg}
-    return generate_manhattan_like(
-        cfg["num_poses"], cfg.get("scheme", "nearby"), noise,
-        trajectory_seed=cfg.get("trajectory_seed", 0), **kwargs)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -297,10 +297,6 @@ class ManifoldPoint:
 
     def __setattr__(self, name, value):
         raise AttributeError("ManifoldPoint is immutable")
-
-    @classmethod
-    def from_blocks(cls, spec: ManifoldSpec, blocks: Mapping) -> "ManifoldPoint":
-        return cls(spec, tuple(blocks[b.block_id] for b in spec.blocks))
 
     @cached_property
     def values(self) -> tuple[np.ndarray, ...]:

@@ -4,24 +4,27 @@ A :class:`JointProblem` bundles a manifold declaration, a factor list, a
 table of noise groups, and a gauge (the block ids held fixed).  Residual and
 Jacobian evaluation is stateless and reentrant.
 
-Every group is compiled once into batches (:attr:`JointProblem.batches`)
-that cover its factors in order: an all-SE(2) group becomes one
-:class:`Se2Batch`, a group of linear and prior factors on the same Euclidean
-blocks one :class:`LinearBatch`, and every other factor a
-:class:`FactorBatch` of one built on :func:`residual` and
-:func:`residual_jacobian`.  A batch of k factors gives residuals ``(k, m)``,
-Jacobians ``(k, m, D)`` over its D connected tangent coordinates, and each
-coordinate's position in the active tangent.  Positions are laid out
-factor-major (all of factor i's before factor i+1's) because assembly adds
-terms in that order: summed in factor order, a batch linearizes bit for bit
-like the same factors as batches of one, and scipy's duplicate summation of
-sparse triplets depends on their order.
+Every group is compiled once (:attr:`JointProblem.batches`) into batches,
+one per maximal run of consecutive factors of one kind, so they cover the
+group's factors in order: a run of relative-pose factors becomes a
+:class:`Se2Batch`, a run of linear and prior factors on the same blocks a
+:class:`LinearBatch`, and each custom factor a :class:`CustomBatch`.  Each
+kind has this one residual and Jacobian formula; :func:`residual` and
+:func:`residual_jacobian` evaluate a factor as a batch of one.  A batch of k
+factors gives residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D
+connected tangent coordinates, and each coordinate's position in the active
+tangent.  Positions are laid out factor-major (all of factor i's before
+factor i+1's) because assembly adds terms in that order: summed in factor
+order, a batch linearizes bit for bit like the same factors as batches of
+one, and scipy's duplicate summation of sparse triplets depends on their
+order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from typing import Callable, Hashable, Mapping
 
 import numpy as np
@@ -32,11 +35,10 @@ from .covariance import (
     symmetrize,
 )
 from .manifold import (
-    EUCLIDEAN,
     SE2,
     ManifoldPoint,
     ManifoldSpec,
-    boxplus,
+    exp_se2,
     log_se2,
     se2_compose,
     se2_inverse,
@@ -239,7 +241,10 @@ class JointProblem:
                 if any(self.manifold.block(bid).kind != SE2 for bid in f.block_ids):
                     raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
             elif f.kind != CUSTOM:  # linear or prior: H (a prior's is I) fits x and z
-                d = sum(self.manifold.block(bid).dim for bid in f.block_ids)
+                blocks = [self.manifold.block(bid) for bid in f.block_ids]
+                if any(b.kind == SE2 for b in blocks):
+                    raise ValueError(f"factor {f.factor_id} connects an SE(2) block")
+                d = sum(b.dim for b in blocks)
                 H_shape = (f.dim, f.dim) if f.H is None else f.H.shape
                 if f.z.shape != (f.dim,) or H_shape != (f.dim, d):
                     raise ValueError(
@@ -283,22 +288,12 @@ class JointProblem:
 
     @cached_property
     def batches(self) -> dict:
-        """Group id -> tuple of compiled batches covering the group's factors
-        in order (see the module docstring)."""
+        """Group id -> tuple of compiled batches, one per run of the group's
+        factors (see the module docstring and :func:`_run_key`)."""
         spec, index = self.manifold, self.active_index
-        out = {}
-        for gid, fs in self.factors_by_group.items():
-            ids = fs[0].block_ids
-            if all(f.kind == RELATIVE_SE2 for f in fs):
-                out[gid] = (Se2Batch.compile(spec, index, fs),)
-            elif (len(set(ids)) == len(ids)
-                    and all(spec.block(bid).kind == EUCLIDEAN for bid in ids)
-                    and all(f.kind in (LINEAR_GAUSSIAN, PRIOR_EUCLIDEAN)
-                            and f.block_ids == ids for f in fs)):
-                out[gid] = (LinearBatch.compile(spec, index, fs),)
-            else:
-                out[gid] = tuple(FactorBatch.compile(spec, index, f) for f in fs)
-        return out
+        return {gid: tuple(_compile_run(spec, index, tuple(run))
+                           for _, run in groupby(fs, _run_key))
+                for gid, fs in self.factors_by_group.items()}
 
     @cached_property
     def preprocess_inverses(self) -> dict:
@@ -315,17 +310,7 @@ class JointProblem:
     @cached_property
     def active_index(self) -> "ActiveIndex":
         """Tangent indexing of the blocks the solvers move."""
-        spec = self.manifold
-        offsets, full = {}, []
-        for b in spec.blocks:
-            if b.block_id not in self.gauge_fixed:
-                offsets[b.block_id] = len(full)
-                sl = spec.tangent_slice(b.block_id)
-                full.extend(range(sl.start, sl.stop))
-        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
-        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
-        return ActiveIndex(offsets, pose_offsets, np.array(full, dtype=np.intp),
-                           spec.tangent_dim)
+        return ActiveIndex.build(self.manifold, self.gauge_fixed)
 
     def group(self, group_id) -> NoiseGroup:
         return self.group_table[group_id]
@@ -346,6 +331,19 @@ class ActiveIndex:
     pose_offsets: np.ndarray
     full_index: np.ndarray
     full_dim: int
+
+    @classmethod
+    def build(cls, spec: ManifoldSpec, gauge_fixed: frozenset) -> "ActiveIndex":
+        """Index the blocks of ``spec`` that are not in ``gauge_fixed``."""
+        offsets, full = {}, []
+        for b in spec.blocks:
+            if b.block_id not in gauge_fixed:
+                offsets[b.block_id] = len(full)
+                sl = spec.tangent_slice(b.block_id)
+                full.extend(range(sl.start, sl.stop))
+        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
+        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
+        return cls(offsets, pose_offsets, np.array(full, dtype=np.intp), spec.tangent_dim)
 
     @property
     def dim(self) -> int:
@@ -446,85 +444,80 @@ class LinearBatch(Batch):
 
 
 @dataclass(frozen=True, eq=False)
-class FactorBatch(Batch):
-    """One factor of any kind, evaluated by :func:`residual` and
-    :func:`residual_jacobian`."""
+class CustomBatch(Batch):
+    """One custom factor: ``residual_fn`` on its blocks' values, with
+    central finite-difference Jacobians of step :data:`FD_STEP`."""
 
     factor: MeasurementFactor
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, index: ActiveIndex,
-                factor: MeasurementFactor) -> "FactorBatch":
-        ids = factor.block_ids
-        return cls(tuple(np.array([index.offsets[bid]]) for bid in ids),
-                   tuple(spec.block(bid).dim for bid in ids), index.dim, factor)
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "CustomBatch":
+        (f,) = factors
+        return cls(tuple(np.array([index.offsets[bid]]) for bid in f.block_ids),
+                   tuple(spec.block(bid).dim for bid in f.block_ids), index.dim, f)
+
+    def _eval(self, values) -> np.ndarray:
+        return np.asarray(self.factor.residual_fn(self.factor.z, *values), dtype=float)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
-        return residual(self.factor, x)[None]
+        return self._eval([x.block(bid) for bid in self.factor.block_ids])[None]
 
     def linearize(self, x: ManifoldPoint):
-        return self.residuals(x), residual_jacobian(self.factor, x)[None]
+        """Each column retracts only the factor's own blocks, by their slice
+        of the local tangent step ``t``."""
+        ids = self.factor.block_ids
+        values = [x.block(bid) for bid in ids]
+        kinds = [x.spec.block(bid).kind for bid in ids]
+        ends = np.cumsum(self.dims)
+
+        def moved(t):
+            return [se2_compose(v, exp_se2(t[e - d:e])) if kind == SE2 else v + t[e - d:e]
+                    for v, kind, d, e in zip(values, kinds, self.dims, ends)]
+
+        J = np.empty((self.factor.dim, ends[-1]))
+        for j in range(ends[-1]):
+            t = np.zeros(ends[-1])
+            t[j] = FD_STEP
+            r_plus = self._eval(moved(t))
+            t[j] = -FD_STEP
+            J[:, j] = (r_plus - self._eval(moved(t))) / (2.0 * FD_STEP)
+        return self._eval(values)[None], J[None]
 
 
-def _stacked_euclidean(x: ManifoldPoint, block_ids) -> np.ndarray:
-    return np.concatenate([x.block(bid) for bid in block_ids])
+def _compile_run(spec: ManifoldSpec, index: ActiveIndex, factors) -> Batch:
+    """Compile a run of factors that share a :func:`_run_key`."""
+    cls = {RELATIVE_SE2: Se2Batch, CUSTOM: CustomBatch}.get(factors[0].kind, LinearBatch)
+    return cls.compile(spec, index, factors)
+
+
+def _run_key(f: MeasurementFactor):
+    """Consecutive factors with equal keys share a batch: relative-pose
+    factors on any poses, linear and prior factors on the same blocks.  A
+    custom factor's key is the factor itself, so it is batched alone."""
+    return {RELATIVE_SE2: RELATIVE_SE2, CUSTOM: f}.get(f.kind, f.block_ids)
+
+
+def _batch_of_one(f: MeasurementFactor, spec: ManifoldSpec) -> Batch:
+    return _compile_run(spec, ActiveIndex.build(spec, frozenset()), (f,))
 
 
 def residual(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     """Residual r(x) = z [-] h(x) for one factor."""
-    if f.kind == LINEAR_GAUSSIAN:
-        return f.z - f.H @ _stacked_euclidean(x, f.block_ids)
-    if f.kind == PRIOR_EUCLIDEAN:
-        return f.z - x.block(f.block_ids[0])
-    if f.kind == RELATIVE_SE2:
-        a = x.block(f.block_ids[0])
-        b = x.block(f.block_ids[1])
-        h = se2_compose(se2_inverse(a), b)
-        return log_se2(se2_compose(se2_inverse(h), f.z))
-    return np.asarray(f.residual_fn(f.z, *(x.block(bid) for bid in f.block_ids)),
-                      dtype=float)
+    return _batch_of_one(f, x.spec).residuals(x)[0]
 
 
 def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     """Jacobian of r with respect to the tangent of the connected blocks.
 
     Columns are ordered by ``f.block_ids``.  Analytic for linear, prior, and
-    relative-pose factors; custom factors fall back to central finite
-    differences with step ``1e-6``.
+    relative-pose factors; custom factors use central finite differences
+    with step ``1e-6``.
     """
-    if f.kind == LINEAR_GAUSSIAN:
-        return -f.H
-    if f.kind == PRIOR_EUCLIDEAN:
-        return -np.eye(f.dim)
-    if f.kind == RELATIVE_SE2:
-        rows = x.spec.pose_rows
-        return _batch_relative_se2(x, [rows[f.block_ids[0]]], [rows[f.block_ids[1]]],
-                                   f.z[None], with_jacobians=True)[1][0]
-    return _fd_jacobian(f, x)
-
-
-def _fd_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
-    spec = x.spec
-    dims = [spec.block(bid).dim for bid in f.block_ids]
-    total = sum(dims)
-    J = np.empty((f.dim, total))
-    col = 0
-    v = np.zeros(spec.tangent_dim)
-    for bid, dim in zip(f.block_ids, dims):
-        sl = spec.tangent_slice(bid)
-        for j in range(dim):
-            v[sl.start + j] = FD_STEP
-            r_plus = residual(f, boxplus(x, v))
-            v[sl.start + j] = -FD_STEP
-            r_minus = residual(f, boxplus(x, v))
-            v[sl.start + j] = 0.0
-            J[:, col] = (r_plus - r_minus) / (2.0 * FD_STEP)
-            col += 1
-    return J
+    return _batch_of_one(f, x.spec).linearize(x)[1][0]
 
 
 # ---------------------------------------------------------------------------
-# Relative-pose kernel, shared by Se2Batch and residual_jacobian.
+# Relative-pose kernel of Se2Batch.
 # ---------------------------------------------------------------------------
 
 def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians: bool):
@@ -578,8 +571,12 @@ def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians:
 
 
 def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:
-    """All residuals of a group stacked into a (k, m) array."""
-    return np.concatenate([b.residuals(x) for b in problem.batches[group_id]])
+    """All residuals of a group stacked into a (k, m) array; a group of one
+    batch returns that batch's array, which the caller must not modify."""
+    batches = problem.batches[group_id]
+    if len(batches) == 1:
+        return batches[0].residuals(x)
+    return np.concatenate([b.residuals(x) for b in batches])
 
 
 def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:
@@ -594,5 +591,6 @@ def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.n
     inverses = problem.preprocess_inverses[group_id]
     if inverses is not None:
         rows, J_inv = inverses
+        R = R.copy()
         R[rows] = (J_inv @ R[rows][:, :, None])[:, :, 0]
     return symmetrize(R.T @ R / len(R))

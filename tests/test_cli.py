@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from jointcov.cli import load_config_file, main
-from jointcov.harness import read_results
+from jointcov.harness import ExperimentConfig, read_results
 from jointcov.io_pgo import (
     PoseGraph2D,
     SyntheticNoiseSpec,
@@ -163,7 +164,24 @@ class TestCalibrateCommand:
         assert rc == 2
 
 
+# Config-file text and parsed value per field type, and for the tuple fields.
+_VALUE_BY_TYPE = {"int": ("3", 3), "float": ("0.5", 0.5), "bool": ("yes", True),
+                  "str": ("abc", "abc"), "str | None": ("abc", "abc")}
+_VALUE_BY_NAME = {"noise_grid": ("0.1 2", (0.1, 2.0)),
+                  "algorithms": ("bcd elimination", ("bcd", "elimination"))}
+
+
 class TestConfigFile:
+    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
+                             ids=lambda f: f.name)
+    def test_every_field_accepted(self, tmp_path, field):
+        text, value = _VALUE_BY_NAME.get(field.name) or _VALUE_BY_TYPE[field.type]
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"{field.name} {text}\n")
+        parsed = load_config_file(cfg)
+        assert parsed == {field.name: value}
+        assert type(parsed[field.name]) is type(value)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"
         cfg.write_text("bogus 1\n")

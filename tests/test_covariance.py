@@ -331,6 +331,9 @@ class TestNumericOracle:
     # a rank-deficient M whose rounded Cholesky succeeds
     @example(m=2, rank_deficient=True, variant=UNCONSTRAINED, lam_min=0.1,
              lam_ratio=2.0, seed=5)
+    # a diagonal entry of M near the 1e-3 floor, where the oracle needs grad_tol 1e-12
+    @example(m=3, rank_deficient=True, variant=DIAGONAL, lam_min=1.0,
+             lam_ratio=1.0, seed=15488829)
     @given(m=st.integers(1, 4), rank_deficient=st.booleans(),
            variant=st.sampled_from([UNCONSTRAINED, DIAGONAL, EIG, DIAG_EIG]),
            lam_min=st.floats(0.05, 1.0), lam_ratio=st.floats(1.0, 10.0),
@@ -357,6 +360,6 @@ class TestNumericOracle:
         # keep the prior-free diagonal optimum 1 / M_ii within the oracle's reach
         assume(variant != DIAGONAL or np.diag(M).min() >= 1e-3)
         sol = solve_inner(M, variant, *(lam if bounded else ()))
-        P = numeric_inner_oracle(M, variant, *(lam if bounded else ()))
+        P = numeric_inner_oracle(M, variant, *(lam if bounded else ()), grad_tol=1e-12)
         err = np.linalg.norm(P - sol.information) / np.linalg.norm(sol.information)
         assert err <= 1e-8

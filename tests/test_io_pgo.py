@@ -16,7 +16,6 @@ from jointcov.io_pgo import (
     GraphFormatError,
     PoseGraph2D,
     SyntheticNoiseSpec,
-    generate_from_config,
     generate_manhattan_like,
     parse_edge_classes,
     parse_g2o,
@@ -289,7 +288,8 @@ information loop 100 200 150
         assert cfg["scheme"] == "densified"
         np.testing.assert_array_equal(cfg["information"]["odometry"],
                                       np.diag([1000.0, 1000.0, 800.0]))
-        graph, truth = generate_from_config(cfg)
+        graph, _ = generate_manhattan_like(cfg["num_poses"], cfg["scheme"], None,
+                                           trajectory_seed=cfg["trajectory_seed"])
         assert graph.num_poses == 40
 
     def test_unknown_key_rejected(self):

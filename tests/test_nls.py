@@ -23,7 +23,6 @@ from jointcov.nls import (
     weighted_cost,
 )
 from jointcov.problem import (
-    FactorBatch,
     JointProblem,
     LinearBatch,
     NoiseGroup,
@@ -264,7 +263,7 @@ class TestLinearBatch:
 
         batched, per_factor = problem(), problem()
         per_factor.__dict__["batches"] = {"g": tuple(
-            FactorBatch.compile(spec, per_factor.active_index, f) for f in factors)}
+            LinearBatch.compile(spec, per_factor.active_index, (f,)) for f in factors)}
         assert isinstance(batched.batches["g"][0], LinearBatch)
         x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
         with patch.object(nls, "DENSE_THRESHOLD", 200 if dense else 1):
@@ -286,7 +285,7 @@ class TestLinearBatch:
         factors = (prior_factor(0, "x", np.zeros(2), "g"),
                    prior_factor(1, "y", np.zeros(2), "g"))
         pb = JointProblem(spec, factors, (NoiseGroup("g", 2, "ml"),))
-        assert [type(b) for b in pb.batches["g"]] == [FactorBatch, FactorBatch]
+        assert [type(b) for b in pb.batches["g"]] == [LinearBatch, LinearBatch]
         x = ManifoldPoint(spec, (np.ones(2), 2.0 * np.ones(2)))
         system = build_system(pb, x, {"g": np.eye(2)})
         np.testing.assert_array_equal(system.gradient, [1.0, 1.0, 2.0, 2.0])

@@ -9,11 +9,18 @@ from jointcov.manifold import (
     ManifoldSpec,
     boxplus,
     euclidean_block,
+    log_se2,
     se2_block,
+    se2_compose,
+    se2_inverse,
     wrap_angle,
 )
 from jointcov.problem import (
+    CUSTOM,
+    CustomBatch,
     JointProblem,
+    LinearBatch,
+    MeasurementFactor,
     NoiseGroup,
     Se2Batch,
     custom_factor,
@@ -176,6 +183,20 @@ class TestSampleCovariance:
         np.testing.assert_allclose(
             sample_covariance(pb, x, "g"), np.diag([1.0, 0.0]), atol=1e-15)
 
+    def test_preprocessing_leaves_residual_arrays_alone(self):
+        # a custom residual may return an array it owns, and a lone batch's
+        # residuals reach sample_covariance without a copy
+        spec = ManifoldSpec((euclidean_block("x", 2),))
+        x = ManifoldPoint(spec, (np.zeros(2),))
+        owned = np.array([2.0, 0.0])
+        f = MeasurementFactor(0, CUSTOM, ("x",), np.zeros(2), "g",
+                              residual_fn=lambda z, v: owned,
+                              preprocess_jacobian=2.0 * np.eye(2))
+        pb = make_problem([f], [NoiseGroup("g", 2, "ml")], spec)
+        np.testing.assert_allclose(
+            sample_covariance(pb, x, "g"), np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_array_equal(owned, [2.0, 0.0])
+
     def test_psd_and_rank(self):
         rng = np.random.default_rng(31)
         spec = ManifoldSpec((euclidean_block("x", 3),))
@@ -187,6 +208,11 @@ class TestSampleCovariance:
         eig = np.linalg.eigvalsh(S)
         assert eig.min() >= -1e-12
         assert np.linalg.matrix_rank(S, tol=1e-10) <= k
+
+
+def reference_se2_residual(a, b, z):
+    """r = log((a^-1 b)^-1 z), composed pose by pose."""
+    return log_se2(se2_compose(se2_inverse(se2_compose(se2_inverse(a), b)), z))
 
 
 class TestBatchPath:
@@ -204,8 +230,37 @@ class TestBatchPath:
         assert isinstance(batch, Se2Batch)
         r, J = batch.linearize(x)
         for k, f in enumerate(factors):
-            np.testing.assert_allclose(r[k], residual(f, x), atol=1e-14)
-            np.testing.assert_allclose(J[k], residual_jacobian(f, x), atol=1e-13)
+            a, b = (x.block(bid) for bid in f.block_ids)
+            np.testing.assert_allclose(r[k], reference_se2_residual(a, b, f.z), atol=1e-14)
+            np.testing.assert_array_equal(J[k], residual_jacobian(f, x))
+
+    def test_mixed_group_compiles_to_same_kind_runs(self):
+        rng = np.random.default_rng(43)
+        spec = ManifoldSpec((se2_block("p0"), euclidean_block("u", 3), se2_block("p1"),
+                             euclidean_block("w", 3), se2_block("p2")))
+        factors = [
+            relative_se2_factor(0, "p0", "p1", rng.uniform(-1, 1, 3), "g"),
+            relative_se2_factor(1, "p1", "p2", rng.uniform(-1, 1, 3), "g"),
+            prior_factor(2, "u", rng.normal(size=3), "g"),
+            linear_factor(3, "u", rng.normal(size=(3, 3)), rng.normal(size=3), "g"),
+            linear_factor(4, ("u", "w"), rng.normal(size=(3, 6)), rng.normal(size=3), "g"),
+            linear_factor(5, ("u", "w"), rng.normal(size=(3, 6)), rng.normal(size=3), "g"),
+            custom_factor(6, ("p2", "w"), rng.normal(size=3), "g",
+                          lambda z, p, w: z - np.sin(p) * w),
+            relative_se2_factor(7, "p2", "p0", rng.uniform(-1, 1, 3), "g"),
+        ]
+        pb = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec, gauge=("p0",))
+        batches = pb.batches["g"]
+        assert [type(b) for b in batches] == [Se2Batch, LinearBatch, LinearBatch,
+                                              CustomBatch, Se2Batch]
+        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
+        rows = [(r[i], J[i]) for r, J in (b.linearize(x) for b in batches)
+                for i in range(len(r))]
+        assert len(rows) == len(factors)
+        for f, (r, J) in zip(factors, rows):
+            np.testing.assert_array_equal(residual(f, x), r)
+            np.testing.assert_array_equal(residual_jacobian(f, x), J)
+        np.testing.assert_array_equal(group_residuals(pb, x, "g"), [r for r, _ in rows])
 
     def test_group_residuals_stacks(self):
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
@@ -259,6 +314,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="rank deficient"):
             linear_factor(0, "x", np.eye(2), np.zeros(2), "g",
                           preprocess_jacobian=np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("make_factor", [
+        lambda: prior_factor(0, "p", np.zeros(3), "g"),
+        lambda: linear_factor(0, ("x", "p"), np.ones((3, 6)), np.zeros(3), "g"),
+    ], ids=["prior", "linear"])
+    def test_linear_on_pose_block_rejected(self, make_factor):
+        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p")))
+        with pytest.raises(ValueError, match="factor 0 connects an SE"):
+            make_problem([make_factor()], [NoiseGroup("g", 3, "ml")], spec)
 
     def test_relative_se2_needs_pose_blocks(self):
         spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p")))
