@@ -10,7 +10,8 @@ Tangent vectors are plain flat float arrays whose block layout is given by a
 ``(n, 3)`` array and its Euclidean blocks as one vector, so ``boxplus`` (the
 retraction: Euclidean addition / right composition with the SE(2)
 exponential) and ``boxminus`` (its local inverse) are a few array
-operations over all blocks at once.
+operations over all blocks at once.  An :class:`ActiveIndex` lays out the
+tangent with gauge-fixed blocks removed.
 """
 
 from __future__ import annotations
@@ -229,6 +230,11 @@ class ManifoldSpec:
                 pos += b.dim
         return tuple(out)
 
+    @cached_property
+    def ungauged_index(self) -> "ActiveIndex":
+        """Tangent indexing of every block (no gauge), built once per spec."""
+        return ActiveIndex.build(self, frozenset())
+
     def block(self, block_id: Hashable) -> Block:
         return self._by_id[block_id]
 
@@ -244,6 +250,47 @@ class ManifoldSpec:
         return ManifoldPoint._from_arrays(
             self, np.zeros((len(self.pose_rows), 3)),
             np.zeros(len(self.vector_tangent_index)))
+
+
+@dataclass(frozen=True, eq=False)
+class ActiveIndex:
+    """Tangent indexing with gauge-fixed blocks removed.
+
+    ``offsets`` maps a block id, and ``pose_offsets`` a pose row, to its
+    offset in the active tangent of dimension ``dim``; a gauge-fixed block's
+    offset is ``dim``, so its coordinates fall past the active tangent (and
+    below ``full_dim``).  ``full_index`` holds each active coordinate's index
+    in the full tangent.
+    """
+
+    offsets: dict
+    pose_offsets: np.ndarray
+    full_index: np.ndarray
+    full_dim: int
+
+    @classmethod
+    def build(cls, spec: ManifoldSpec, gauge_fixed: frozenset) -> "ActiveIndex":
+        """Index the blocks of ``spec`` that are not in ``gauge_fixed``."""
+        offsets, full = {}, []
+        for b in spec.blocks:
+            if b.block_id not in gauge_fixed:
+                offsets[b.block_id] = len(full)
+                sl = spec.tangent_slice(b.block_id)
+                full.extend(range(sl.start, sl.stop))
+        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
+        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
+        return cls(offsets, pose_offsets, np.array(full, dtype=np.intp), spec.tangent_dim)
+
+    @property
+    def dim(self) -> int:
+        return len(self.full_index)
+
+    def scatter(self, delta: np.ndarray) -> np.ndarray:
+        """Embed an active-tangent step into the full tangent space."""
+        v = np.zeros(self.full_dim)
+        v[self.full_index] = delta
+        return v
+
 
 
 class ManifoldPoint:

@@ -16,8 +16,8 @@ connected tangent coordinates, and each coordinate's position in the active
 tangent.  Positions are laid out factor-major (all of factor i's before
 factor i+1's) because assembly adds terms in that order: summed in factor
 order, a batch linearizes bit for bit like the same factors as batches of
-one, and scipy's duplicate summation of sparse triplets depends on their
-order.
+one.  From the positions, :attr:`JointProblem.hessian_pattern` compiles
+the sparse Hessian's structure and fill-reducing order once per problem.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .covariance import (
 )
 from .manifold import (
     SE2,
+    ActiveIndex,
     ManifoldPoint,
     ManifoldSpec,
     exp_se2,
@@ -308,52 +309,20 @@ class JointProblem:
         return out
 
     @cached_property
-    def active_index(self) -> "ActiveIndex":
+    def active_index(self) -> ActiveIndex:
         """Tangent indexing of the blocks the solvers move."""
         return ActiveIndex.build(self.manifold, self.gauge_fixed)
 
+    @cached_property
+    def hessian_pattern(self) -> "HessianPattern":
+        """Structure of the sparse Hessian, compiled on the first sparse
+        Hessian build, so solvers that never factorize skip it."""
+        return HessianPattern.compile(
+            [b for g in self.groups for b in self.batches[g.group_id]],
+            self.active_index)
+
     def group(self, group_id) -> NoiseGroup:
         return self.group_table[group_id]
-
-
-@dataclass(frozen=True, eq=False)
-class ActiveIndex:
-    """Tangent indexing with gauge-fixed blocks removed.
-
-    ``offsets`` maps a block id, and ``pose_offsets`` a pose row, to its
-    offset in the active tangent of dimension ``dim``; a gauge-fixed block's
-    offset is ``dim``, so its coordinates fall past the active tangent (and
-    below ``full_dim``).  ``full_index`` holds each active coordinate's index
-    in the full tangent.
-    """
-
-    offsets: dict
-    pose_offsets: np.ndarray
-    full_index: np.ndarray
-    full_dim: int
-
-    @classmethod
-    def build(cls, spec: ManifoldSpec, gauge_fixed: frozenset) -> "ActiveIndex":
-        """Index the blocks of ``spec`` that are not in ``gauge_fixed``."""
-        offsets, full = {}, []
-        for b in spec.blocks:
-            if b.block_id not in gauge_fixed:
-                offsets[b.block_id] = len(full)
-                sl = spec.tangent_slice(b.block_id)
-                full.extend(range(sl.start, sl.stop))
-        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
-        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
-        return cls(offsets, pose_offsets, np.array(full, dtype=np.intp), spec.tangent_dim)
-
-    @property
-    def dim(self) -> int:
-        return len(self.full_index)
-
-    def scatter(self, delta: np.ndarray) -> np.ndarray:
-        """Embed an active-tangent step into the full tangent space."""
-        v = np.zeros(self.full_dim)
-        v[self.full_index] = delta
-        return v
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,6 +453,137 @@ class CustomBatch(Batch):
         return self._eval(values)[None], J[None]
 
 
+@dataclass(frozen=True, eq=False)
+class HessianPattern:
+    """Compiled CSC structure of the sparse Hessian over the active tangent.
+
+    ``indptr`` and ``indices`` (int32, rows sorted in each column) hold
+    every entry that a factor couples, plus the whole diagonal.  A factor
+    couples whole blocks, so in each column a block's rows have consecutive
+    data indices.  ``heads`` holds per batch ``(first, row_slot,
+    row_step)``: ``first`` ``(k, S, D)`` is the data index of each connected
+    block's first row in each of the factor's D columns, and each of the D
+    rows lies ``row_step`` rows below the first row of block ``row_slot``.
+
+    ``order`` is a fill-reducing symmetric permutation q that keeps blocks
+    contiguous.  ``H[q][:, q]`` has the pattern
+    ``permuted_indptr``/``permuted_indices`` and the values
+    ``H.data[permuted_take]``, with the diagonal at the data indices
+    ``permuted_diagonal``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    heads: tuple
+    order: np.ndarray
+    permuted_indptr: np.ndarray
+    permuted_indices: np.ndarray
+    permuted_take: np.ndarray
+    permuted_diagonal: np.ndarray
+
+    def __post_init__(self):
+        # every sparse Hessian built on this pattern shares these arrays
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+
+    def matrix(self, terms: np.ndarray):
+        """The Hessian, CSC, from every batch's ``(D, D)`` block terms,
+        raveled in assembly order (batches in turn, each factor-major) and
+        summed in that order; terms of gauge-fixed blocks are dropped."""
+        import scipy.sparse  # here, not at module level: it slows `import jointcov`
+
+        n, nnz = len(self.indptr) - 1, len(self.indices)
+        scatter = np.concatenate([np.zeros(0, np.intp)] + [
+            (first[:, row_slot, :] + row_step[:, None]).ravel()
+            for first, row_slot, row_step in self.heads])
+        data = np.bincount(scatter, terms, minlength=nnz)[:nnz]
+        return scipy.sparse.csc_matrix((data, self.indices, self.indptr),
+                                       shape=(n, n), dtype=float)
+
+    def permuted(self, hessian, damping: float):
+        """``(H + damping I)[q][:, q]``, CSC, of a :meth:`matrix` H, with q
+        = ``order``."""
+        import scipy.sparse
+
+        data = hessian.data[self.permuted_take]
+        data[self.permuted_diagonal] += damping
+        return scipy.sparse.csc_matrix(
+            (data, self.permuted_indices, self.permuted_indptr), shape=hessian.shape)
+
+    @classmethod
+    def compile(cls, batches, index: ActiveIndex) -> "HessianPattern":
+        n = index.dim
+        starts = np.unique([off for off in index.offsets.values() if off < n])
+        firsts = [np.stack(b.offsets, axis=1) for b in batches]  # (k, S)
+        pos = [b.positions() for b in batches]
+        keys = np.unique(np.concatenate(
+            [_pair_keys(p, p, n).ravel() for p in pos] + [np.arange(n) * (n + 1)]))
+        keys = keys[keys < n * n]
+        heads = tuple((np.searchsorted(keys, _pair_keys(f, p, n)).astype(np.int32),
+                       np.repeat(np.arange(len(b.dims)), b.dims),
+                       np.concatenate([np.arange(d) for d in b.dims]))
+                      for b, f, p in zip(batches, firsts, pos))
+        indptr, indices = _csc_arrays(keys, n)
+
+        # order the blocks, then expand each block to its coordinates
+        nb = len(starts)
+        blocks = [np.searchsorted(starts, f) for f in firsts]  # gauge-fixed: nb
+        block_keys = np.unique(np.concatenate(
+            [_pair_keys(b, b, nb).ravel() for b in blocks] + [np.arange(nb) * (nb + 1)]))
+        block_order = fill_reducing_order(*_csc_arrays(block_keys[block_keys < nb * nb], nb))
+        sizes = np.diff(starts, append=n)[block_order]
+        order = np.repeat(starts[block_order] - (np.cumsum(sizes) - sizes), sizes) + np.arange(n)
+
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        permuted_keys = rank[keys // n] * n + rank[keys % n]
+        take = np.argsort(permuted_keys)
+        permuted_keys = permuted_keys[take]
+        permuted_indptr, permuted_indices = _csc_arrays(permuted_keys, n)
+        permuted_diagonal = np.flatnonzero(
+            permuted_keys // n == permuted_keys % n).astype(np.int32)
+        return cls(indptr, indices, heads, order.astype(np.int32), permuted_indptr,
+                   permuted_indices, take.astype(np.int32), permuted_diagonal)
+
+
+def _pair_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``col * n + row`` of each factor's (row, col) pairs, ``(k, R, C)``
+    from ``rows`` ``(k, R)`` and ``cols`` ``(k, C)``; ``n * n`` where either
+    index is at least n (gauge-fixed)."""
+    r, c = rows[:, :, None], cols[:, None, :]
+    return np.where((r < n) & (c < n), c * n + r, n * n)
+
+
+def _csc_arrays(keys: np.ndarray, n: int):
+    """int32 ``(indptr, indices)`` of sorted unique keys ``col * n + row``."""
+    counts = np.bincount(keys // n, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, (keys % n).astype(np.int32)
+
+
+def fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Fill-reducing symmetric permutation q (int32) of a symmetric CSC
+    pattern: ``H[q][:, q]`` factorizes with less fill than H.
+
+    It is SuperLU's minimum-degree ordering of ``A + A^T`` in symmetric mode,
+    taken from the analysis of a strictly diagonally dominant matrix with
+    this pattern, so it depends on the pattern alone.  q is the inverse of
+    SuperLU's ``perm_c``: column j of ``A Pc`` is column ``q[j]`` of A.
+    """
+    import scipy.sparse.linalg
+
+    n = len(indptr) - 1
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    data = np.where(indices == cols, counts[cols].astype(float), -1.0)
+    lu = scipy.sparse.linalg.splu(
+        scipy.sparse.csc_matrix((data, indices, indptr), shape=(n, n)),
+        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True})
+    return np.argsort(lu.perm_c).astype(np.int32)
+
+
 def _compile_run(spec: ManifoldSpec, index: ActiveIndex, factors) -> Batch:
     """Compile a run of factors that share a :func:`_run_key`."""
     cls = {RELATIVE_SE2: Se2Batch, CUSTOM: CustomBatch}.get(factors[0].kind, LinearBatch)
@@ -498,7 +598,7 @@ def _run_key(f: MeasurementFactor):
 
 
 def _batch_of_one(f: MeasurementFactor, spec: ManifoldSpec) -> Batch:
-    return _compile_run(spec, ActiveIndex.build(spec, frozenset()), (f,))
+    return _compile_run(spec, spec.ungauged_index, (f,))
 
 
 def residual(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:

@@ -2,6 +2,8 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +13,7 @@ from jointcov.manifold import (
     euclidean_block,
     se2_block,
     se2_compose,
+    se2_inverse,
 )
 from jointcov import nls
 from jointcov.nls import (
@@ -22,7 +25,9 @@ from jointcov.nls import (
     step_once,
     weighted_cost,
 )
+from jointcov import problem as problem_module
 from jointcov.problem import (
+    HessianPattern,
     JointProblem,
     LinearBatch,
     NoiseGroup,
@@ -290,3 +295,109 @@ class TestLinearBatch:
         system = build_system(pb, x, {"g": np.eye(2)})
         np.testing.assert_array_equal(system.gradient, [1.0, 1.0, 2.0, 2.0])
         np.testing.assert_array_equal(system.hessian, np.eye(4))
+
+
+def random_pose_graph(data):
+    """A pose chain plus random loop edges, odometry and loops in two noise
+    groups with random SPD weights, at a random state near the truth."""
+    n = data.draw(st.integers(3, 40), "poses")
+    gauge = data.draw(st.booleans(), "gauge")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    spec = ManifoldSpec(tuple(se2_block(i) for i in range(n)))
+    truth = [np.zeros(3)]
+    for _ in range(n - 1):
+        truth.append(se2_compose(truth[-1], [1.0, 0.0, rng.uniform(-0.5, 0.5)]))
+    pairs = [(i, i + 1) for i in range(n - 1)]
+    pairs += [tuple(sorted(rng.choice(n, size=2, replace=False)))
+              for _ in range(rng.integers(0, n + 1))]
+    factors = [relative_se2_factor(
+        k, int(i), int(j), se2_compose(se2_inverse(truth[i]), truth[j])
+        + 0.05 * rng.normal(size=3), "odo" if j == i + 1 else "loop")
+        for k, (i, j) in enumerate(pairs)]
+    groups = [NoiseGroup(g, 3, "ml") for g in ("odo", "loop")
+              if any(f.group_id == g for f in factors)]
+    pb = JointProblem(spec, tuple(factors), tuple(groups),
+                      frozenset({0} if gauge else ()))
+    weights = {}
+    for g in groups:
+        A = rng.normal(size=(3, 3))
+        weights[g.group_id] = A @ A.T + 0.5 * np.eye(3)
+    x = ManifoldPoint(spec, tuple(t + 0.1 * rng.normal(size=3) for t in truth))
+    return pb, x, weights
+
+
+def coo_hessian(pb, x, weights):
+    """The sparse Hessian summed by scipy from COO triplets laid out in
+    factor order, the same sum over absolute terms with each entry's term
+    count, and the terms accumulated one by one into a dense matrix."""
+    n = pb.active_index.dim
+    rows, cols, vals = [], [], []
+    for g in pb.groups:
+        W = weights[g.group_id]
+        for batch in pb.batches[g.group_id]:
+            _, J = batch.linearize(x)
+            blocks = np.swapaxes(J, 1, 2) @ W @ J
+            pos = batch.positions()
+            pr = np.broadcast_to(pos[:, :, None], blocks.shape)
+            pc = np.broadcast_to(pos[:, None, :], blocks.shape)
+            keep = (pr < n) & (pc < n)
+            rows.append(pr[keep])
+            cols.append(pc[keep])
+            vals.append(blocks[keep])
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    dense = np.zeros((n, n))
+    np.add.at(dense, (rows, cols), vals)
+    coo = [scipy.sparse.coo_matrix((v, (rows, cols)), shape=(n, n)).tocsc()
+           for v in (vals, np.abs(vals), np.ones_like(vals))]
+    return (*coo, dense)
+
+
+class TestCompiledSparseSolve:
+    """The compiled Hessian pattern and the reordered no-pivot LU against
+    COO assembly and a dense Cholesky solve, on generated pose graphs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_coo_assembly_and_dense_solve(self, data):
+        pb, x, weights = random_pose_graph(data)
+        with patch.object(nls, "DENSE_THRESHOLD", 1):
+            system = build_system(pb, x, weights)
+        H = system.hessian
+        ref, abs_sum, count, dense = coo_hessian(pb, x, weights)
+        np.testing.assert_array_equal(H.indptr, ref.indptr)
+        np.testing.assert_array_equal(H.indices, ref.indices)
+        # the terms are summed in factor order, as np.add.at does; scipy sums
+        # duplicate triplets in the order its index sort leaves them, so it
+        # agrees up to the error bound of reordering a floating-point sum
+        np.testing.assert_array_equal(H.toarray(), dense)
+        assert np.all(np.abs(H.data - ref.data)
+                      <= count.data * np.finfo(float).eps * abs_sum.data)
+        n = pb.active_index.dim
+        for damping in (1e-4, 1.0, 100.0) + ((0.0,) if pb.gauge_fixed else ()):
+            delta = system.solve_damped(damping)
+            expected = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(dense + damping * np.eye(n)), -system.gradient)
+            assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_undamped_step_on_ungauged_graph_descends_or_stays(self, data):
+        pb, x, weights = random_pose_graph(data)
+        pb = JointProblem(pb.manifold, pb.factors, pb.groups)
+        with patch.object(nls, "DENSE_THRESHOLD", 1):
+            x1, _ = step_once(pb, x, weights, NlsConfig(step_mode=SINGLE_ITERATION))
+        assert weighted_cost(pb, x1, weights) <= weighted_cost(pb, x, weights)
+
+    def test_analysis_runs_once_per_problem(self):
+        pb, _ = chain_problem(n=30, noise=0.05)
+        x0 = pb.manifold.identity()
+        W = {"g": np.diag([5.0, 5.0, 8.0])}
+        with patch.object(nls, "DENSE_THRESHOLD", 1), \
+                patch.object(HessianPattern, "compile", wraps=HessianPattern.compile) as compile_, \
+                patch.object(problem_module, "fill_reducing_order",
+                             wraps=problem_module.fill_reducing_order) as order:
+            build_system(pb, x0, W, with_hessian=False)
+            assert compile_.call_count == order.call_count == 0
+            result = solve_fixed_P(pb, x0, W)
+            assert result.iterations > 1
+            assert compile_.call_count == order.call_count == 1

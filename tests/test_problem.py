@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from jointcov.covariance import mode_match_prior
 from jointcov.manifold import (
+    ActiveIndex,
     ManifoldPoint,
     ManifoldSpec,
     boxplus,
@@ -261,6 +264,22 @@ class TestBatchPath:
             np.testing.assert_array_equal(residual(f, x), r)
             np.testing.assert_array_equal(residual_jacobian(f, x), J)
         np.testing.assert_array_equal(group_residuals(pb, x, "g"), [r for r, _ in rows])
+
+    def test_residual_builds_the_gauge_free_index_once(self):
+        rng = np.random.default_rng(47)
+        n = 30
+        spec = ManifoldSpec(tuple(se2_block(i) for i in range(n)))
+        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, 3) for _ in range(n)))
+        factors = [relative_se2_factor(i, i, i + 1, rng.uniform(-1, 1, 3), "g")
+                   for i in range(n - 1)]
+        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        r, J = batch.linearize(x)
+        with patch.object(ActiveIndex, "build", wraps=ActiveIndex.build) as build:
+            for _ in range(3):
+                for i, f in enumerate(factors):
+                    np.testing.assert_array_equal(residual(f, x), r[i])
+                    np.testing.assert_array_equal(residual_jacobian(f, x), J[i])
+        assert build.call_count == 1
 
     def test_group_residuals_stacks(self):
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
