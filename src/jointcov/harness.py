@@ -474,7 +474,6 @@ def solve_graph(graph, variant: str = "ml-eig", algorithm: str = joint.HYBRID_BC
     if algorithm == joint.ELIMINATION:
         result = joint.run_elimination(problem, x_init, jcfg)
     elif algorithm == joint.BLOCK_EXACT_BCD:
-        jcfg.nls = nls.NlsConfig()
         result = joint.run_block_exact_bcd(problem, x_init, jcfg)
     else:
         result = joint.run_hybrid_bcd(problem, x_init, jcfg)

@@ -15,6 +15,11 @@ over the state x and one information matrix per noise group:
 * ``run_block_exact_bcd`` alternates a full weighted NLS solve on x with the
   analytic P update; its F trace is non-increasing.
 
+F depends on x only through the second moments ``M_g(x)``, so each point is
+evaluated once: one residual pass gives every ``M_g``, from which the P
+update and both F values there derive.  Elimination forms ``M_g`` from the
+residuals of the linearization its gradient uses.
+
 The x-dependent part of F is ``sum_g s_g sum_{i in g} ||r_i||^2_{P_g}`` with
 ``s_g = 1/(k_g + nu_g - m_g - 1)`` for MAP groups and ``1/k_g`` otherwise,
 so the NLS subproblems are weighted with ``s_g P_g``.
@@ -37,7 +42,7 @@ from .covariance import (
 )
 from .manifold import CutLocusError, ManifoldPoint, boxplus
 from .nls import NlsConfig
-from .problem import JointProblem, NoiseGroup, sample_covariance
+from .problem import JointProblem, NoiseGroup, residual_covariance, sample_covariance
 
 ELIMINATION = "elimination"
 HYBRID_BCD = "hybrid-bcd"
@@ -58,7 +63,6 @@ class JointConfig:
     nls: NlsConfig = field(default_factory=NlsConfig)
     lbfgs_memory: int = 10
     f_tol: float = 1e-9  # relative change of F, two consecutive iterations
-    record_traces: bool = True  # False keeps JointResult.trace empty
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
@@ -107,47 +111,54 @@ def _scaled_weights(problem: JointProblem, P: dict) -> dict:
     }
 
 
-def _group_M(problem: JointProblem, x: ManifoldPoint, group: NoiseGroup) -> np.ndarray:
-    S = sample_covariance(problem, x, group.group_id)
-    if group.estimator == "map":
-        return assemble_M(S, len(problem.factors_by_group[group.group_id]),
-                          group.prior, group.m)
-    return S
+def second_moments(problem: JointProblem, x: ManifoldPoint,
+                   residuals: dict | None = None) -> dict:
+    """Group id -> M_g(x): the sample covariance, prior-blended for MAP
+    groups, from one residual pass or from ``residuals`` (group id ->
+    stacked residuals at x)."""
+    M = {}
+    for g in problem.groups:
+        S = (sample_covariance(problem, x, g.group_id) if residuals is None
+             else residual_covariance(problem, g.group_id, residuals[g.group_id]))
+        M[g.group_id] = (assemble_M(S, len(problem.factors_by_group[g.group_id]),
+                                    g.prior, g.m) if g.estimator == "map" else S)
+    return M
 
 
-def joint_objective(problem: JointProblem, x: ManifoldPoint, P: dict) -> float:
-    """F(x, P) summed over noise groups (MAP groups blend in their prior)."""
+def joint_objective(problem: JointProblem, x: ManifoldPoint, P: dict,
+                    M: dict | None = None) -> float:
+    """F(x, P) summed over noise groups; ``M``: the second moments at x,
+    when the caller holds them."""
+    M = second_moments(problem, x) if M is None else M
     total = 0.0
     for g in problem.groups:
-        total += inner_objective(_group_M(problem, x, g), P[g.group_id])
+        total += inner_objective(M[g.group_id], P[g.group_id])
     return total
 
 
-def information_update(problem: JointProblem, x: ManifoldPoint
-                       ) -> tuple[dict, dict]:
+def information_update(problem: JointProblem, x: ManifoldPoint,
+                       M: dict | None = None) -> tuple[dict, dict]:
     """Analytic P update for every group at the current state.
 
     Fixed groups keep their information matrix.  The unconstrained and
     diagonal solvers reject a singular second moment (for a prior-free group
     the sample covariance); the :class:`UnboundedProblem` is re-raised here
-    naming the offending group.
+    naming the offending group.  ``M``: the second moments at x, when the
+    caller holds them.
 
     Returns:
         (information per group id, InnerSolution per estimated group id)
     """
+    M = second_moments(problem, x) if M is None else M
     P: dict = {}
     solutions: dict = {}
     for g in problem.groups:
         if g.variant == "fixed":
             P[g.group_id] = g.information
             continue
-        M = sample_covariance(problem, x, g.group_id)
-        if g.estimator == "map":
-            M = assemble_M(M, len(problem.factors_by_group[g.group_id]),
-                           g.prior, g.m)
         lam_min, lam_max = g.bounds if g.bounds is not None else (None, None)
         try:
-            sol = solve_inner(M, g.constraint, lam_min, lam_max)
+            sol = solve_inner(M[g.group_id], g.constraint, lam_min, lam_max)
         except UnboundedProblem as err:
             what = "eigenvalue" if g.constraint == "unconstrained" else "diagonal entry"
             raise UnboundedProblem(
@@ -166,13 +177,12 @@ def calibrate(problem: JointProblem, x_true_cal: ManifoldPoint) -> dict:
     return P
 
 
-def _sigma_eig_ranges(P: dict) -> tuple[dict, dict]:
-    lo, hi = {}, {}
-    for gid, mat in P.items():
-        eigs = np.linalg.eigvalsh(mat)
-        lo[gid] = float(1.0 / eigs[-1])
-        hi[gid] = float(1.0 / eigs[0])
-    return lo, hi
+def _trace_point(iteration: int, phase: str, P: dict, value: float,
+                 gradient_norm: float) -> TracePoint:
+    eigs = {gid: np.linalg.eigvalsh(mat) for gid, mat in P.items()}
+    return TracePoint(iteration, phase, value,
+                      {gid: float(1.0 / e[-1]) for gid, e in eigs.items()},
+                      {gid: float(1.0 / e[0]) for gid, e in eigs.items()}, gradient_norm)
 
 
 class _Convergence:
@@ -195,20 +205,20 @@ class _Convergence:
 
 def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
              exact: bool) -> JointResult:
-    x = x_init
-    P, solutions = information_update(problem, x)
     flags = set()
-    if any(s.any_bound_active for s in solutions.values()):
-        flags.add(FLAG_BOUND_HIT)
-    trace = []
 
-    def record(iteration, phase, value, grad_proxy):
-        if config.record_traces:
-            lo, hi = _sigma_eig_ranges(P)
-            trace.append(TracePoint(iteration, phase, value, lo, hi, grad_proxy))
+    def p_step(x):
+        """One residual pass at x: M, then the P update from it."""
+        M = second_moments(problem, x)
+        P, solutions = information_update(problem, x, M)
+        if any(s.any_bound_active for s in solutions.values()):
+            flags.add(FLAG_BOUND_HIT)
+        return M, P
 
-    f = joint_objective(problem, x, P)
-    record(0, "init", f, np.nan)
+    x = x_init
+    M, P = p_step(x)
+    f = joint_objective(problem, x, P, M)
+    trace = [_trace_point(0, "init", P, f, np.nan)]
     conv = _Convergence(config.f_tol)
     conv.update(f)
     converged = False
@@ -224,16 +234,15 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
                 flags.add(FLAG_LM_FAILURE)
         else:
             x, grad_proxy = nls.step_once(problem, x, weights, config.nls)
-        if config.record_traces:
-            record(iterations, "x-step", joint_objective(problem, x, P), grad_proxy)
 
         start = time.perf_counter()
-        P, solutions = information_update(problem, x)
+        M, P_new = p_step(x)
         cov_ms.append((time.perf_counter() - start) * 1e3)
-        if any(s.any_bound_active for s in solutions.values()):
-            flags.add(FLAG_BOUND_HIT)
-        f = joint_objective(problem, x, P)
-        record(iterations, "p-step", f, grad_proxy)
+        trace.append(_trace_point(iterations, "x-step", P,
+                                  joint_objective(problem, x, P, M), grad_proxy))
+        P = P_new
+        f = joint_objective(problem, x, P, M)
+        trace.append(_trace_point(iterations, "p-step", P, f, grad_proxy))
         if conv.update(f):
             converged = True
             break
@@ -256,9 +265,8 @@ def run_hybrid_bcd(problem: JointProblem, x_init: ManifoldPoint,
                    config: JointConfig | None = None) -> JointResult:
     """Alternate one descent step on x with the analytic P update.
 
-    The x half-step honors ``config.nls.step_mode``: a single damped
-    Gauss-Newton iteration by default, or a backtracking Riemannian
-    gradient step when set to ``riemannian-gd``.
+    The x half-step is ``config.nls.step_mode``: one damped Gauss-Newton
+    iteration (the default) or a backtracking Riemannian gradient step.
     """
     config = config or JointConfig(algorithm=HYBRID_BCD)
     return _run_bcd(problem, x_init, config, exact=False)
@@ -269,19 +277,22 @@ def _reduced_value_and_grad(problem: JointProblem, x: ManifoldPoint):
 
     By the envelope property of the inner optimum, the gradient is the
     weighted-NLS gradient with weights ``2 s_g P*_g(x)`` (fixed groups
-    contribute with their fixed P).
+    contribute with their fixed P).  One linearization at x gives both M
+    and that gradient.
     """
-    P, solutions = information_update(problem, x)
+    lin = {gid: [b.linearize(x) for b in batches]
+           for gid, batches in problem.batches.items()}
+    M = second_moments(problem, x, {gid: np.concatenate([r for r, _ in pairs])
+                                    for gid, pairs in lin.items()})
+    P, solutions = information_update(problem, x, M)
     value = 0.0
-    bound_hit = False
     for g in problem.groups:
-        if g.group_id in solutions:
-            value += solutions[g.group_id].objective
-            bound_hit = bound_hit or solutions[g.group_id].any_bound_active
-        else:
-            value += inner_objective(_group_M(problem, x, g), P[g.group_id])
+        sol = solutions.get(g.group_id)
+        value += (sol.objective if sol is not None
+                  else inner_objective(M[g.group_id], P[g.group_id]))
+    bound_hit = any(s.any_bound_active for s in solutions.values())
     weights = {gid: 2.0 * w for gid, w in _scaled_weights(problem, P).items()}
-    system = nls.build_system(problem, x, weights, with_hessian=False)
+    system = nls.build_system(problem, x, weights, with_hessian=False, linearization=lin)
     return value, system.gradient, P, bound_hit, system.index
 
 
@@ -298,18 +309,8 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     config = config or JointConfig(algorithm=ELIMINATION)
     x = x_init
     f, g, P, bound_hit, index = _reduced_value_and_grad(problem, x)
-    flags = set()
-    if bound_hit:
-        flags.add(FLAG_BOUND_HIT)
-    trace = []
-
-    def record(iteration, phase, value, gradient):
-        if config.record_traces:
-            lo, hi = _sigma_eig_ranges(P)
-            trace.append(TracePoint(iteration, phase, value, lo, hi,
-                                    float(np.linalg.norm(gradient))))
-
-    record(0, "init", f, g)
+    flags = {FLAG_BOUND_HIT} if bound_hit else set()
+    trace = [_trace_point(0, "init", P, f, float(np.linalg.norm(g)))]
     memory: deque = deque(maxlen=config.lbfgs_memory)
     conv = _Convergence(config.f_tol)
     conv.update(f)
@@ -351,7 +352,7 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
         x, f, g, P, index = x_trial, f_trial, g_trial, P_trial, index_trial
         if bound_hit:
             flags.add(FLAG_BOUND_HIT)
-        record(iterations, "x-step", f, g)
+        trace.append(_trace_point(iterations, "x-step", P, f, float(np.linalg.norm(g))))
         if conv.update(f):
             converged = True
             break

@@ -3,9 +3,10 @@
 Builds Gauss-Newton normal equations from the problem's compiled factor
 batches (block-sparse by state block, with gauge-fixed blocks removed),
 solves them with Levenberg-Marquardt damping, and applies retraction
-updates.  Besides the full solve, a single-iteration step and a backtracking
-Riemannian gradient-descent step are exposed for the block-coordinate-descent
-drivers.
+updates.  Besides the full solve, :func:`step_once` takes one step for the
+block-coordinate-descent drivers in one of two modes: a damped Gauss-Newton
+iteration, which shares the full solve's damping loop, or a backtracking
+Riemannian gradient-descent step.
 
 Assembly is one loop over batches.  Each batch's cost, gradient and Hessian
 terms are stacked matmuls per factor and are added in factor order: the
@@ -40,7 +41,6 @@ import scipy.sparse.linalg
 from .manifold import ActiveIndex, CutLocusError, ManifoldPoint, boxplus
 from .problem import HessianPattern, JointProblem, group_residuals
 
-FULL_SOLVE = "full-solve"
 SINGLE_ITERATION = "single-iteration"
 RIEMANNIAN_GD = "riemannian-gd"
 
@@ -70,13 +70,12 @@ class NlsConfig:
     damping_max: float = 1e12
     cost_tol: float = 1e-9            # relative cost change
     grad_tol: float = 1e-8
-    step_mode: str = FULL_SOLVE
-    gd_step: float | None = None      # fixed eta for riemannian-gd; None = backtracking
+    step_mode: str = SINGLE_ITERATION
 
     def __post_init__(self):
         if self.cost_tol <= 0 or self.grad_tol <= 0:
             raise ValueError("tolerances must be positive")
-        if self.step_mode not in (FULL_SOLVE, SINGLE_ITERATION, RIEMANNIAN_GD):
+        if self.step_mode not in (SINGLE_ITERATION, RIEMANNIAN_GD):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
 
 
@@ -141,12 +140,14 @@ def weighted_cost(problem: JointProblem, x: ManifoldPoint,
 
 
 def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
-                 with_hessian: bool = True) -> LinearizedSystem:
+                 with_hessian: bool = True, linearization: Mapping | None = None
+                 ) -> LinearizedSystem:
     """Linearize all factors at x and assemble gradient (and Hessian).
 
     Terms are added batch by batch and, inside a batch, factor by factor
     (see the module docstring); gauge-fixed terms land past the active
-    tangent and are dropped.
+    tangent and are dropped.  ``linearization`` (group id -> each batch's
+    ``linearize(x)``) passes in residuals and Jacobians evaluated already.
     """
     index = problem.active_index
     n = index.dim
@@ -157,8 +158,10 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
     terms = [np.zeros(0)]
     for g in problem.groups:
         Wg = np.asarray(weights[g.group_id], dtype=float)
-        for batch in problem.batches[g.group_id]:
-            r, J = batch.linearize(x)
+        batches = problem.batches[g.group_id]
+        pairs = (linearization[g.group_id] if linearization is not None
+                 else (batch.linearize(x) for batch in batches))
+        for batch, (r, J) in zip(batches, pairs):
             Wr = (Wg @ r[:, :, None])[:, :, 0]
             costs.append(0.5 * np.vecdot(r, Wr))
             JT = np.swapaxes(J, 1, 2)
@@ -201,6 +204,26 @@ def _try_cost(problem, x, weights):
         return np.inf
 
 
+def _damped_step(problem: JointProblem, system: LinearizedSystem,
+                 x: ManifoldPoint, weights: Mapping, damping: float,
+                 config: NlsConfig):
+    """Levenberg-Marquardt trials at ``damping``, then ``damping_init`` if
+    that was 0, else ``damping * damping_factor``, up to ``damping_max``.
+
+    Returns (trial, its cost, damping) for the first trial whose cost does
+    not exceed ``system.cost``, or None on stall.
+    """
+    while damping <= config.damping_max:
+        delta = system.solve_damped(damping)
+        if delta is not None:
+            x_trial = boxplus(x, system.index.scatter(delta))
+            cost_trial = _try_cost(problem, x_trial, weights)
+            if cost_trial <= system.cost:
+                return x_trial, cost_trial, damping
+        damping = config.damping_init if damping == 0.0 else damping * config.damping_factor
+    return None
+
+
 def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
                   weights: Mapping, config: NlsConfig | None = None) -> NlsResult:
     """Levenberg-Marquardt minimization of the weighted cost at fixed weights.
@@ -214,10 +237,7 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
     x = x_init
     damping = config.damping_init
     trace = []
-    converged = False
-    lm_failure = False
-    grad_norm = np.nan
-    cost = np.nan
+    converged = lm_failure = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         system = build_system(problem, x, weights)
@@ -226,26 +246,15 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
         if grad_norm <= config.grad_tol:
             converged = True
             break
-        accepted = False
-        while damping <= config.damping_max:
-            delta = system.solve_damped(damping)
-            if delta is not None:
-                x_trial = boxplus(x, system.index.scatter(delta))
-                cost_trial = _try_cost(problem, x_trial, weights)
-                if cost_trial <= cost:
-                    x = x_trial
-                    damping = max(damping / config.damping_factor, 1e-15)
-                    accepted = True
-                    break
-            damping *= config.damping_factor
-        if not accepted:
+        step = _damped_step(problem, system, x, weights, damping, config)
+        if step is None:
             lm_failure = True
             break
+        x, cost_trial, damping = step
+        damping = max(damping / config.damping_factor, 1e-15)
         if abs(cost - cost_trial) <= config.cost_tol * (1.0 + abs(cost_trial)):
-            cost = cost_trial
             converged = True
             break
-        cost = cost_trial
     final = build_system(problem, x, weights, with_hessian=False)
     return NlsResult(x, final.cost, final.gradient_norm, iterations,
                      converged, lm_failure, tuple(trace))
@@ -259,8 +268,7 @@ def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
     linearization point.  ``single-iteration`` mode attempts an undamped
     Gauss-Newton step first (exact for linear residuals) and escalates
     damping until the cost stops increasing.  ``riemannian-gd`` mode takes a
-    gradient step in the local chart with Armijo backtracking from step 1
-    (or a user-fixed step, still subject to the descent check).
+    gradient step in the local chart with Armijo backtracking from step 1.
     """
     config = config or NlsConfig()
     if config.step_mode == RIEMANNIAN_GD:
@@ -269,11 +277,6 @@ def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         g_sq = float(g @ g)
         if g_sq == 0.0:
             return x, 0.0
-        if config.gd_step is not None:
-            x_new = boxplus(x, system.index.scatter(-config.gd_step * g))
-            if _try_cost(problem, x_new, weights) <= system.cost:
-                return x_new, system.gradient_norm
-            return x, system.gradient_norm
         t = 1.0
         while t > 1e-20:
             x_new = boxplus(x, system.index.scatter(-t * g))
@@ -283,13 +286,5 @@ def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         return x, system.gradient_norm
 
     system = build_system(problem, x, weights)
-    damping = 0.0
-    while True:
-        delta = system.solve_damped(damping)
-        if delta is not None:
-            x_trial = boxplus(x, system.index.scatter(delta))
-            if _try_cost(problem, x_trial, weights) <= system.cost:
-                return x_trial, system.gradient_norm
-        damping = config.damping_init if damping == 0.0 else damping * config.damping_factor
-        if damping > config.damping_max:
-            return x, system.gradient_norm
+    step = _damped_step(problem, system, x, weights, 0.0, config)
+    return (x if step is None else step[0]), system.gradient_norm

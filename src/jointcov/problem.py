@@ -687,7 +687,11 @@ def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.n
     space.  The result is symmetric PSD but may be singular; singularity
     handling is the caller's concern.
     """
-    R = group_residuals(problem, x, group_id)
+    return residual_covariance(problem, group_id, group_residuals(problem, x, group_id))
+
+
+def residual_covariance(problem: JointProblem, group_id, R: np.ndarray) -> np.ndarray:
+    """:func:`sample_covariance` from the group's residuals ``R`` (k, m)."""
     inverses = problem.preprocess_inverses[group_id]
     if inverses is not None:
         rows, J_inv = inverses

@@ -73,3 +73,40 @@ def test_linear_group_never_calls_the_per_factor_residual():
     assert calls["nls.build_system"] > 0
     assert calls["problem.group_residuals"] > 0
     assert calls["problem.residual"] == 0
+
+
+def two_group_pose_graph():
+    noise = io_pgo.SyntheticNoiseSpec({io_pgo.ODOMETRY: np.diag([1000.0, 1000.0, 800.0]),
+                                       io_pgo.LOOP: np.diag([100.0, 100.0, 200.0])},
+                                      seed=5)
+    graph, _ = io_pgo.generate_manhattan_like(30, "nearby", noise, trajectory_seed=1)
+    groups = [NoiseGroup(kind, 3, "ml-eig", bounds=(1e-4, 1e4))
+              for kind in (io_pgo.ODOMETRY, io_pgo.LOOP)]
+    return io_pgo.pose_graph_problem(graph, groups), io_pgo.spanning_tree_init(graph)
+
+
+def test_elimination_evaluates_each_point_once():
+    problem, x0 = two_group_pose_graph()
+    se2_batches = sum(len(b) for b in problem.batches.values())
+    assert se2_batches == 2
+    config = joint.JointConfig(algorithm=joint.ELIMINATION, max_outer_iterations=3)
+    calls = traced_calls(load_tracer(),
+                         lambda: joint.run_elimination(problem, x0, config), problem)
+    assert calls["joint.reduced_eval"] > 0
+    assert calls["problem.batch_se2"] == se2_batches * calls["joint.reduced_eval"]
+    assert calls["problem.group_residuals"] == 0
+
+
+def test_hybrid_evaluates_each_point_once():
+    # beyond the LM trial costs, one residual pass per group per iterate:
+    # the initial point and the point after each x-step
+    problem, x0 = two_group_pose_graph()
+    config = joint.JointConfig(algorithm=joint.HYBRID_BCD, max_outer_iterations=3)
+    results = []
+    calls = traced_calls(load_tracer(),
+                         lambda: results.append(joint.run_hybrid_bcd(problem, x0, config)),
+                         problem)
+    (result,) = results
+    assert calls["nls.weighted_cost"] > 0
+    assert calls["problem.group_residuals"] == len(problem.groups) * (
+        calls["nls.weighted_cost"] + result.iterations + 1)

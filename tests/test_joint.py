@@ -170,18 +170,13 @@ class TestHybridBcd:
         values = [t.objective for t in res.trace]
         assert all(b <= a + 1e-10 for a, b in zip(values, values[1:]))
 
-    def test_trace_has_gradient_proxy_and_can_be_disabled(self):
+    def test_trace_has_gradient_proxy(self):
         rng = np.random.default_rng(31)
         pb, x0, _, _ = linear_joint_problem(rng)
         cfg = JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4)
         res = run_hybrid_bcd(pb, x0, cfg)
         assert all(np.isfinite(t.gradient_norm) for t in res.trace
                    if t.phase != "init")
-        quiet = JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4,
-                            record_traces=False)
-        res_quiet = run_hybrid_bcd(pb, x0, quiet)
-        assert res_quiet.trace == ()
-        assert res_quiet.objective == pytest.approx(res.objective)
 
     def test_fixed_groups_degenerate_to_iterated_nls(self):
         rng = np.random.default_rng(7)
@@ -274,6 +269,52 @@ class TestElimination:
         # spot-check the final point
         full = joint_objective(pb, res.x, res.information)
         assert full == pytest.approx(res.objective, abs=1e-10)
+
+    def test_one_linearization_gives_S_and_gradient_exactly(self, monkeypatch):
+        # the reduced evaluation forms each S from the residuals of the
+        # linearization it assembles the gradient from; both must equal the
+        # separate evaluations bit for bit, also through preprocessing
+        # Jacobians and a group of several batches
+        from jointcov import joint
+        from jointcov.joint import _reduced_value_and_grad, group_scale
+        from jointcov.manifold import se2_block
+        from jointcov.nls import build_system
+        from jointcov.problem import custom_factor, relative_se2_factor, residual_covariance
+
+        rng = np.random.default_rng(17)
+        spec = ManifoldSpec(tuple(se2_block(i) for i in range(5))
+                            + (euclidean_block("w", 3),))
+        J = np.array([[1.0, 0.4, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 0.5]])
+        factors = [relative_se2_factor(i, i, (i + 1) % 5, rng.uniform(-1, 1, 3), "a",
+                                       preprocess_jacobian=J if i % 2 else None)
+                   for i in range(5)]
+        factors.append(custom_factor(5, (4, "w"), rng.normal(size=3), "a",
+                                     lambda z, p, w: z - np.sin(p) * w))
+        factors += [relative_se2_factor(6 + i, i, (i + 2) % 5, rng.uniform(-1, 1, 3),
+                                        "a" if i < 2 else "b",
+                                        preprocess_jacobian=2.0 * J if i == 3 else None)
+                    for i in range(5)]
+        groups = (NoiseGroup("a", 3, "ml-eig", bounds=(1e-4, 1e4)),
+                  NoiseGroup("b", 3, "ml-eig", bounds=(1e-4, 1e4)))
+        pb = JointProblem(spec, tuple(factors), groups, frozenset({0}))
+        assert len(pb.batches["a"]) == 3
+        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
+
+        formed = {}
+
+        def spy(problem, group_id, R):
+            formed[group_id] = residual_covariance(problem, group_id, R)
+            return formed[group_id]
+
+        monkeypatch.setattr(joint, "residual_covariance", spy)
+        _, gradient, P, _, _ = _reduced_value_and_grad(pb, x)
+        for g in groups:
+            np.testing.assert_array_equal(formed[g.group_id],
+                                          sample_covariance(pb, x, g.group_id))
+        weights = {g.group_id: 2.0 * (group_scale(g, len(pb.factors_by_group[g.group_id]))
+                                      * P[g.group_id]) for g in groups}
+        np.testing.assert_array_equal(
+            gradient, build_system(pb, x, weights, with_hessian=False).gradient)
 
 
 class TestCalibrate:

@@ -221,13 +221,6 @@ class TestStepOnce:
             x1, _ = step_once(pb, x0, W, NlsConfig(step_mode=mode))
             assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
 
-    def test_riemannian_gd_fixed_step_descends_or_stays(self):
-        pb, _ = chain_problem(noise=0.1)
-        x0 = pb.manifold.identity()
-        W = {"g": np.eye(3)}
-        x1, _ = step_once(pb, x0, W, NlsConfig(step_mode=RIEMANNIAN_GD, gd_step=1e-3))
-        assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
-
 
 class TestLinearBatch:
     """The compiled linear batch reproduces the same factors as batches of
