@@ -220,7 +220,6 @@ def solve_inner_unconstrained(M: np.ndarray) -> InnerSolution:
     ``<M, P*> = m`` and the objective reduces to ``log det M + m``.
     """
     M = symmetrize(M)
-    m = M.shape[0]
     report = diagnose_singularity(M)
     chol = None if report.is_ill_posed else cholesky_or_none(M)
     if chol is None:
@@ -230,6 +229,21 @@ def solve_inner_unconstrained(M: np.ndarray) -> InnerSolution:
             "update is unbounded below — add an eigenvalue lower bound or a prior",
             min_eigenvalue=report.min_eigenvalue,
         )
+    return _inverse_solution(chol)
+
+
+def solve_inner_prior_blended(M: np.ndarray) -> InnerSolution:
+    """:func:`solve_inner_unconstrained` for a MAP group's prior-blended
+    ``M`` (:func:`assemble_M`), which is positive definite by construction:
+    one Cholesky, and the singularity eigensolve only if that fails."""
+    M = symmetrize(M)
+    chol = cholesky_or_none(M)
+    return solve_inner_unconstrained(M) if chol is None else _inverse_solution(chol)
+
+
+def _inverse_solution(chol: np.ndarray) -> InnerSolution:
+    """``P* = M^-1`` and its objective from the Cholesky factor of ``M``."""
+    m = chol.shape[0]
     P = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m)))
     objective = chol_logdet(chol) + m
     return InnerSolution(P, float(objective), _no_flags(m), _no_flags(m))

@@ -35,10 +35,12 @@ import numpy as np
 
 from . import nls
 from .covariance import (
+    UNCONSTRAINED,
     UnboundedProblem,
     assemble_M,
     inner_objective,
     solve_inner,
+    solve_inner_prior_blended,
 )
 from .manifold import CutLocusError, ManifoldPoint, boxplus
 from .nls import NlsConfig
@@ -143,8 +145,9 @@ def information_update(problem: JointProblem, x: ManifoldPoint,
     Fixed groups keep their information matrix.  The unconstrained and
     diagonal solvers reject a singular second moment (for a prior-free group
     the sample covariance); the :class:`UnboundedProblem` is re-raised here
-    naming the offending group.  ``M``: the second moments at x, when the
-    caller holds them.
+    naming the offending group.  A MAP group's prior-blended moment is
+    positive definite, so its unconstrained update skips that eigensolve.
+    ``M``: the second moments at x, when the caller holds them.
 
     Returns:
         (information per group id, InnerSolution per estimated group id)
@@ -158,9 +161,12 @@ def information_update(problem: JointProblem, x: ManifoldPoint,
             continue
         lam_min, lam_max = g.bounds if g.bounds is not None else (None, None)
         try:
-            sol = solve_inner(M[g.group_id], g.constraint, lam_min, lam_max)
+            if g.estimator == "map" and g.constraint == UNCONSTRAINED:
+                sol = solve_inner_prior_blended(M[g.group_id])
+            else:
+                sol = solve_inner(M[g.group_id], g.constraint, lam_min, lam_max)
         except UnboundedProblem as err:
-            what = "eigenvalue" if g.constraint == "unconstrained" else "diagonal entry"
+            what = "eigenvalue" if g.constraint == UNCONSTRAINED else "diagonal entry"
             raise UnboundedProblem(
                 f"group {g.group_id!r}: sample covariance is singular "
                 f"(min {what} {err.min_eigenvalue:.3e}); the prior-free "

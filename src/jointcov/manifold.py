@@ -1,17 +1,21 @@
 """Product-manifold arithmetic for states built from Euclidean and SE(2) blocks.
 
 Poses are stored as ``(x, y, theta)`` triples with ``theta`` wrapped into
-``(-pi, pi]``; homogeneous 3x3 matrices are never materialized.  The SE(2)
-functions broadcast over leading axes, so a single pose has shape ``(3,)``
-and a batch of ``n`` poses has shape ``(n, 3)``.
+``(-pi, pi]`` by :func:`wrap_angle`, which returns angles already in that
+interval unchanged; homogeneous 3x3 matrices are never materialized.  The
+SE(2) functions broadcast over leading axes, so a single pose has shape
+``(3,)`` and a batch of ``n`` poses has shape ``(n, 3)``.
 
 Tangent vectors are plain flat float arrays whose block layout is given by a
 :class:`ManifoldSpec`.  A :class:`ManifoldPoint` stores its poses as one
 ``(n, 3)`` array and its Euclidean blocks as one vector, so ``boxplus`` (the
 retraction: Euclidean addition / right composition with the SE(2)
 exponential) and ``boxminus`` (its local inverse) are a few array
-operations over all blocks at once.  An :class:`ActiveIndex` lays out the
-tangent with gauge-fixed blocks removed.
+operations over all blocks at once.  A point computes the cosine and sine
+of its pose angles once, lazily (:attr:`ManifoldPoint.pose_trig`); every
+residual evaluation at the point and the retraction from it gather from
+those arrays.  An :class:`ActiveIndex` lays out the tangent with
+gauge-fixed blocks removed.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ SMALL_ANGLE = 1e-7
 # log_se2 refuses rotations this close to the cut locus at |theta| = pi.
 _CUT_LOCUS_TOL = 1e-12
 
+_TWO_PI = 2.0 * np.pi
+
 # Flat tangent vector; length must equal ManifoldSpec.tangent_dim.
 TangentVector = np.ndarray
 
@@ -45,9 +51,20 @@ class CutLocusError(ValueError):
 
 
 def wrap_angle(theta):
-    """Wrap angles into ``(-pi, pi]`` (elementwise)."""
-    th = np.remainder(np.asarray(theta, dtype=float), 2.0 * np.pi)
-    return np.where(th > np.pi, th - 2.0 * np.pi, th)
+    """Wrap angles into ``(-pi, pi]`` (elementwise) by whole turns.
+
+    Angles already in ``(-pi, pi]`` come back unchanged, and ``-pi`` maps to
+    ``pi``.  Rounding in the turn count ``ceil((theta - pi) / 2 pi)`` can
+    leave a result just outside the interval (``nextafter(-pi, 0)`` would
+    land one ulp above ``pi``); the two fix-ups move it back in.  This holds
+    for ``|theta|`` up to about ``1e15``.  ``np.remainder`` would be exact
+    everywhere but costs several times a cosine.
+    """
+    th = np.asarray(theta, dtype=float)
+    out = th - _TWO_PI * np.ceil((th - np.pi) / _TWO_PI)
+    out -= _TWO_PI * (out > np.pi)
+    out += _TWO_PI * (out <= -np.pi)
+    return out
 
 
 def _exp_coeffs(w):
@@ -82,8 +99,12 @@ def _log_coeffs(th):
 def se2_compose(a, b):
     """Compose two SE(2) poses (or broadcastable batches): ``a . b``."""
     a = np.asarray(a, dtype=float)
+    return _compose(a, np.cos(a[..., 2]), np.sin(a[..., 2]), b)
+
+
+def _compose(a, ca, sa, b):
+    """:func:`se2_compose` given the cosine and sine of ``a``'s angles."""
     b = np.asarray(b, dtype=float)
-    ca, sa = np.cos(a[..., 2]), np.sin(a[..., 2])
     out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
     out[..., 0] = a[..., 0] + ca * b[..., 0] - sa * b[..., 1]
     out[..., 1] = a[..., 1] + sa * b[..., 0] + ca * b[..., 1]
@@ -346,6 +367,15 @@ class ManifoldPoint:
         raise AttributeError("ManifoldPoint is immutable")
 
     @cached_property
+    def pose_trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(cos, sin)`` of the pose angles, each ``(n_se2,)``:
+        computed once per point, and gathered by every evaluation at it."""
+        trig = np.cos(self.poses[:, 2]), np.sin(self.poses[:, 2])
+        for t in trig:
+            t.setflags(write=False)
+        return trig
+
+    @cached_property
     def values(self) -> tuple[np.ndarray, ...]:
         """Read-only view of each block, in block order."""
         return tuple(self.poses[i] if is_pose else self.vector[i]
@@ -366,7 +396,7 @@ def boxplus(x: ManifoldPoint, v: Sequence[float]) -> ManifoldPoint:
         )
     poses = x.poses
     if len(poses):
-        poses = se2_compose(poses, exp_se2(v[spec.pose_tangent_index]))
+        poses = _compose(poses, *x.pose_trig, exp_se2(v[spec.pose_tangent_index]))
     return ManifoldPoint._from_arrays(spec, poses, x.vector + v[spec.vector_tangent_index])
 
 

@@ -18,6 +18,11 @@ factor i+1's) because assembly adds terms in that order: summed in factor
 order, a batch linearizes bit for bit like the same factors as batches of
 one.  From the positions, :attr:`JointProblem.hessian_pattern` compiles
 the sparse Hessian's structure and fill-reducing order once per problem.
+
+The relative-pose kernel (:func:`_batch_relative_se2`) is one fused pass:
+it forms ``b^-1 . a . z`` in closed form from the point's cached pose trig
+(:attr:`ManifoldPoint.pose_trig`), wraps the relative angle once, and takes
+one half-angle sine and cosine per factor, which its Jacobians reuse.
 """
 
 from __future__ import annotations
@@ -35,14 +40,16 @@ from .covariance import (
     symmetrize,
 )
 from .manifold import (
+    _CUT_LOCUS_TOL,
     SE2,
+    SMALL_ANGLE,
     ActiveIndex,
+    CutLocusError,
     ManifoldPoint,
     ManifoldSpec,
     exp_se2,
-    log_se2,
     se2_compose,
-    se2_inverse,
+    wrap_angle,
 )
 
 # Residual kinds.
@@ -624,50 +631,69 @@ def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians:
     """Residuals (k, 3) and right-perturbation Jacobians (k, 3, 6) of
     relative-pose factors between the pose rows ``ia`` and ``ib``.
 
-    ``r = log(b^-1 . a . z)``; the Jacobian's first three columns
-    differentiate it with respect to the tangent of the first pose, the
-    last three with respect to the second.
-    """
-    a = x.poses[ia]
-    b = x.poses[ib]
+    ``r = log(g)`` with ``g = b^-1 . a . z`` in closed form: ``t_g = R(b)^T
+    (t_a + R(a) t_z - t_b)`` and ``th = wrap(th_a + th_z - th_b)``, from the
+    point's cached pose trig (:attr:`ManifoldPoint.pose_trig`); only the
+    half-angle trig of the log is computed per factor.  The Jacobian's first
+    three columns differentiate r with respect to the tangent of the first
+    pose, the last three with respect to the second.
 
-    az = se2_compose(a, z)
-    b_inv = se2_inverse(b)
-    g = se2_compose(b_inv, az)
-    r = log_se2(g)
+    Raises:
+        CutLocusError: if a relative rotation is within ``1e-12`` of ``+/-pi``.
+    """
+    cos, sin = x.pose_trig
+    ca, sa, cb, sb = cos[ia], sin[ia], cos[ib], sin[ib]
+    a = np.take(x.poses, ia, axis=0)  # much faster than x.poses[ia]
+    b = np.take(x.poses, ib, axis=0)
+    zx, zy = z[:, 0], z[:, 1]
+    tx = a[:, 0] + (ca * zx - sa * zy) - b[:, 0]
+    ty = a[:, 1] + (sa * zx + ca * zy) - b[:, 1]
+    gx = cb * tx + sb * ty
+    gy = cb * ty - sb * tx
+    th = wrap_angle(a[:, 2] + z[:, 2] - b[:, 2])
+    abs_th = np.abs(th)
+    if abs_th.max() > np.pi - _CUT_LOCUS_TOL:
+        raise CutLocusError("relative-pose residual at a rotation of +/-pi (cut locus)")
+
+    # log: t = V^-1(th) t_g with V^-1 = [[alpha, beta], [-beta, alpha]],
+    # alpha = (th/2) cot(th/2), beta = th/2; Taylor branch near th = 0
+    small = abs_th < SMALL_ANGLE
+    half = 0.5 * np.where(small, 1.0, th)
+    sin_half, cos_half = np.sin(half), np.cos(half)
+    alpha = np.where(small, 1.0 - th * th / 12.0, half * cos_half / sin_half)
+    beta = 0.5 * th
+    r = np.empty((len(z), 3))
+    r[:, 0] = alpha * gx + beta * gy
+    r[:, 1] = alpha * gy - beta * gx
+    r[:, 2] = th
     if not with_jacobians:
         return r, None
 
-    # With t_g and th the translation and angle of g, r = (V^-1(th) t_g, th).
     # A right perturbation (rho, w) of a moves t_g by R(th_a - th_b)
     # (rho + w J t_z) and th by w; one (sigma, psi) of b moves t_g by
     # -sigma - psi J t_g and th by -psi, where J is the 90-degree rotation.
-    th = g[:, 2]
-    small = np.abs(th) < 1e-7
-    ths = np.where(small, 1.0, th)
-    half = 0.5 * ths
-    sin_half = np.sin(half)
-    alpha = np.where(small, 1.0 - th * th / 12.0, half * np.cos(half) / sin_half)
-    dalpha = np.where(small, -th / 6.0,
-                      (np.sin(ths) - ths) / (4.0 * sin_half * sin_half))
-    beta = 0.5 * th
-
-    def v_inv(u0, u1):  # V^-1(th) u
-        return np.stack([alpha * u0 + beta * u1, alpha * u1 - beta * u0], axis=-1)
-
-    dv = np.stack([dalpha * g[:, 0] + 0.5 * g[:, 1],
-                   dalpha * g[:, 1] - 0.5 * g[:, 0]], axis=-1)  # dV^-1/dth t_g
-    c, s = np.cos(a[:, 2] - b[:, 2]), np.sin(a[:, 2] - b[:, 2])
-    J = np.zeros((len(z), 3, 6))
-    J[:, :2, 0] = v_inv(c, s)
-    J[:, :2, 1] = v_inv(-s, c)
-    J[:, :2, 2] = v_inv(-c * z[:, 1] - s * z[:, 0], c * z[:, 0] - s * z[:, 1]) + dv
-    J[:, 2, 2] = 1.0
-    J[:, :2, 3] = v_inv(-np.ones_like(th), np.zeros_like(th))
-    J[:, :2, 4] = v_inv(np.zeros_like(th), -np.ones_like(th))
-    J[:, :2, 5] = v_inv(g[:, 1], -g[:, 0]) - dv
-    J[:, 2, 5] = -1.0
-    return r, J
+    # Each column of V^-1 u is (alpha u0 + beta u1, alpha u1 - beta u0).
+    dalpha = np.where(small, -th / 6.0,  # (sin th - th) / (4 sin^2(th/2))
+                      (sin_half * cos_half - half) / (2.0 * sin_half * sin_half))
+    dv0 = dalpha * gx + 0.5 * gy  # dV^-1/dth t_g
+    dv1 = dalpha * gy - 0.5 * gx
+    c = ca * cb + sa * sb  # cos(th_a - th_b)
+    s = sa * cb - ca * sb  # sin(th_a - th_b)
+    u0 = -c * zy - s * zx  # R(th_a - th_b) J t_z
+    u1 = c * zx - s * zy
+    J = np.zeros((3, 6, len(z)))  # entry by entry in contiguous rows, then (k, 3, 6)
+    J[0, 0] = alpha * c + beta * s
+    J[1, 0] = alpha * s - beta * c
+    J[0, 1] = -J[1, 0]
+    J[1, 1] = J[0, 0]
+    J[0, 2] = alpha * u0 + beta * u1 + dv0
+    J[1, 2] = alpha * u1 - beta * u0 + dv1
+    J[0, 3], J[1, 3] = -alpha, beta
+    J[0, 4], J[1, 4] = -beta, -alpha
+    J[0, 5] = r[:, 1] - dv0
+    J[1, 5] = -r[:, 0] - dv1
+    J[2, 2], J[2, 5] = 1.0, -1.0
+    return r, np.ascontiguousarray(J.transpose(2, 0, 1))
 
 
 def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 
 from jointcov import io_pgo, joint
-from jointcov.manifold import ManifoldPoint, ManifoldSpec, euclidean_block
+from jointcov.manifold import ManifoldPoint, ManifoldSpec, boxplus, euclidean_block
 from jointcov.nls import SINGLE_ITERATION, NlsConfig
-from jointcov.problem import JointProblem, NoiseGroup, linear_factor
+from jointcov.problem import JointProblem, NoiseGroup, group_residuals, linear_factor
 
 _TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -110,3 +110,25 @@ def test_hybrid_evaluates_each_point_once():
     assert calls["nls.weighted_cost"] > 0
     assert calls["problem.group_residuals"] == len(problem.groups) * (
         calls["nls.weighted_cost"] + result.iterations + 1)
+
+
+def test_pose_trig_is_computed_once_per_point(monkeypatch):
+    # one reduced evaluation and a residual pass at the same point take the
+    # cosine and sine of the pose angles once, however many batches read them
+    problem, x0 = two_group_pose_graph()
+    assert sum(len(b) for b in problem.batches.values()) == 2
+    x = boxplus(x0, np.random.default_rng(6).normal(scale=0.01,
+                                                    size=problem.manifold.tangent_dim))
+    angles = x.poses[:, 2]
+    calls = []
+    for name in ("cos", "sin"):
+        def counting(arg, *args, _name=name, _original=getattr(np, name), **kwargs):
+            values = np.asarray(arg)
+            if values.size and np.isin(values, angles).all():
+                calls.append(_name)
+            return _original(arg, *args, **kwargs)
+        monkeypatch.setattr(np, name, counting)
+    joint._reduced_value_and_grad(problem, x)
+    for g in problem.groups:
+        group_residuals(problem, x, g.group_id)
+    assert sorted(calls) == ["cos", "sin"]

@@ -120,6 +120,43 @@ class TestBlockExactBcd:
         assert err.value.min_eigenvalue is not None
 
 
+class TestInformationUpdate:
+    @staticmethod
+    def eigensolves(monkeypatch, pb, x):
+        """jacobi_eigh calls made by one information_update at x."""
+        from jointcov import covariance
+
+        calls = []
+        original = covariance.jacobi_eigh
+
+        def counting(a):
+            calls.append(a)
+            return original(a)
+
+        monkeypatch.setattr(covariance, "jacobi_eigh", counting)
+        information_update(pb, x)
+        return len(calls)
+
+    def test_map_unconstrained_update_skips_the_eigensolve(self, monkeypatch):
+        # the prior-blended M is positive definite by construction
+        from jointcov.covariance import solve_inner_unconstrained
+        from jointcov.joint import second_moments
+
+        rng = np.random.default_rng(7)
+        pb, x0, _, _ = linear_joint_problem(
+            rng, variant="map", prior=mode_match_prior(0.3 * np.eye(3), 0.1, 30))
+        assert self.eigensolves(monkeypatch, pb, x0) == 0
+        P, sols = information_update(pb, x0)
+        checked = solve_inner_unconstrained(second_moments(pb, x0)["g"])
+        np.testing.assert_array_equal(P["g"], checked.information)
+        assert sols["g"].objective == checked.objective
+
+    def test_prior_free_unconstrained_update_keeps_the_check(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        pb, x0, _, _ = linear_joint_problem(rng, variant="ml")
+        assert self.eigensolves(monkeypatch, pb, x0) == 1
+
+
 class TestGroupScaling:
     def test_x_step_is_stationary_for_joint_objective(self):
         # two groups with different sizes and estimators: the NLS half-step

@@ -83,9 +83,41 @@ class TestComposeInverse:
         assert -np.pi < g[2] <= np.pi
 
     def test_wrap_angle_boundaries(self):
-        assert wrap_angle(np.pi) == pytest.approx(np.pi)
-        assert wrap_angle(-np.pi) == pytest.approx(np.pi)
+        assert wrap_angle(np.pi) == np.pi
+        assert wrap_angle(-np.pi) == np.pi
         assert wrap_angle(3 * np.pi / 2) == pytest.approx(-np.pi / 2)
+
+
+def _ulps_around(center, count=4):
+    """``center`` and its ``count`` nearest floats on either side."""
+    out, lo, hi = [center], center, center
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+_NEAR_TURNS = [t for c in (-3 * np.pi, -np.pi, np.pi, 3 * np.pi) for t in _ulps_around(c)]
+
+
+class TestWrapAngle:
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(-20.0, 20.0), st.sampled_from(_NEAR_TURNS)))
+    def test_lands_in_half_open_interval_on_the_same_angle(self, theta):
+        w = wrap_angle(theta)
+        assert -np.pi < w <= np.pi
+        assert abs(np.cos(w) - np.cos(theta)) <= 1e-12
+        assert abs(np.sin(w) - np.sin(theta)) <= 1e-12
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.one_of(st.floats(-np.pi, np.pi, exclude_min=True),
+                     st.sampled_from([t for t in _NEAR_TURNS if -np.pi < t <= np.pi])))
+    def test_angles_in_the_interval_come_back_exactly(self, theta):
+        assert wrap_angle(theta) == theta
+
+    def test_arrays_wrap_elementwise(self):
+        thetas = np.array(_NEAR_TURNS + list(np.linspace(-20.0, 20.0, 101)))
+        np.testing.assert_array_equal(wrap_angle(thetas), [wrap_angle(t) for t in thetas])
 
 
 class TestBoxOps:

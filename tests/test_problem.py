@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from jointcov.covariance import mode_match_prior
 from jointcov.manifold import (
+    SMALL_ANGLE,
     ActiveIndex,
+    CutLocusError,
     ManifoldPoint,
     ManifoldSpec,
     boxplus,
@@ -290,6 +292,58 @@ class TestBatchPath:
         R = group_residuals(pb, x, "g")
         assert R.shape == (2, 3)
         np.testing.assert_allclose(R[0], np.zeros(3), atol=1e-15)
+
+
+def relative_rotation_factor(rotation, rng):
+    """Two poses and a factor between them whose relative rotation
+    ``th_a + th_z - th_b`` is ``rotation`` (exactly, for 0)."""
+    a = np.array([*rng.uniform(-2, 2, 2), 0.25])
+    b = np.array([*rng.uniform(-2, 2, 2), 0.75 - rotation])
+    z = np.array([*rng.uniform(-1, 1, 2), 0.5])
+    spec = ManifoldSpec((se2_block(0), se2_block(1)))
+    f = relative_se2_factor(0, 0, 1, z, "g")
+    (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+    return ManifoldPoint(spec, (a, b)), f, batch
+
+
+class TestFusedKernelEdgeCases:
+    # the Taylor branch (|th| < SMALL_ANGLE), both sides of the cut locus
+    # (far enough for a 1e-6 finite-difference step), and exactly zero
+    ROTATIONS = (0.0, 3e-8, -6e-8, 0.99 * SMALL_ANGLE, np.pi - 1e-4, -np.pi + 1e-4)
+
+    @pytest.mark.parametrize("rotation", ROTATIONS + (np.pi - 1e-9, -np.pi + 1e-9))
+    def test_residual_matches_the_composed_chain(self, rotation):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            x, f, batch = relative_rotation_factor(rotation, rng)
+            r, _ = batch.linearize(x)
+            np.testing.assert_array_equal(batch.residuals(x), r)
+            assert r[0, 2] == pytest.approx(rotation, abs=1e-15)
+            a, b = x.values
+            np.testing.assert_allclose(r[0], reference_se2_residual(a, b, f.z), atol=1e-14)
+
+    @pytest.mark.parametrize("rotation", ROTATIONS)
+    def test_jacobian_matches_finite_differences(self, rotation):
+        rng = np.random.default_rng(59)
+        for _ in range(20):
+            x, f, batch = relative_rotation_factor(rotation, rng)
+            _, J = batch.linearize(x)
+            J_fd = _fd_oracle(f, x)
+            scale = max(1.0, np.abs(J_fd).max())
+            assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
+
+    def test_rotation_of_pi_raises_cut_locus(self):
+        rng = np.random.default_rng(61)
+        spec = ManifoldSpec(tuple(se2_block(i) for i in range(3)))
+        x = ManifoldPoint(spec, ([0.0, 0.0, 0.25], [1.0, 2.0, 0.75 - np.pi],
+                                 [0.5, -1.0, 0.1]))
+        factors = [relative_se2_factor(0, 2, 1, rng.uniform(-1, 1, 3), "g"),
+                   relative_se2_factor(1, 0, 1, [0.3, -0.2, 0.5], "g")]  # at pi
+        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        with pytest.raises(CutLocusError):
+            batch.residuals(x)
+        with pytest.raises(CutLocusError):
+            batch.linearize(x)
 
 
 class TestValidation:
