@@ -9,9 +9,11 @@ over the state x and one information matrix per noise group:
 * ``run_elimination`` substitutes the analytic optimum P*(x) into F and
   minimizes the reduced objective over x alone with L-BFGS in a retraction
   chart (re-centered after every accepted step).
-* ``run_hybrid_bcd`` alternates one descent step on x (a damped Gauss-Newton
-  iteration by default, or backtracking Riemannian gradient descent) with
-  the analytic P update.
+* ``run_hybrid_bcd`` alternates one descent step on x with the analytic P
+  update.  The step is a Levenberg-Marquardt iteration by default, which
+  tries the undamped step only if the previous one accepted it (the first
+  always does), and whose accepted trial's residuals feed the P update; or
+  a backtracking Riemannian gradient-descent step.
 * ``run_block_exact_bcd`` alternates a full weighted NLS solve on x with the
   analytic P update; its F trace is non-increasing.
 
@@ -213,9 +215,9 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
              exact: bool) -> JointResult:
     flags = set()
 
-    def p_step(x):
-        """One residual pass at x: M, then the P update from it."""
-        M = second_moments(problem, x)
+    def p_step(x, residuals=None):
+        """M at x from ``residuals`` or one residual pass, then the P update."""
+        M = second_moments(problem, x, residuals)
         P, solutions = information_update(problem, x, M)
         if any(s.any_bound_active for s in solutions.values()):
             flags.add(FLAG_BOUND_HIT)
@@ -230,19 +232,25 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
     converged = False
     cov_ms = []
     iterations = 0
+    damping = 0.0  # the LM x-step's first trial
     for iterations in range(1, config.max_outer_iterations + 1):
         weights = _scaled_weights(problem, P)
+        residuals = None
         if exact:
             res = nls.solve_fixed_P(problem, x, weights, config.nls)
             x = res.x
             grad_proxy = res.gradient_norm
             if res.lm_failure:
                 flags.add(FLAG_LM_FAILURE)
-        else:
+        elif config.nls.step_mode == nls.RIEMANNIAN_GD:
             x, grad_proxy = nls.step_once(problem, x, weights, config.nls)
+        else:
+            x, grad_proxy, accepted, residuals = nls._lm_step(
+                problem, x, weights, damping, config.nls)
+            damping = 0.0 if accepted == 0.0 else config.nls.damping_init
 
         start = time.perf_counter()
-        M, P_new = p_step(x)
+        M, P_new = p_step(x, residuals)
         cov_ms.append((time.perf_counter() - start) * 1e3)
         trace.append(_trace_point(iterations, "x-step", P,
                                   joint_objective(problem, x, P, M), grad_proxy))
@@ -271,8 +279,10 @@ def run_hybrid_bcd(problem: JointProblem, x_init: ManifoldPoint,
                    config: JointConfig | None = None) -> JointResult:
     """Alternate one descent step on x with the analytic P update.
 
-    The x half-step is ``config.nls.step_mode``: one damped Gauss-Newton
-    iteration (the default) or a backtracking Riemannian gradient step.
+    The x half-step is ``config.nls.step_mode``: one Levenberg-Marquardt
+    iteration (the default) or a backtracking Riemannian gradient step.  An
+    LM x-step tries the undamped step first only if the previous one accepted
+    it (the first always does), else starts at ``config.nls.damping_init``.
     """
     config = config or JointConfig(algorithm=HYBRID_BCD)
     return _run_bcd(problem, x_init, config, exact=False)

@@ -129,11 +129,14 @@ class LinearizedSystem:
 
 
 def weighted_cost(problem: JointProblem, x: ManifoldPoint,
-                  weights: Mapping) -> float:
-    """``1/2 sum_i r_i^T W_{g(i)} r_i`` over all factors."""
+                  weights: Mapping, residuals: dict | None = None) -> float:
+    """``1/2 sum_i r_i^T W_{g(i)} r_i`` over all factors; ``residuals``, if
+    given, receives each group's stacked residuals (group id -> (k, m))."""
     total = 0.0
     for g in problem.groups:
         R = group_residuals(problem, x, g.group_id)
+        if residuals is not None:
+            residuals[g.group_id] = R
         W = np.asarray(weights[g.group_id], dtype=float)
         total += 0.5 * float(np.einsum("ki,ij,kj->", R, W, R))
     return total
@@ -196,10 +199,10 @@ class NlsResult:
     trace: tuple = ()
 
 
-def _try_cost(problem, x, weights):
+def _try_cost(problem, x, weights, residuals=None):
     """Weighted cost, +inf when a trial step lands on the SE(2) cut locus."""
     try:
-        return weighted_cost(problem, x, weights)
+        return weighted_cost(problem, x, weights, residuals)
     except CutLocusError:
         return np.inf
 
@@ -210,16 +213,21 @@ def _damped_step(problem: JointProblem, system: LinearizedSystem,
     """Levenberg-Marquardt trials at ``damping``, then ``damping_init`` if
     that was 0, else ``damping * damping_factor``, up to ``damping_max``.
 
-    Returns (trial, its cost, damping) for the first trial whose cost does
-    not exceed ``system.cost``, or None on stall.
+    The caller picks the first: :func:`solve_fixed_P` a damping that shrinks
+    on acceptance, :func:`step_once` 0, hybrid BCD 0 only while its previous
+    x-step accepted 0, else ``damping_init``.
+
+    Returns (trial, its cost, damping, its residuals per group id) for the
+    first trial whose cost does not exceed ``system.cost``, or None on stall.
     """
     while damping <= config.damping_max:
         delta = system.solve_damped(damping)
         if delta is not None:
             x_trial = boxplus(x, system.index.scatter(delta))
-            cost_trial = _try_cost(problem, x_trial, weights)
+            residuals = {}
+            cost_trial = _try_cost(problem, x_trial, weights, residuals)
             if cost_trial <= system.cost:
-                return x_trial, cost_trial, damping
+                return x_trial, cost_trial, damping, residuals
         damping = config.damping_init if damping == 0.0 else damping * config.damping_factor
     return None
 
@@ -250,7 +258,7 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
         if step is None:
             lm_failure = True
             break
-        x, cost_trial, damping = step
+        x, cost_trial, damping, _ = step
         damping = max(damping / config.damping_factor, 1e-15)
         if abs(cost - cost_trial) <= config.cost_tol * (1.0 + abs(cost_trial)):
             converged = True
@@ -267,7 +275,9 @@ def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
     Returns the new point (x itself on stall) and the gradient norm at the
     linearization point.  ``single-iteration`` mode attempts an undamped
     Gauss-Newton step first (exact for linear residuals) and escalates
-    damping until the cost stops increasing.  ``riemannian-gd`` mode takes a
+    damping until the cost stops increasing; the hybrid BCD driver, which
+    calls :func:`_lm_step` itself, tries the undamped step only while its
+    previous step accepted it.  ``riemannian-gd`` mode takes a
     gradient step in the local chart with Armijo backtracking from step 1.
     """
     config = config or NlsConfig()
@@ -285,6 +295,15 @@ def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
             t *= _ARMIJO_SHRINK
         return x, system.gradient_norm
 
+    return _lm_step(problem, x, weights, 0.0, config)[:2]
+
+
+def _lm_step(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
+             damping: float, config: NlsConfig):
+    """One Levenberg-Marquardt iteration with trials from ``damping``: the
+    new point (x on stall), the gradient norm at x, and the accepted damping
+    and trial's residuals per group id (None on stall)."""
     system = build_system(problem, x, weights)
-    step = _damped_step(problem, system, x, weights, 0.0, config)
-    return (x if step is None else step[0]), system.gradient_norm
+    step = _damped_step(problem, system, x, weights, damping, config)
+    x_new, _, damping, residuals = step or (x, None, None, None)
+    return x_new, system.gradient_norm, damping, residuals

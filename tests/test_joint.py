@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from jointcov import io_pgo, nls
 from jointcov.covariance import UnboundedProblem, mode_match_prior
 from jointcov.joint import (
     ELIMINATION,
@@ -197,7 +198,55 @@ class TestGroupScaling:
         assert np.linalg.norm(grad_fd) <= 1e-5 * (1.0 + abs(f0))
 
 
+def count_dampings(monkeypatch):
+    """The damping of every factorization the solvers make, in order."""
+    dampings = []
+    original = nls.LinearizedSystem.solve_damped
+
+    def counting(system, damping):
+        dampings.append(damping)
+        return original(system, damping)
+
+    monkeypatch.setattr(nls.LinearizedSystem, "solve_damped", counting)
+    return dampings
+
+
 class TestHybridBcd:
+    def test_damping_carries_over_after_a_rejected_undamped_step(self, monkeypatch):
+        # a spanning-tree start moved by a large random step: the first
+        # undamped step raises the cost, damping_init is accepted, and the
+        # later x-steps start there instead of factorizing for 0 again
+        noise = io_pgo.SyntheticNoiseSpec({"all": np.diag([100.0, 100.0, 200.0])}, seed=3)
+        graph, _ = io_pgo.generate_manhattan_like(30, "nearby", noise, trajectory_seed=1)
+        pb = io_pgo.pose_graph_problem(
+            graph, [NoiseGroup("all", 3, "ml-eig", bounds=(1e-4, 1e4))])
+        x0 = boxplus(io_pgo.spanning_tree_init(graph),
+                     np.random.default_rng(3).normal(scale=2.0, size=pb.manifold.tangent_dim))
+        dampings = count_dampings(monkeypatch)
+        cfg = JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=5)
+        res = run_hybrid_bcd(pb, x0, cfg)
+        assert res.iterations == 5
+        assert len(dampings) == res.iterations + 1
+        assert dampings == [0.0] + [cfg.nls.damping_init] * res.iterations
+
+    def test_linear_x_steps_stay_undamped(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        dampings = count_dampings(monkeypatch)
+        res = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD,
+                                                 max_outer_iterations=6))
+        assert len(dampings) == res.iterations
+        assert set(dampings) == {0.0}
+        # the first x-step is the GLS solution at the initial P
+        P0 = information_update(pb, x0)[0]["g"]
+        Hs = [f.H for f in pb.factors]
+        zs = [f.z for f in pb.factors]
+        A = sum(H.T @ P0 @ H for H in Hs)
+        b = sum(H.T @ P0 @ z for H, z in zip(Hs, zs))
+        first = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD,
+                                                   max_outer_iterations=1))
+        np.testing.assert_allclose(first.x.block("x"), np.linalg.solve(A, b), atol=1e-9)
+
     def test_descent_with_backtracking_gd(self):
         rng = np.random.default_rng(6)
         pb, x0, _, _ = linear_joint_problem(rng)
