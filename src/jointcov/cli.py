@@ -81,6 +81,16 @@ def _add_common(p):
     p.add_argument("--config", help="key-value config file; overrides flags")
 
 
+def _add_prior_and_bounds(p):
+    """Noise-model flags of the pose-graph commands; unset flags take the
+    ExperimentConfig defaults."""
+    p.add_argument("--heteroscedastic", action="store_true", default=None)
+    p.add_argument("--w-prior", type=float)
+    p.add_argument("--sigma0", type=float)
+    p.add_argument("--lam-min", type=float)
+    p.add_argument("--lam-max", type=float)
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="jointcov",
@@ -103,11 +113,7 @@ def _build_parser():
                    help="comma-separated information levels")
     p.add_argument("--num-poses", type=int)
     p.add_argument("--scheme", choices=("nearby", "densified"))
-    p.add_argument("--heteroscedastic", action="store_true", default=None)
-    p.add_argument("--w-prior", type=float)
-    p.add_argument("--sigma0", type=float)
-    p.add_argument("--lam-min", type=float)
-    p.add_argument("--lam-max", type=float)
+    _add_prior_and_bounds(p)
     p.add_argument("--outer-iterations", type=int)
     p.add_argument("--baseline-iterations", type=int)
     p.add_argument("--generator", help="generator-config file for the dataset")
@@ -123,12 +129,8 @@ def _build_parser():
                    choices=sorted(set(harness._PGO_VARIANTS.values()) | {"ml", "ml-diag", "map", "map-diag"}))
     p.add_argument("--algorithm", default=joint.HYBRID_BCD,
                    choices=joint.ALGORITHMS)
-    p.add_argument("--heteroscedastic", action="store_true")
-    p.add_argument("--w-prior", type=float, default=0.1)
-    p.add_argument("--sigma0", type=float, default=0.002)
-    p.add_argument("--lam-min", type=float, default=1e-4)
-    p.add_argument("--lam-max", type=float, default=1e4)
-    p.add_argument("--outer-iterations", type=int, default=13)
+    _add_prior_and_bounds(p)
+    p.add_argument("--outer-iterations", type=int)
     p.add_argument("--output-graph", help="write optimized poses as g2o")
     p.add_argument("--output-covariance", help="write covariance estimates as JSON")
 
@@ -139,11 +141,7 @@ def _build_parser():
                    help="g2o file whose vertices are the true poses")
     p.add_argument("--classes", help="edge-class override file")
     p.add_argument("--variant", default="ml")
-    p.add_argument("--heteroscedastic", action="store_true")
-    p.add_argument("--w-prior", type=float, default=0.1)
-    p.add_argument("--sigma0", type=float, default=0.002)
-    p.add_argument("--lam-min", type=float, default=1e-4)
-    p.add_argument("--lam-max", type=float, default=1e4)
+    _add_prior_and_bounds(p)
     p.add_argument("--output", help="write covariance estimates as JSON")
     return parser
 
@@ -156,7 +154,7 @@ def _experiment_config(args, experiment: str, defaults: dict) -> ExperimentConfi
         if hasattr(cfg, key):
             setattr(cfg, key, getattr(args, key))
     cfg.__post_init__()
-    return _apply_config(cfg, args.config)
+    return _apply_config(cfg, getattr(args, "config", None))
 
 
 def _emit(records, cfg: ExperimentConfig, default_name: str) -> str:
@@ -215,10 +213,8 @@ def _dispatch(args) -> int:
                   file=sys.stderr)
             return 2
         result, problem = harness.solve_graph(
-            graph, variant=args.variant, algorithm=args.algorithm,
-            heteroscedastic=args.heteroscedastic, w_prior=args.w_prior,
-            sigma0=args.sigma0, lam_min=args.lam_min, lam_max=args.lam_max,
-            outer_iterations=args.outer_iterations)
+            graph, _experiment_config(args, "single-run", {}),
+            variant=args.variant, algorithm=args.algorithm)
         print(f"solved {args.input}: {graph.num_poses} poses, "
               f"{len(graph.edges)} edges")
         print(f"objective {result.objective:.6f} after {result.iterations} "
@@ -245,11 +241,7 @@ def _dispatch(args) -> int:
         if truth_graph.num_poses != graph.num_poses:
             print("ground-truth vertex count does not match input", file=sys.stderr)
             return 2
-        cfg = ExperimentConfig(
-            experiment="single-run", trials=1, noise_grid=(0.0,),
-            w_prior=args.w_prior, sigma0=args.sigma0,
-            lam_min=args.lam_min, lam_max=args.lam_max,
-            heteroscedastic=args.heteroscedastic)
+        cfg = _experiment_config(args, "single-run", {})
         groups = harness._pgo_groups(cfg, args.variant, graph)
         problem = io_pgo.pose_graph_problem(graph, groups)
         x_true = io_pgo.graph_poses_point(truth_graph)

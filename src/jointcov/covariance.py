@@ -76,13 +76,17 @@ def chol_logdet(chol: np.ndarray) -> float:
     return 2.0 * float(np.sum(np.log(np.diag(chol))))
 
 
+def _cho_inverse(chol: np.ndarray) -> np.ndarray:
+    """``A^-1`` from the lower Cholesky factor of ``A``."""
+    return symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0])))
+
+
 def spd_inverse(a: np.ndarray) -> np.ndarray:
     """Inverse of a symmetric positive definite matrix via Cholesky."""
     chol = cholesky_or_none(symmetrize(a))
     if chol is None:
         raise NotPositiveDefiniteError("matrix is not positive definite")
-    inv = scipy.linalg.cho_solve((chol, True), np.eye(a.shape[0]))
-    return symmetrize(inv)
+    return _cho_inverse(chol)
 
 
 def jacobi_eigh(a: np.ndarray):
@@ -212,51 +216,49 @@ def _no_flags(m: int) -> np.ndarray:
 
 
 def solve_inner_unconstrained(M: np.ndarray) -> InnerSolution:
-    """``P* = M^-1``; requires ``M`` positive definite.
-
-    Raises :class:`UnboundedProblem` when :func:`diagnose_singularity` finds
-    ``M`` singular: Cholesky of an exactly rank-deficient ``M`` can succeed
-    after rounding and would return a huge ``P``.  At the optimum
-    ``<M, P*> = m`` and the objective reduces to ``log det M + m``.
+    """``P* = M^-1`` from one Cholesky factor of ``M``, accepted when
+    ``1/||P||_F`` (a lower bound on ``lambda_min(M)``) clears twice the
+    singularity threshold.  Otherwise :func:`diagnose_singularity` decides and
+    a singular ``M`` raises :class:`UnboundedProblem`: Cholesky of an exactly
+    rank-deficient ``M`` can succeed after rounding and return a huge ``P``.
+    At the optimum ``<M, P*> = m``, so the objective is ``log det M + m``.
     """
     M = symmetrize(M)
+    chol = cholesky_or_none(M)
+    if chol is not None:
+        sol = _inverse_solution(chol)
+        if 1.0 / np.linalg.norm(sol.information) > 2.0 * _singular_threshold(M):
+            return sol
     report = diagnose_singularity(M)
-    chol = None if report.is_ill_posed else cholesky_or_none(M)
-    if chol is None:
+    if chol is None or report.is_ill_posed:
         raise UnboundedProblem(
             "second-moment matrix is singular "
             f"(min eigenvalue {report.min_eigenvalue:.3e}); the unconstrained covariance "
             "update is unbounded below — add an eigenvalue lower bound or a prior",
             min_eigenvalue=report.min_eigenvalue,
         )
-    return _inverse_solution(chol)
-
-
-def solve_inner_prior_blended(M: np.ndarray) -> InnerSolution:
-    """:func:`solve_inner_unconstrained` for a MAP group's prior-blended
-    ``M`` (:func:`assemble_M`), which is positive definite by construction:
-    one Cholesky, and the singularity eigensolve only if that fails."""
-    M = symmetrize(M)
-    chol = cholesky_or_none(M)
-    return solve_inner_unconstrained(M) if chol is None else _inverse_solution(chol)
+    return sol
 
 
 def _inverse_solution(chol: np.ndarray) -> InnerSolution:
     """``P* = M^-1`` and its objective from the Cholesky factor of ``M``."""
     m = chol.shape[0]
-    P = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m)))
     objective = chol_logdet(chol) + m
-    return InnerSolution(P, float(objective), _no_flags(m), _no_flags(m))
+    return InnerSolution(_cho_inverse(chol), float(objective), _no_flags(m), _no_flags(m))
+
+
+def _singular_threshold(M: np.ndarray) -> float:
+    """``1e-12 * trace(M) / m``: eigenvalues (or diagonal entries) at or below it count as zero."""
+    return 1e-12 * float(np.trace(M)) / M.shape[0]
 
 
 def solve_inner_diagonal(M: np.ndarray) -> InnerSolution:
-    """``P* = Diag(M)^-1``; requires every diagonal entry above
-    ``1e-12 * trace(M) / m`` (the relative test of
-    :func:`diagnose_singularity`, without its eigensolve)."""
+    """``P* = Diag(M)^-1``; requires every diagonal entry above the relative
+    singularity threshold of :func:`diagnose_singularity`."""
     M = np.asarray(M, dtype=float)
     m = M.shape[0]
     d = np.diag(M).copy()
-    if d.min() <= 1e-12 * d.sum() / m:
+    if d.min() <= _singular_threshold(M):
         raise UnboundedProblem(
             "second moment has a (near-)zero diagonal entry "
             f"(min {d.min():.3e}); the diagonal covariance update is "
@@ -340,18 +342,16 @@ class SingularityReport:
     is_ill_posed_diagonal: bool  # diagonal update unbounded (min diagonal entry)
 
 
-def diagnose_singularity(S: np.ndarray, threshold: float | None = None) -> SingularityReport:
+def diagnose_singularity(S: np.ndarray) -> SingularityReport:
     """Flag sample covariances for which the prior-free updates are ill posed.
 
-    The default threshold is relative, ``1e-12 * trace(S) / m``, so the check
-    is scale invariant; comparison is ``<=`` so the exactly-zero matrix (the
+    The threshold is relative, ``1e-12 * trace(S) / m``, so the check is
+    scale invariant; comparison is ``<=`` so the exactly-zero matrix (the
     all-residuals-zero case) is flagged.
     """
     S = symmetrize(S)
-    m = S.shape[0]
     eigvals, _ = jacobi_eigh(S)
-    if threshold is None:
-        threshold = 1e-12 * float(np.trace(S)) / m
+    threshold = _singular_threshold(S)
     rank = int(np.sum(eigvals > threshold))
     min_eig = float(eigvals[0])
     min_diag = float(np.min(np.diag(S)))
@@ -359,7 +359,7 @@ def diagnose_singularity(S: np.ndarray, threshold: float | None = None) -> Singu
         min_eigenvalue=min_eig,
         min_diagonal=min_diag,
         rank=rank,
-        threshold=float(threshold),
+        threshold=threshold,
         is_ill_posed=min_eig <= threshold,
         is_ill_posed_diagonal=min_diag <= threshold,
     )

@@ -65,7 +65,7 @@ _PGO_VARIANTS = {
 
 @dataclass
 class ExperimentConfig:
-    """Settings shared by the experiment drivers; see the CLI for defaults."""
+    """Settings shared by the experiment drivers; the CLI flags default to these."""
 
     experiment: str = "linear-mc"     # linear-mc | pgo-ablation | single-run
     trials: int = 20
@@ -456,20 +456,15 @@ def _run_pgo_algorithm(config, algorithm, graph, truth, x_init, noise,
 # Single-dataset solving (CLI `solve`)
 # ---------------------------------------------------------------------------
 
-def solve_graph(graph, variant: str = "ml-eig", algorithm: str = joint.HYBRID_BCD,
-                heteroscedastic: bool = False, w_prior: float = 0.1,
-                sigma0: float = 0.002, lam_min: float = 1e-4, lam_max: float = 1e4,
-                outer_iterations: int = 13):
-    """Jointly solve one pose graph; returns (JointResult, problem)."""
-    cfg = ExperimentConfig(experiment="single-run", trials=1,
-                           noise_grid=(0.0,), w_prior=w_prior, sigma0=sigma0,
-                           lam_min=lam_min, lam_max=lam_max,
-                           heteroscedastic=heteroscedastic)
+def solve_graph(graph, cfg: ExperimentConfig, variant: str = "ml-eig",
+                algorithm: str = joint.HYBRID_BCD):
+    """Jointly solve one pose graph with the noise model and outer iteration
+    cap of ``cfg``; returns (JointResult, problem)."""
     groups = _pgo_groups(cfg, variant, graph)
     problem = io_pgo.pose_graph_problem(graph, groups)
     x_init = io_pgo.spanning_tree_init(graph)
     jcfg = joint.JointConfig(algorithm=algorithm,
-                             max_outer_iterations=outer_iterations,
+                             max_outer_iterations=cfg.outer_iterations,
                              nls=nls.NlsConfig(step_mode=nls.SINGLE_ITERATION))
     if algorithm == joint.ELIMINATION:
         result = joint.run_elimination(problem, x_init, jcfg)

@@ -42,7 +42,6 @@ from .covariance import (
     assemble_M,
     inner_objective,
     solve_inner,
-    solve_inner_prior_blended,
 )
 from .manifold import CutLocusError, ManifoldPoint, boxplus
 from .nls import NlsConfig
@@ -144,11 +143,11 @@ def information_update(problem: JointProblem, x: ManifoldPoint,
                        M: dict | None = None) -> tuple[dict, dict]:
     """Analytic P update for every group at the current state.
 
-    Fixed groups keep their information matrix.  The unconstrained and
-    diagonal solvers reject a singular second moment (for a prior-free group
-    the sample covariance); the :class:`UnboundedProblem` is re-raised here
-    naming the offending group.  A MAP group's prior-blended moment is
-    positive definite, so its unconstrained update skips that eigensolve.
+    Fixed groups keep their information matrix; every other group takes the
+    closed form of its constraint variant (:func:`solve_inner`).  The
+    unconstrained and diagonal solvers reject a singular second moment (the
+    sample covariance, or a MAP group's prior-blended moment); the
+    :class:`UnboundedProblem` is re-raised here naming the offending group.
     ``M``: the second moments at x, when the caller holds them.
 
     Returns:
@@ -163,15 +162,15 @@ def information_update(problem: JointProblem, x: ManifoldPoint,
             continue
         lam_min, lam_max = g.bounds if g.bounds is not None else (None, None)
         try:
-            if g.estimator == "map" and g.constraint == UNCONSTRAINED:
-                sol = solve_inner_prior_blended(M[g.group_id])
-            else:
-                sol = solve_inner(M[g.group_id], g.constraint, lam_min, lam_max)
+            sol = solve_inner(M[g.group_id], g.constraint, lam_min, lam_max)
         except UnboundedProblem as err:
             what = "eigenvalue" if g.constraint == UNCONSTRAINED else "diagonal entry"
+            moment, update = (("prior-blended second moment", "MAP")
+                              if g.estimator == "map" else
+                              ("sample covariance", "prior-free"))
             raise UnboundedProblem(
-                f"group {g.group_id!r}: sample covariance is singular "
-                f"(min {what} {err.min_eigenvalue:.3e}); the prior-free "
+                f"group {g.group_id!r}: {moment} is singular "
+                f"(min {what} {err.min_eigenvalue:.3e}); the {update} "
                 "covariance update is unbounded below",
                 group_id=g.group_id, min_eigenvalue=err.min_eigenvalue) from None
         P[g.group_id] = sol.information
@@ -318,9 +317,9 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
 
     The chart is re-centered through the retraction after every accepted
     step; curvature pairs are kept across re-centerings (exact for purely
-    Euclidean states).  Groups without eigenvalue bounds or a prior are
+    Euclidean states).  Groups without eigenvalue bounds are
     singularity-monitored at every evaluation and raise
-    :class:`UnboundedProblem` when the sample covariance degenerates.
+    :class:`UnboundedProblem` when their second moment degenerates.
     """
     config = config or JointConfig(algorithm=ELIMINATION)
     x = x_init

@@ -3,10 +3,11 @@
 Builds Gauss-Newton normal equations from the problem's compiled factor
 batches (block-sparse by state block, with gauge-fixed blocks removed),
 solves them with Levenberg-Marquardt damping, and applies retraction
-updates.  Besides the full solve, :func:`step_once` takes one step for the
-block-coordinate-descent drivers in one of two modes: a damped Gauss-Newton
-iteration, which shares the full solve's damping loop, or a backtracking
-Riemannian gradient-descent step.
+updates.  Besides the full solve, one x-step for the hybrid BCD driver is
+either a damped Gauss-Newton iteration from a given damping
+(:func:`_lm_step`, the full solve's damping loop) or a backtracking
+Riemannian gradient-descent step (:func:`step_once`, which also runs the
+former from zero damping).
 
 Assembly is one loop over batches.  Each batch's cost, gradient and Hessian
 terms are stacked matmuls per factor and are added in factor order: the

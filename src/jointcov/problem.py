@@ -69,6 +69,10 @@ FD_STEP = 1e-6  # central finite-difference step for custom-factor Jacobians
 
 _MAX_PREPROCESS_COND = 1e12
 
+# Below this relative rotation the pose Jacobian's dalpha takes its series,
+# where its truncation error meets the closed form's cancellation (2e-13).
+_DALPHA_SERIES_ANGLE = 0.04
+
 
 def variant_parts(variant: str) -> tuple[str, str]:
     """Split a group variant into (estimator, inner-constraint) parts."""
@@ -673,7 +677,8 @@ def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians:
     # (rho + w J t_z) and th by w; one (sigma, psi) of b moves t_g by
     # -sigma - psi J t_g and th by -psi, where J is the 90-degree rotation.
     # Each column of V^-1 u is (alpha u0 + beta u1, alpha u1 - beta u0).
-    dalpha = np.where(small, -th / 6.0,  # (sin th - th) / (4 sin^2(th/2))
+    th2 = th * th  # dalpha = (sin th - th) / (4 sin^2(th/2))
+    dalpha = np.where(abs_th < _DALPHA_SERIES_ANGLE, -th * (1 / 6 + th2 * (1 / 180 + th2 / 5040)),
                       (sin_half * cos_half - half) / (2.0 * sin_half * sin_half))
     dv0 = dalpha * gx + 0.5 * gy  # dV^-1/dth t_g
     dv1 = dalpha * gy - 0.5 * gx

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from jointcov.covariance import (
     UnboundedProblem,
     WishartPrior,
     assemble_M,
+    cholesky_or_none,
     diagnose_singularity,
     inner_objective,
     jacobi_eigh,
@@ -22,6 +24,7 @@ from jointcov.covariance import (
     solve_inner_diagonal,
     solve_inner_eig,
     solve_inner_unconstrained,
+    symmetrize,
 )
 
 
@@ -297,6 +300,32 @@ class TestDiagnose:
         rep = diagnose_singularity(S)
         assert rep.is_ill_posed
         assert rep.rank == 2
+
+
+class TestCertifiedUnconstrainedUpdate:
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(2, 6), k=st.integers(1, 60), collinear=st.integers(0, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_raises_exactly_when_the_diagnosis_does(self, m, k, collinear, seed):
+        # sample covariances of k residuals with column scales 1e-2 to 1e2;
+        # one draw in five makes a column nearly collinear with another
+        rng = np.random.default_rng(seed)
+        R = rng.normal(size=(k, m)) * 10.0 ** rng.uniform(-2.0, 2.0, size=m)
+        if collinear == 0:
+            R[:, 1] = (rng.normal() * R[:, 0]
+                       + 10.0 ** rng.uniform(-16.0, -4.0) * rng.normal(size=k))
+        M = R.T @ R / k
+        report = diagnose_singularity(M)
+        chol = cholesky_or_none(symmetrize(M))
+        if report.is_ill_posed or chol is None:
+            with pytest.raises(UnboundedProblem) as err:
+                solve_inner_unconstrained(M)
+            assert err.value.min_eigenvalue == report.min_eigenvalue
+            return
+        sol = solve_inner_unconstrained(M)
+        P = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m)))
+        np.testing.assert_array_equal(sol.information, P)
+        assert sol.objective == 2.0 * float(np.sum(np.log(np.diag(chol)))) + m
 
 
 class TestNumericOracle:

@@ -123,8 +123,8 @@ class TestBlockExactBcd:
 
 class TestInformationUpdate:
     @staticmethod
-    def eigensolves(monkeypatch, pb, x):
-        """jacobi_eigh calls made by one information_update at x."""
+    def eigensolves(monkeypatch):
+        """The list of jacobi_eigh calls made from here on."""
         from jointcov import covariance
 
         calls = []
@@ -135,8 +135,17 @@ class TestInformationUpdate:
             return original(a)
 
         monkeypatch.setattr(covariance, "jacobi_eigh", counting)
-        information_update(pb, x)
-        return len(calls)
+        return calls
+
+    @staticmethod
+    def residual_group(z_rows, variant="ml", prior=None):
+        """One group of linear factors r_i = z_i at x = 0, so S = Z^T Z / k."""
+        n, m = 2, len(z_rows[0])
+        spec = ManifoldSpec((euclidean_block("x", n),))
+        factors = [linear_factor(i, "x", np.zeros((m, n)), z, "g")
+                   for i, z in enumerate(z_rows)]
+        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, variant, prior=prior),))
+        return pb, ManifoldPoint(spec, (np.zeros(n),))
 
     def test_map_unconstrained_update_skips_the_eigensolve(self, monkeypatch):
         # the prior-blended M is positive definite by construction
@@ -146,16 +155,47 @@ class TestInformationUpdate:
         rng = np.random.default_rng(7)
         pb, x0, _, _ = linear_joint_problem(
             rng, variant="map", prior=mode_match_prior(0.3 * np.eye(3), 0.1, 30))
-        assert self.eigensolves(monkeypatch, pb, x0) == 0
+        calls = self.eigensolves(monkeypatch)
         P, sols = information_update(pb, x0)
+        assert len(calls) == 0
         checked = solve_inner_unconstrained(second_moments(pb, x0)["g"])
         np.testing.assert_array_equal(P["g"], checked.information)
         assert sols["g"].objective == checked.objective
 
-    def test_prior_free_unconstrained_update_keeps_the_check(self, monkeypatch):
+    def test_well_conditioned_prior_free_update_skips_the_eigensolve(self, monkeypatch):
         rng = np.random.default_rng(7)
         pb, x0, _, _ = linear_joint_problem(rng, variant="ml")
-        assert self.eigensolves(monkeypatch, pb, x0) == 1
+        calls = self.eigensolves(monkeypatch)
+        information_update(pb, x0)
+        assert len(calls) == 0
+
+    def test_near_singular_prior_free_update_diagnoses_and_raises(self, monkeypatch):
+        # S = diag(1, 1e-14) passes Cholesky, but its smallest eigenvalue is
+        # below the singularity threshold 1e-12 tr(S) / m
+        pb, x0 = self.residual_group(
+            [[1.0, 1e-7], [1.0, -1e-7], [-1.0, 1e-7], [-1.0, -1e-7]])
+        calls = self.eigensolves(monkeypatch)
+        with pytest.raises(UnboundedProblem) as err:
+            information_update(pb, x0)
+        assert len(calls) == 1
+        assert err.value.group_id == "g"
+        assert str(err.value).startswith("group 'g': sample covariance is singular")
+        assert "prior-free" in str(err.value)
+
+    def test_map_update_with_a_near_zero_prior_raises(self):
+        # the third residual component is exactly zero, so the blended M has
+        # lambda_min = w k sigma0 / gamma, far below the singularity threshold
+        sigma0 = 1e-15
+        z_rows = [[1.0, 0.5, 0.0], [-0.3, 1.0, 0.0], [0.2, -0.7, 0.0], [-1.0, 0.1, 0.0]]
+        prior = mode_match_prior(sigma0 * np.eye(3), 0.1, len(z_rows))
+        pb, x0 = self.residual_group(z_rows, variant="map", prior=prior)
+        with pytest.raises(UnboundedProblem) as err:
+            information_update(pb, x0)
+        assert err.value.group_id == "g"
+        assert err.value.min_eigenvalue == pytest.approx(0.1 * 4 * sigma0 / 4.4)
+        message = str(err.value)
+        assert message.startswith("group 'g': prior-blended second moment is singular")
+        assert "prior-free" not in message
 
 
 class TestGroupScaling:

@@ -332,6 +332,23 @@ class TestFusedKernelEdgeCases:
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
 
+    @pytest.mark.parametrize("rotation", np.logspace(-8, -2, 25))
+    def test_dalpha_columns_match_a_series_reference(self, rotation):
+        # t_g = (1, 0) and t_z = 0 make J[0, 2] the derivative dalpha of
+        # alpha = (th/2) cot(th/2) itself; the float64 reference sums both
+        # series to th^9, exact to rounding on this grid
+        spec = ManifoldSpec((se2_block(0), se2_block(1)))
+        x = ManifoldPoint(spec, ([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
+        f = relative_se2_factor(0, 0, 1, [0.0, 0.0, rotation], "g")
+        (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        _, J = batch.linearize(x)
+        th, t2 = rotation, rotation * rotation
+        alpha = 1.0 - t2 * (1 / 12 + t2 * (1 / 720 + t2 * (1 / 30240 + t2 / 1209600)))
+        dalpha = -th * (1 / 6 + t2 * (1 / 180 + t2 * (1 / 5040 + t2 * (
+            1 / 151200 + t2 / 4790016))))
+        expected = [[dalpha, -0.5 * th - dalpha], [-0.5, 0.5 - alpha], [1.0, -1.0]]
+        np.testing.assert_allclose(J[0][:, [2, 5]], expected, rtol=1e-14, atol=0.0)
+
     def test_rotation_of_pi_raises_cut_locus(self):
         rng = np.random.default_rng(61)
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(3)))
