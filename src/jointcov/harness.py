@@ -157,13 +157,13 @@ def _spd_sqrt(a: np.ndarray) -> np.ndarray:
 
 
 def wasserstein2(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
-    """2-Wasserstein distance between zero-mean Gaussians:
-    ``sqrt(trace(A + B - 2 (A^1/2 B A^1/2)^1/2))``, clamped at zero for
-    round-off under the radical.
+    """2-Wasserstein distance between zero-mean Gaussians in the
+    orthogonal-Procrustes form ``||A^1/2 - B^1/2 U V^T||_F``, where
+    ``U S V^T`` is the SVD of ``B^1/2 A^1/2`` (Bhatia, Jain and Lim, 2019).
 
-    For nearly equal covariances the radicand keeps only round-off, so
-    values below about 1e-7 are noise: an estimate ``inv(inv(Sigma))`` of
-    ``Sigma`` reads about 7e-08, not 0.
+    It equals ``sqrt(trace(A + B - 2 (A^1/2 B A^1/2)^1/2))`` in exact
+    arithmetic, but takes the difference of the two factors instead of
+    the traces, so nearly equal covariances do not cancel.
     """
     sigma_a = np.asarray(sigma_a, dtype=float)
     sigma_b = np.asarray(sigma_b, dtype=float)
@@ -171,10 +171,9 @@ def wasserstein2(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
         raise ValueError("covariance dimensions differ")
     if np.array_equal(sigma_a, sigma_b):
         return 0.0
-    root_a = _spd_sqrt(sigma_a)
-    cross = _spd_sqrt(root_a @ sigma_b @ root_a)
-    arg = float(np.trace(sigma_a) + np.trace(sigma_b) - 2.0 * np.trace(cross))
-    return float(np.sqrt(max(arg, 0.0)))
+    root_a, root_b = _spd_sqrt(sigma_a), _spd_sqrt(sigma_b)
+    u, _, vt = np.linalg.svd(root_b @ root_a)
+    return float(np.linalg.norm(root_a - root_b @ u @ vt))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ class table is supplied.
 from __future__ import annotations
 
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from io import StringIO
 from typing import Iterable, Mapping, TextIO
@@ -201,8 +200,8 @@ def pose_manifold(num_poses: int) -> ManifoldSpec:
 
 def graph_poses_point(graph: PoseGraph2D) -> ManifoldPoint:
     """The graph's stored vertex poses as a manifold point."""
-    spec = pose_manifold(graph.num_poses)
-    return ManifoldPoint(spec, tuple(graph.poses[i] for i in range(graph.num_poses)))
+    n = graph.num_poses
+    return ManifoldPoint.from_arrays(pose_manifold(n), [graph.poses[v] for v in range(n)])
 
 
 def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
@@ -210,31 +209,37 @@ def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
 
     The root is placed at the identity; every other pose composes its
     parent with the tree edge's measurement (inverted when the edge is
-    traversed against its direction).
+    traversed against its direction).  It is the tree a FIFO queue finds
+    with each vertex's arcs in edge order, an edge's i side first: a vertex
+    joins by the first arc that reaches it.  Each level is one composition.
     """
     n = graph.num_poses
     if n == 0:
         raise GraphConnectivityError("graph has no vertices")
-    adjacency: dict = {v: [] for v in range(n)}
-    for e in graph.edges:
-        adjacency[e.i].append((e.j, e.z, False))
-        adjacency[e.j].append((e.i, e.z, True))
-    poses = {0: np.zeros(3)}
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for w, z, reverse in adjacency[v]:
-            if w in poses:
-                continue
-            step = se2_inverse(z) if reverse else z
-            poses[w] = se2_compose(poses[v], step)
-            queue.append(w)
-    if len(poses) != n:
-        missing = next(v for v in range(n) if v not in poses)
+    ij = np.array([(e.i, e.j) for e in graph.edges], dtype=np.intp).reshape(-1, 2)
+    if ij.size and (ij.min() < 0 or ij.max() >= n):
+        raise GraphFormatError(f"edge references a vertex outside 0..{n - 1}")
+    z = np.array([e.z for e in graph.edges], dtype=float).reshape(-1, 3)
+    # arc 2e leaves edge e's i side with z, arc 2e + 1 its j side with z^-1
+    order = np.argsort(ij.ravel(), kind="stable")
+    src, dst = ij.ravel()[order], ij[:, ::-1].ravel()[order]
+    step = np.stack([z, se2_inverse(z)], axis=1).reshape(-1, 3)[order]
+    first_arc = np.searchsorted(src, np.arange(n + 1))
+    poses, seen = np.zeros((n, 3)), np.arange(n) == 0
+    frontier = np.zeros(1, dtype=np.intp)
+    while frontier.size:
+        counts = first_arc[frontier + 1] - first_arc[frontier]
+        arcs = np.repeat(first_arc[frontier] + counts - np.cumsum(counts), counts)
+        arcs += np.arange(len(arcs))   # the frontier's arcs, in frontier order
+        arcs = arcs[~seen[dst[arcs]]]
+        arcs = arcs[np.sort(np.unique(dst[arcs], return_index=True)[1])]
+        frontier = dst[arcs]
+        poses[frontier] = se2_compose(poses[src[arcs]], step[arcs])
+        seen[frontier] = True
+    if not seen.all():
         raise GraphConnectivityError(
-            f"graph is disconnected: vertex {missing} unreachable from 0")
-    spec = pose_manifold(n)
-    return ManifoldPoint(spec, tuple(poses[i] for i in range(n)))
+            f"graph is disconnected: vertex {np.argmin(seen)} unreachable from 0")
+    return ManifoldPoint.from_arrays(pose_manifold(n), poses)
 
 
 def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup],
@@ -310,8 +315,7 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
 
     Returns (graph, ground-truth poses).
     """
-    if num_poses < 2:
-        raise ValueError("need at least two poses")
+    _check_generator_args(num_poses, loop_fraction, loop_radius, loop_gap)
     if scheme not in ("nearby", "densified"):
         raise ValueError(f"unknown scheme {scheme!r}")
     traj_rng = counter_rng(trajectory_seed, 0xA11CE)
@@ -325,17 +329,16 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
     from scipy.spatial import cKDTree  # here, not at module level: it slows every import
 
     pairs = cKDTree(positions).query_pairs(loop_radius, output_type="ndarray")
-    candidates = sorted(
-        (int(i), int(j)) for i, j in pairs if abs(int(j) - int(i)) >= loop_gap)
+    pairs = pairs[np.abs(pairs[:, 1] - pairs[:, 0]) >= loop_gap]
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     target = int(round(loop_fraction * num_poses))
-    if len(candidates) > target:
-        chosen = traj_rng.choice(len(candidates), size=target, replace=False)
-        loops = [candidates[c] for c in sorted(chosen)]
-    else:
-        loops = candidates
+    if len(pairs) > target:
+        pairs = pairs[np.sort(traj_rng.choice(len(pairs), size=target, replace=False))]
+    loop_i, loop_j = pairs[:, 0], pairs[:, 1]
     if scheme == "densified":
-        loops += [(i, i + 2) for i in range(num_poses - 2)]
-        loops += [(i, i + 3) for i in range(num_poses - 3)]
+        for gap in (2, 3):
+            near = np.arange(num_poses - gap)
+            loop_i, loop_j = np.concatenate([loop_i, near]), np.concatenate([loop_j, near + gap])
 
     noise_rng = counter_rng(noise.seed, 0xB0B) if noise is not None else None
 
@@ -348,20 +351,31 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
         return z
 
     odo_i = np.arange(num_poses - 1)
-    z_odo = measure_batch(odo_i, odo_i + 1, ODOMETRY)
-    graph = PoseGraph2D(poses={i: truth[i].copy() for i in range(num_poses)})
-    for i in odo_i:
-        graph.edges.append(Edge(int(i), int(i) + 1, z_odo[i], np.eye(3), ODOMETRY))
-    if loops:
-        loop_i = np.array([p[0] for p in loops])
-        loop_j = np.array([p[1] for p in loops])
-        z_loop = measure_batch(loop_i, loop_j, LOOP)
-        for n, (i, j) in enumerate(loops):
-            graph.edges.append(Edge(int(i), int(j), z_loop[n], np.eye(3), LOOP))
+    z = measure_batch(odo_i, odo_i + 1, ODOMETRY)
+    if len(loop_i):
+        z = np.concatenate([z, measure_batch(loop_i, loop_j, LOOP)])
+    kinds = [ODOMETRY] * len(odo_i) + [LOOP] * len(loop_i)
+    edges = map(Edge, np.concatenate([odo_i, loop_i]).tolist(),
+                np.concatenate([odo_i + 1, loop_j]).tolist(), z,
+                np.tile(np.eye(3), (len(kinds), 1, 1)), kinds)
+    graph = PoseGraph2D(poses=dict(enumerate(truth.copy())), edges=list(edges))
+    return graph, ManifoldPoint.from_arrays(pose_manifold(num_poses), truth)
 
-    spec = pose_manifold(num_poses)
-    truth_point = ManifoldPoint(spec, tuple(truth[i] for i in range(num_poses)))
-    return graph, truth_point
+
+def _check_generator_args(num_poses, loop_fraction, loop_radius, loop_gap) -> None:
+    """Reject generator arguments that would fail deep in numpy or
+    silently select no loop closures."""
+    def is_int(v):
+        return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+    if not (is_int(num_poses) and num_poses >= 2):
+        raise ValueError(f"num_poses must be an int >= 2, got {num_poses!r}")
+    if not (np.isfinite(loop_fraction) and loop_fraction >= 0):
+        raise ValueError(f"loop_fraction must be finite and >= 0, got {loop_fraction!r}")
+    if not (np.isfinite(loop_radius) and loop_radius > 0):
+        raise ValueError(f"loop_radius must be finite and > 0, got {loop_radius!r}")
+    if not (is_int(loop_gap) and loop_gap >= 1):
+        raise ValueError(f"loop_gap must be an int >= 1, got {loop_gap!r}")
 
 
 def parse_generator_config(source: str | TextIO) -> dict:

@@ -105,7 +105,7 @@ def se2_compose(a, b):
 def _compose(a, ca, sa, b):
     """:func:`se2_compose` given the cosine and sine of ``a``'s angles."""
     b = np.asarray(b, dtype=float)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=float)
+    out = np.empty(np.broadcast(a, b).shape, dtype=float)
     out[..., 0] = a[..., 0] + ca * b[..., 0] - sa * b[..., 1]
     out[..., 1] = a[..., 1] + sa * b[..., 0] + ca * b[..., 1]
     out[..., 2] = wrap_angle(a[..., 2] + b[..., 2])
@@ -324,7 +324,8 @@ class ManifoldPoint:
 
     ``ManifoldPoint(spec, values)`` is the validating constructor for
     outside input: one array per block, in block order.  ``values`` gives
-    them back as read-only views.
+    them back as read-only views.  :meth:`from_arrays` validates the stored
+    layout instead, in one vectorized pass.
     """
 
     def __init__(self, spec: ManifoldSpec, values: Sequence):
@@ -347,6 +348,27 @@ class ManifoldPoint:
                 vector[where] = v
         poses[:, 2] = wrap_angle(poses[:, 2])
         self._set(spec, poses, vector)
+
+    @classmethod
+    def from_arrays(cls, spec: ManifoldSpec, poses, vector=()) -> "ManifoldPoint":
+        """Validating constructor from the stored layout: ``poses``
+        ``(n_se2, 3)`` and the Euclidean ``vector``, copied, with the angles
+        wrapped as ``ManifoldPoint(spec, values)`` wraps them.  A non-finite
+        entry raises the per-block constructor's error for the first bad block.
+        """
+        poses = np.array(poses, dtype=float)
+        vector = np.array(vector, dtype=float)
+        for name, arr, shape in (("poses", poses, (len(spec.pose_rows), 3)),
+                                 ("vector", vector, (len(spec.vector_tangent_index),))):
+            if arr.shape != shape:
+                raise ValueError(f"{name} expects shape {shape}, got {arr.shape}")
+        if not (np.isfinite(poses).all() and np.isfinite(vector).all()):
+            for blk, (is_pose, where) in zip(spec.blocks, spec._storage):
+                v = poses[where] if is_pose else vector[where]
+                if not np.all(np.isfinite(v)):
+                    raise ValueError(f"block {blk.block_id!r} has non-finite values {v}")
+        poses[:, 2] = wrap_angle(poses[:, 2])
+        return cls._from_arrays(spec, poses, vector)
 
     @classmethod
     def _from_arrays(cls, spec: ManifoldSpec, poses: np.ndarray,

@@ -244,16 +244,18 @@ class JointProblem:
         if len(set(ids)) != len(ids):
             raise ValueError("group ids must be unique")
         by_id = {g.group_id: g for g in self.groups}
-        counts = {gid: 0 for gid in by_id}
+        counts = dict.fromkeys(by_id, 0)
+        known = self.manifold._by_id
         for f in self.factors:
-            for bid in f.block_ids:
-                if bid not in self.manifold._by_id:
-                    raise ValueError(f"factor {f.factor_id} references unknown block {bid!r}")
+            try:
+                blocks = [known[bid] for bid in f.block_ids]
+            except KeyError as err:
+                raise ValueError(f"factor {f.factor_id} references unknown block "
+                                 f"{err.args[0]!r}") from None
             if f.kind == RELATIVE_SE2:
-                if any(self.manifold.block(bid).kind != SE2 for bid in f.block_ids):
+                if any(b.kind != SE2 for b in blocks):
                     raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
             elif f.kind != CUSTOM:  # linear or prior: H (a prior's is I) fits x and z
-                blocks = [self.manifold.block(bid) for bid in f.block_ids]
                 if any(b.kind == SE2 for b in blocks):
                     raise ValueError(f"factor {f.factor_id} connects an SE(2) block")
                 d = sum(b.dim for b in blocks)
@@ -261,9 +263,9 @@ class JointProblem:
                 if f.z.shape != (f.dim,) or H_shape != (f.dim, d):
                     raise ValueError(
                         f"factor {f.factor_id} does not fit its {d} state entries")
-            if f.group_id not in by_id:
+            g = by_id.get(f.group_id)
+            if g is None:
                 raise ValueError(f"factor {f.factor_id} references unknown group {f.group_id!r}")
-            g = by_id[f.group_id]
             if f.dim != g.m:
                 raise ValueError(
                     f"factor {f.factor_id} residual dimension {f.dim} != group m {g.m}")

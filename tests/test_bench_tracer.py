@@ -7,11 +7,12 @@ silently at 0.
 """
 
 import importlib.util
+from collections import deque
 from pathlib import Path
 
 import numpy as np
 
-from jointcov import io_pgo, joint
+from jointcov import io_pgo, joint, manifold
 from jointcov.manifold import ManifoldPoint, ManifoldSpec, boxplus, euclidean_block
 from jointcov.nls import SINGLE_ITERATION, NlsConfig
 from jointcov.problem import JointProblem, NoiseGroup, group_residuals, linear_factor
@@ -132,3 +133,29 @@ def test_pose_trig_is_computed_once_per_point(monkeypatch):
     for g in problem.groups:
         group_residuals(problem, x, g.group_id)
     assert sorted(calls) == ["cos", "sin"]
+
+
+def test_spanning_tree_composes_once_per_level(monkeypatch):
+    # the breadth-first search composes a whole level of poses per call,
+    # not one pose per call
+    graph, _ = io_pgo.generate_manhattan_like(300, "nearby", None, trajectory_seed=1)
+    neighbours = {v: [] for v in range(graph.num_poses)}
+    for e in graph.edges:
+        neighbours[e.i].append(e.j)
+        neighbours[e.j].append(e.i)
+    level, queue = {0: 0}, deque([0])
+    while queue:
+        v = queue.popleft()
+        for w in neighbours[v]:
+            if w not in level:
+                level[w] = level[v] + 1
+                queue.append(w)
+    depth = max(level.values())
+    calls = []
+
+    def counting(*args, _original=manifold._compose):
+        calls.append(1)
+        return _original(*args)
+    monkeypatch.setattr(manifold, "_compose", counting)
+    io_pgo.spanning_tree_init(graph)
+    assert 0 < len(calls) <= depth + 1 < graph.num_poses // 2

@@ -85,6 +85,15 @@ class TestPgoCommand:
         records = read_results(out)
         assert records[0].status == "ok"
 
+    def test_bad_generator_argument_is_one_error_line(self, tmp_path, capsys):
+        gen = tmp_path / "gen.cfg"
+        gen.write_text("num_poses 90\nloop_fraction -0.1\n")
+        rc = main(["pgo", "--trials", "1", "--alpha-grid", "5", "--algorithms", "bcd",
+                   "--generator", str(gen), "--output", str(tmp_path / "pgo.csv")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: loop_fraction must be finite and >= 0")
+
     def test_dataset_input(self, small_graph_files, tmp_path):
         noisy, gt = small_graph_files
         out = tmp_path / "pgo.csv"

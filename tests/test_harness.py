@@ -18,6 +18,11 @@ from jointcov.harness import (
 from jointcov.manifold import ManifoldPoint, ManifoldSpec, euclidean_block, se2_block
 
 
+def sqrtm_spd(a):
+    vals, vecs = np.linalg.eigh(a)
+    return (vecs * np.sqrt(vals)) @ vecs.T
+
+
 def random_spd(rng, m):
     a = rng.normal(size=(m, m))
     return a @ a.T + 0.5 * np.eye(m)
@@ -88,6 +93,25 @@ class TestWasserstein:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             wasserstein2(np.eye(2), np.eye(3))
+
+    def test_round_trip_through_the_information_matrix_reads_round_off(self):
+        # a linear-mc true covariance (seed 42, m = 5, noise level 0.01)
+        sigma = base_covariance(42, 5) + 0.01 * np.eye(5)
+        assert wasserstein2(np.linalg.inv(np.linalg.inv(sigma)), sigma) < 1e-13
+
+    def test_resolves_a_tiny_difference(self):
+        # sqrt(1 + 1e-9) - 1 = 5e-10 to first order
+        got = wasserstein2(np.diag([1.0 + 1e-9, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0]))
+        assert got == pytest.approx(5e-10, rel=1e-3)
+
+    def test_matches_the_trace_form_away_from_equality(self):
+        rng = np.random.default_rng(5)
+        for m in (1, 2, 3, 5):
+            a, b = random_spd(rng, m), random_spd(rng, m)
+            root_a = sqrtm_spd(a)
+            trace_form = np.sqrt(np.trace(a) + np.trace(b)
+                                 - 2.0 * np.trace(sqrtm_spd(root_a @ b @ root_a)))
+            assert wasserstein2(a, b) == pytest.approx(trace_form, rel=1e-9)
 
 
 class TestEmit:

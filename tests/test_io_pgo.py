@@ -1,9 +1,12 @@
 import pathlib
 import subprocess
 import sys
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import jointcov
 
@@ -16,15 +19,17 @@ from jointcov.io_pgo import (
     GraphFormatError,
     PoseGraph2D,
     SyntheticNoiseSpec,
+    counter_rng,
     generate_manhattan_like,
     parse_edge_classes,
     parse_g2o,
     parse_generator_config,
     pose_graph_problem,
+    pose_manifold,
     spanning_tree_init,
     write_g2o,
 )
-from jointcov.manifold import se2_compose, se2_inverse
+from jointcov.manifold import ManifoldPoint, exp_se2, se2_compose, se2_inverse
 from jointcov.problem import NoiseGroup, residual
 
 
@@ -192,6 +197,78 @@ class TestSpanningTree:
             spanning_tree_init(PoseGraph2D())
 
 
+def reference_spanning_tree(graph):
+    """Breadth-first search with a FIFO queue and per-vertex arc lists, one
+    composition per vertex: the discovery order spanning_tree_init keeps."""
+    n = graph.num_poses
+    adjacency = {v: [] for v in range(n)}
+    for e in graph.edges:
+        adjacency[e.i].append((e.j, e.z, False))
+        adjacency[e.j].append((e.i, e.z, True))
+    poses = {0: np.zeros(3)}
+    queue = deque([0])
+    while queue:
+        v = queue.popleft()
+        for w, z, reverse in adjacency[v]:
+            if w not in poses:
+                poses[w] = se2_compose(poses[v], se2_inverse(z) if reverse else z)
+                queue.append(w)
+    if len(poses) != n:
+        missing = next(v for v in range(n) if v not in poses)
+        raise GraphConnectivityError(
+            f"graph is disconnected: vertex {missing} unreachable from 0")
+    return ManifoldPoint(pose_manifold(n), tuple(poses[i] for i in range(n)))
+
+
+_coordinate = st.floats(-10.0, 10.0, allow_nan=False)
+
+
+@st.composite
+def multigraphs(draw):
+    """Duplicate edges, edges both ways, self-loops and isolated vertices."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    graph = PoseGraph2D(poses={v: np.zeros(3) for v in range(n)})
+    for i, j in pairs:
+        z = np.array([draw(_coordinate), draw(_coordinate), draw(st.floats(-7.0, 7.0))])
+        graph.edges.append(Edge(i, j, z, np.eye(3)))
+    if pairs and draw(st.booleans()):  # repeat an edge, and write one the other way
+        graph.edges.append(graph.edges[draw(st.integers(0, len(pairs) - 1))])
+        e = graph.edges[draw(st.integers(0, len(pairs) - 1))]
+        graph.edges.append(Edge(e.j, e.i, se2_inverse(e.z), np.eye(3)))
+    return graph
+
+
+class TestSpanningTreeOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(multigraphs())
+    def test_matches_the_queue_search(self, graph):
+        try:
+            want = reference_spanning_tree(graph)
+        except GraphConnectivityError as err:
+            with pytest.raises(GraphConnectivityError) as got:
+                spanning_tree_init(graph)
+            assert str(got.value) == str(err)
+            return
+        assert np.array_equal(spanning_tree_init(graph).poses, want.poses)
+
+    @pytest.mark.parametrize("scheme", ["nearby", "densified"])
+    @pytest.mark.parametrize("noise_seed", [1, 2])
+    def test_benchmark_graph_bit_equal(self, scheme, noise_seed):
+        noise = SyntheticNoiseSpec({"all": 5.0 * np.diag([20.0, 40.0, 30.0])}, seed=noise_seed)
+        graph, _ = generate_manhattan_like(3500, scheme, noise, trajectory_seed=1,
+                                           loop_fraction=2099 / 3500)
+        assert np.array_equal(spanning_tree_init(graph).poses,
+                              reference_spanning_tree(graph).poses)
+
+    def test_edge_to_a_missing_vertex_rejected(self):
+        g = PoseGraph2D(poses={0: np.zeros(3), 1: np.zeros(3)})
+        g.edges.append(Edge(0, -1, np.zeros(3), np.eye(3)))
+        with pytest.raises(GraphFormatError, match="outside 0..1"):
+            spanning_tree_init(g)
+
+
 class TestGenerator:
     def test_zero_noise_residuals_vanish_at_truth(self):
         graph, truth = generate_manhattan_like(60, "nearby", None, trajectory_seed=1)
@@ -261,6 +338,122 @@ class TestGenerator:
                                        trajectory_seed=8)
         for e in g.edges:
             np.testing.assert_array_equal(e.information, np.eye(3))
+
+
+def reference_manhattan_like(num_poses, scheme="nearby", noise=None, trajectory_seed=0,
+                             loop_fraction=0.6, loop_radius=1.5, loop_gap=10):
+    """The generator with loop closures picked from a sorted list of tuples,
+    one edge at a time: the draws generate_manhattan_like must repeat."""
+    from scipy.spatial import cKDTree
+
+    traj_rng = counter_rng(trajectory_seed, 0xA11CE)
+    turns = traj_rng.choice([0, 1, -1], size=num_poses - 1, p=[0.5, 0.25, 0.25])
+    headings = np.concatenate([[0.0], np.cumsum(turns) * (np.pi / 2.0)])
+    steps = np.column_stack([np.cos(headings[1:]), np.sin(headings[1:])])
+    positions = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+    truth = np.column_stack([positions, headings])
+    pairs = cKDTree(positions).query_pairs(loop_radius, output_type="ndarray")
+    candidates = sorted(
+        (int(i), int(j)) for i, j in pairs if abs(int(j) - int(i)) >= loop_gap)
+    target = int(round(loop_fraction * num_poses))
+    if len(candidates) > target:
+        chosen = traj_rng.choice(len(candidates), size=target, replace=False)
+        loops = [candidates[c] for c in sorted(chosen)]
+    else:
+        loops = candidates
+    if scheme == "densified":
+        loops += [(i, i + 2) for i in range(num_poses - 2)]
+        loops += [(i, i + 3) for i in range(num_poses - 3)]
+    noise_rng = counter_rng(noise.seed, 0xB0B) if noise is not None else None
+
+    def measure(idx_i, idx_j, kind):
+        z = se2_compose(se2_inverse(truth[idx_i]), truth[idx_j])
+        if noise is not None:
+            chol = np.linalg.cholesky(noise.covariance_for(kind))
+            z = se2_compose(z, exp_se2(noise_rng.standard_normal((len(idx_i), 3)) @ chol.T))
+        return z
+
+    odo_i = np.arange(num_poses - 1)
+    z_odo = measure(odo_i, odo_i + 1, ODOMETRY)
+    graph = PoseGraph2D(poses={i: truth[i].copy() for i in range(num_poses)})
+    for i in odo_i:
+        graph.edges.append(Edge(int(i), int(i) + 1, z_odo[i], np.eye(3), ODOMETRY))
+    if loops:
+        z_loop = measure(np.array([p[0] for p in loops]), np.array([p[1] for p in loops]), LOOP)
+        for n, (i, j) in enumerate(loops):
+            graph.edges.append(Edge(i, j, z_loop[n], np.eye(3), LOOP))
+    spec = pose_manifold(num_poses)
+    return graph, ManifoldPoint(spec, tuple(truth[i] for i in range(num_poses)))
+
+
+class TestGeneratorMatchesReference:
+    NOISE = {ODOMETRY: np.diag([1000.0, 1000.0, 800.0]), LOOP: np.diag([100.0, 200.0, 150.0])}
+
+    def assert_same(self, args, kwargs):
+        graph, truth = generate_manhattan_like(*args, **kwargs)
+        want_graph, want_truth = reference_manhattan_like(*args, **kwargs)
+        assert len(graph.edges) == len(want_graph.edges)
+        for e, want in zip(graph.edges, want_graph.edges):
+            assert (e.i, e.j, e.kind) == (want.i, want.j, want.kind)
+            assert type(e.i) is int and type(e.j) is int
+            assert np.array_equal(e.z, want.z)
+            assert np.array_equal(e.information, want.information)
+        assert graphs_equal(graph, want_graph)
+        assert np.array_equal(truth.poses, want_truth.poses)
+        return graph
+
+    @pytest.mark.parametrize("scheme", ["nearby", "densified"])
+    @pytest.mark.parametrize("trajectory_seed", [0, 1, 7])
+    @pytest.mark.parametrize("noise_seed", [None, 1, 1000])
+    def test_seeds(self, scheme, trajectory_seed, noise_seed):
+        noise = None if noise_seed is None else SyntheticNoiseSpec(self.NOISE, seed=noise_seed)
+        graph = self.assert_same((300, scheme, noise), {"trajectory_seed": trajectory_seed})
+        assert graph.edges_of_kind(LOOP)
+
+    @pytest.mark.parametrize("scheme", ["nearby", "densified"])
+    @pytest.mark.parametrize("num_poses, loop_fraction, loops", [
+        (8, 0.6, "none"),     # fewer poses than loop_gap: no candidates
+        (200, 0.0, "none"),   # candidates, but none drawn
+        (200, 5.0, "all"),    # fewer candidates than the target: keep them all
+        (2, 0.6, "none"),
+    ])
+    def test_edge_cases(self, scheme, num_poses, loop_fraction, loops):
+        noise = SyntheticNoiseSpec(self.NOISE, seed=3)
+        graph = self.assert_same((num_poses, scheme, noise),
+                                 {"trajectory_seed": 2, "loop_fraction": loop_fraction})
+        far = [e for e in graph.edges_of_kind(LOOP) if e.j - e.i >= 10]
+        assert bool(far) == (loops == "all")
+
+    def test_information_matrices_are_distinct(self):
+        graph, _ = generate_manhattan_like(30, "nearby", None, trajectory_seed=1)
+        graph.edges[0].information[0, 0] = 5.0
+        assert all(e.information[0, 0] == 1.0 for e in graph.edges[1:])
+
+
+class TestGeneratorArguments:
+    @pytest.mark.parametrize("num_poses", [1, 0, -3, 10.0, 2.5, True, "40"])
+    def test_num_poses(self, num_poses):
+        with pytest.raises(ValueError, match="^num_poses must be an int >= 2"):
+            generate_manhattan_like(num_poses)
+
+    @pytest.mark.parametrize("loop_fraction", [-0.1, np.nan, np.inf])
+    def test_loop_fraction(self, loop_fraction):
+        with pytest.raises(ValueError, match="^loop_fraction must be finite and >= 0"):
+            generate_manhattan_like(20, loop_fraction=loop_fraction)
+
+    @pytest.mark.parametrize("loop_radius", [0.0, -1.5, np.nan, np.inf])
+    def test_loop_radius(self, loop_radius):
+        with pytest.raises(ValueError, match="^loop_radius must be finite and > 0"):
+            generate_manhattan_like(20, loop_radius=loop_radius)
+
+    @pytest.mark.parametrize("loop_gap", [0, -2, 3.0, False])
+    def test_loop_gap(self, loop_gap):
+        with pytest.raises(ValueError, match="^loop_gap must be an int >= 1"):
+            generate_manhattan_like(20, loop_gap=loop_gap)
+
+    def test_numpy_integers_accepted(self):
+        graph, _ = generate_manhattan_like(np.int64(20), loop_gap=np.int32(3))
+        assert graph.num_poses == 20
 
 
 def test_package_import_defers_scipy_spatial():

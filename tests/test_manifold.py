@@ -249,3 +249,54 @@ class TestTypes:
         spec = make_spec()
         assert spec.tangent_slice("v") == slice(0, 2)
         assert spec.tangent_slice("p") == slice(2, 5)
+
+
+class TestFromArrays:
+    """``ManifoldPoint.from_arrays`` validates the stored layout in one pass
+    and builds the same point as the per-block constructor."""
+
+    def spec(self):
+        return ManifoldSpec((se2_block("a"), euclidean_block("v", 2), se2_block("b")))
+
+    def test_matches_the_per_block_constructor(self):
+        # angles outside (-pi, pi], on its edges and past a few turns wrap alike
+        rng = np.random.default_rng(12)
+        spec = ManifoldSpec(tuple(se2_block(i) for i in range(40)) + (euclidean_block("v", 3),))
+        poses = rng.uniform(-30.0, 30.0, size=(40, 3))
+        poses[:4, 2] = [np.pi, -np.pi, np.nextafter(-np.pi, 0.0), 3 * np.pi]
+        vector = rng.normal(size=3)
+        x = ManifoldPoint.from_arrays(spec, poses, vector)
+        y = ManifoldPoint(spec, tuple(poses) + (vector,))
+        assert np.array_equal(x.poses, y.poses)
+        assert np.array_equal(x.vector, y.vector)
+
+    def test_copies_its_input(self):
+        poses = np.array([[0.0, 0.0, 4.0], [1.0, 2.0, 0.5]])
+        x = ManifoldPoint.from_arrays(self.spec(), poses, [7.0, 8.0])
+        assert poses[0, 2] == 4.0 and poses.flags.writeable
+        with pytest.raises(ValueError):
+            x.poses[0, 0] = 9.0
+
+    @pytest.mark.parametrize("poses, vector, match", [
+        (np.zeros((3, 3)), np.zeros(2), r"poses expects shape \(2, 3\), got \(3, 3\)"),
+        (np.zeros((2, 2)), np.zeros(2), r"poses expects shape \(2, 3\), got \(2, 2\)"),
+        (np.zeros((2, 3)), np.zeros(3), r"vector expects shape \(2,\), got \(3,\)"),
+        (np.zeros((2, 3)), np.zeros((1, 2)), r"vector expects shape \(2,\), got \(1, 2\)"),
+    ])
+    def test_wrong_shape_rejected(self, poses, vector, match):
+        with pytest.raises(ValueError, match=match):
+            ManifoldPoint.from_arrays(self.spec(), poses, vector)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_names_the_first_bad_block(self, bad):
+        spec = self.spec()
+        poses, vector = np.zeros((2, 3)), np.zeros(2)
+        for where, block in (((1, 2), "'b'"), ((0, 0), "'a'")):
+            p = poses.copy()
+            p[where] = bad
+            with pytest.raises(ValueError, match=f"block {block} has non-finite"):
+                ManifoldPoint.from_arrays(spec, p, vector)
+        p = poses.copy()
+        p[1, 0] = bad
+        with pytest.raises(ValueError, match="block 'v' has non-finite"):
+            ManifoldPoint.from_arrays(spec, p, [0.0, bad])
