@@ -77,8 +77,12 @@ def chol_logdet(chol: np.ndarray) -> float:
 
 
 def _cho_inverse(chol: np.ndarray) -> np.ndarray:
-    """``A^-1`` from the lower Cholesky factor of ``A``."""
-    return symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(chol.shape[0])))
+    """``A^-1`` from the lower Cholesky factor of ``A``: LAPACK ``dpotrs`` as
+    ``scipy.linalg.cho_solve`` calls it, with its finiteness check but
+    without the rest of its per-call overhead."""
+    if not np.isfinite(chol).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return symmetrize(scipy.linalg.lapack.dpotrs(chol, np.eye(chol.shape[0]), lower=True)[0])
 
 
 def spd_inverse(a: np.ndarray) -> np.ndarray:

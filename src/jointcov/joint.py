@@ -32,6 +32,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,16 +75,32 @@ class JointConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TracePoint:
-    """One convergence-trace entry (recorded after each half-step)."""
+    """One convergence-trace entry (recorded after each half-step).
+
+    ``information`` holds a read-only copy of each group's P at record time.
+    The covariance eigenvalue extremes per group id, ``sigma_eig_min`` and
+    ``sigma_eig_max``, are worked out from it the first time one is read.
+    """
 
     iteration: int
     phase: str                 # "init" | "x-step" | "p-step"
     objective: float
-    sigma_eig_min: dict
-    sigma_eig_max: dict
+    information: dict
     gradient_norm: float       # proxy: latest weighted-NLS gradient norm
+
+    @cached_property
+    def _information_eigenvalues(self) -> dict:
+        return {gid: np.linalg.eigvalsh(P) for gid, P in self.information.items()}
+
+    @cached_property
+    def sigma_eig_min(self) -> dict:
+        return {gid: float(1.0 / e[-1]) for gid, e in self._information_eigenvalues.items()}
+
+    @cached_property
+    def sigma_eig_max(self) -> dict:
+        return {gid: float(1.0 / e[0]) for gid, e in self._information_eigenvalues.items()}
 
 
 @dataclass
@@ -186,10 +203,10 @@ def calibrate(problem: JointProblem, x_true_cal: ManifoldPoint) -> dict:
 
 def _trace_point(iteration: int, phase: str, P: dict, value: float,
                  gradient_norm: float) -> TracePoint:
-    eigs = {gid: np.linalg.eigvalsh(mat) for gid, mat in P.items()}
-    return TracePoint(iteration, phase, value,
-                      {gid: float(1.0 / e[-1]) for gid, e in eigs.items()},
-                      {gid: float(1.0 / e[0]) for gid, e in eigs.items()}, gradient_norm)
+    copies = {gid: mat.copy() for gid, mat in P.items()}
+    for mat in copies.values():
+        mat.setflags(write=False)
+    return TracePoint(iteration, phase, value, copies, gradient_norm)
 
 
 class _Convergence:
@@ -325,14 +342,14 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     x = x_init
     f, g, P, bound_hit, index = _reduced_value_and_grad(problem, x)
     flags = {FLAG_BOUND_HIT} if bound_hit else set()
-    trace = [_trace_point(0, "init", P, f, float(np.linalg.norm(g)))]
+    trace = [_trace_point(0, "init", P, f, nls.vector_norm(g))]
     memory: deque = deque(maxlen=config.lbfgs_memory)
     conv = _Convergence(config.f_tol)
     conv.update(f)
     converged = False
     iterations = 0
     for iterations in range(1, config.max_outer_iterations + 1):
-        gnorm = float(np.linalg.norm(g))
+        gnorm = nls.vector_norm(g)
         if gnorm <= config.nls.grad_tol:
             converged = True
             iterations -= 1
@@ -362,12 +379,12 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
         s = alpha * d
         y = g_trial - g
         sy = float(s @ y)
-        if sy > 1e-10 * float(np.linalg.norm(s)) * float(np.linalg.norm(y)):
+        if sy > 1e-10 * nls.vector_norm(s) * nls.vector_norm(y):
             memory.append((s, y, 1.0 / sy))
         x, f, g, P, index = x_trial, f_trial, g_trial, P_trial, index_trial
         if bound_hit:
             flags.add(FLAG_BOUND_HIT)
-        trace.append(_trace_point(iterations, "x-step", P, f, float(np.linalg.norm(g))))
+        trace.append(_trace_point(iterations, "x-step", P, f, nls.vector_norm(g)))
         if conv.update(f):
             converged = True
             break

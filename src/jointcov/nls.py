@@ -11,11 +11,14 @@ former from zero damping).
 
 Assembly is one loop over batches.  Each batch's cost, gradient and Hessian
 terms are stacked matmuls per factor and are added in factor order: the
-costs by a sequential ``np.cumsum``, the gradient and a dense Hessian by one
-sequential ``np.add.at`` each, and a sparse Hessian by one ``np.bincount``
-over all terms, with entries laid out factor-major.  That order makes a
-batch's linearization equal, bit for bit, to the same factors' as batches
-of one.
+costs by a sequential ``np.cumsum``, and a sparse Hessian by one
+``np.bincount`` over all terms, with entries laid out factor-major.  The
+gradient and a dense Hessian take each batch in turn: a linear batch, whose
+factors share their positions (:attr:`LinearBatch.shared_positions`), is
+summed over its factors starting from the accumulator's values there and
+written back once; every other batch is scattered by one sequential
+``np.add.at``.  That order makes a batch's linearization equal, bit for
+bit, to the same factors' as batches of one.
 
 The sparse Hessian's structure is analysed once per problem
 (:attr:`JointProblem.hessian_pattern`, compiled on the first sparse
@@ -32,6 +35,7 @@ responsibility.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -59,6 +63,11 @@ DENSE_THRESHOLD = 200  # dense Cholesky below this active tangent dimension
 # supernode sizes in a histogram of panel size + 1 entries.
 _LU_PANEL_SIZE = 4
 _LU_RELAX = 1
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm: ``np.linalg.norm``'s formula, without its overhead."""
+    return math.sqrt(v @ v)
 
 
 @dataclass
@@ -95,7 +104,7 @@ class LinearizedSystem:
 
     @property
     def gradient_norm(self) -> float:
-        return float(np.linalg.norm(self.gradient))
+        return vector_norm(self.gradient)
 
     def solve_damped(self, damping: float):
         """Solve (H + damping I) delta = -gradient; None if factorization fails.
@@ -121,12 +130,21 @@ class LinearizedSystem:
             delta = np.empty(n)
             delta[p.order] = step
             return delta
+        # LAPACK as scipy.linalg.cho_factor / cho_solve call it, and their
+        # finiteness checks, without the rest of their per-call overhead
         H = self.hessian + damping * np.eye(n)
-        try:
-            factor = scipy.linalg.cho_factor(H)
-        except scipy.linalg.LinAlgError:
+        _check_finite(H)
+        factor, info = scipy.linalg.lapack.dpotrf(H, lower=False, clean=False)
+        if info != 0:
             return None
-        return scipy.linalg.cho_solve(factor, -self.gradient)
+        rhs = -self.gradient
+        _check_finite(rhs)
+        return scipy.linalg.lapack.dpotrs(factor, rhs, lower=False)[0]
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def weighted_cost(problem: JointProblem, x: ManifoldPoint,
@@ -169,13 +187,15 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
             Wr = (Wg @ r[:, :, None])[:, :, 0]
             costs.append(0.5 * np.vecdot(r, Wr))
             JT = np.swapaxes(J, 1, 2)
-            pos = batch.positions()
-            np.add.at(grad, pos.ravel(), (JT @ Wr[:, :, None]).ravel())
+            shared = batch.shared_positions
+            _add_terms(grad, batch.positions() if shared is None else shared,
+                       (JT @ Wr[:, :, None])[:, :, 0], shared is not None)
             if not with_hessian:
                 continue
             blocks = JT @ Wg @ J
             if dense:
-                np.add.at(H, batch.dense_hessian_index, blocks.ravel())
+                _add_terms(H, batch.dense_hessian_index,
+                           blocks.reshape(len(blocks), -1), shared is not None)
             else:
                 terms.append(blocks.ravel())
 
@@ -187,6 +207,21 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         pattern = problem.hessian_pattern
         hessian = pattern.matrix(np.concatenate(terms))
     return LinearizedSystem(hessian, grad[:n], cost, index, pattern)
+
+
+def _add_terms(acc: np.ndarray, index: np.ndarray, terms: np.ndarray,
+               shared: bool) -> None:
+    """``acc[index] += terms`` factor by factor, for ``terms`` ``(k, E)``.
+
+    ``index`` is ``(k, E)``, scattered by one sequential ``np.add.at``, or,
+    if ``shared``, one row ``(E,)`` for every factor: then the terms are
+    summed along the factors starting from ``acc``'s values there, which
+    numpy adds in sequence (E > 1), and written back once.
+    """
+    if shared:
+        acc[index] = np.concatenate((acc[index][None], terms)).sum(axis=0)
+    else:
+        np.add.at(acc, index.ravel(), terms.ravel())
 
 
 @dataclass

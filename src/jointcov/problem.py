@@ -347,11 +347,19 @@ class Batch:
     :attr:`ActiveIndex.offsets` entry for that block, in an active tangent of
     dimension ``n``.  Subclasses give ``residuals(x)`` ``(k, m)`` and
     ``linearize(x)``: the residuals and the Jacobians ``(k, m, sum(dims))``.
+
+    Assembly adds a batch's gradient terms, and its dense Hessian terms, in
+    factor order: a batch with :attr:`shared_positions` (a linear batch) is
+    summed over its factors from the accumulator's values at that one row
+    and written back once; any other batch is scattered at its positions.
     """
 
     offsets: tuple
     dims: tuple
     n: int
+
+    # the one position row (D,) every factor shares, or None (see above)
+    shared_positions = None
 
     def positions(self) -> np.ndarray:
         """Tangent position of each factor's Jacobian columns,
@@ -363,8 +371,10 @@ class Batch:
     def dense_hessian_index(self) -> np.ndarray:
         """Flat index of the factors' ``(D, D)`` Hessian blocks, raveled
         factor-major, into an ``n * n + 1`` buffer whose last entry collects
-        gauge-fixed terms (``np.add.at`` is much faster on a 1-D index)."""
-        p, n = self.positions(), self.n
+        gauge-fixed terms (``np.add.at`` is much faster on a 1-D index).
+        With :attr:`shared_positions` it indexes the one shared block."""
+        n, shared = self.n, self.shared_positions
+        p = self.positions() if shared is None else shared[None]
         return np.where((p[:, :, None] < n) & (p[:, None, :] < n),
                         p[:, :, None] * n + p[:, None, :], n * n).ravel()
 
@@ -402,11 +412,21 @@ class LinearBatch(Batch):
     factors' block order; ``H`` ``(k, m, d)`` and ``z`` ``(k, m)`` stack the
     observation matrices (the identity for a prior) and the measurements, so
     the Jacobian is ``-H``.
+
+    Every factor sits on the same positions, so assembly sums the factors'
+    terms, in factor order, onto the accumulator's values at
+    :attr:`shared_positions` and writes them back once.  A one-column batch
+    has no shared row and is scattered: numpy sums a single column pairwise,
+    not in order.
     """
 
     cols: np.ndarray
     H: np.ndarray
     z: np.ndarray
+
+    @cached_property
+    def shared_positions(self) -> np.ndarray | None:
+        return self.positions()[0] if sum(self.dims) > 1 else None
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "LinearBatch":

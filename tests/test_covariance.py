@@ -12,6 +12,7 @@ from jointcov.covariance import (
     NotPositiveDefiniteError,
     UnboundedProblem,
     WishartPrior,
+    _cho_inverse,
     assemble_M,
     cholesky_or_none,
     diagnose_singularity,
@@ -24,6 +25,7 @@ from jointcov.covariance import (
     solve_inner_diagonal,
     solve_inner_eig,
     solve_inner_unconstrained,
+    spd_inverse,
     symmetrize,
 )
 
@@ -326,6 +328,30 @@ class TestCertifiedUnconstrainedUpdate:
         P = symmetrize(scipy.linalg.cho_solve((chol, True), np.eye(m)))
         np.testing.assert_array_equal(sol.information, P)
         assert sol.objective == 2.0 * float(np.sum(np.log(np.diag(chol)))) + m
+
+
+class TestChoInverse:
+    """The Cholesky inverse calls LAPACK ``dpotrs`` as ``cho_solve`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=st.integers(1, 12), scale=st.floats(-8.0, 8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_cho_solve(self, m, scale, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(m, m))
+        L = np.linalg.cholesky(10.0 ** scale * (A @ A.T + 1e-3 * np.eye(m)))
+        expected = symmetrize(scipy.linalg.cho_solve((L, True), np.eye(m)))
+        assert np.array_equal(_cho_inverse(L), expected)
+
+    def test_non_finite_factor_raises(self):
+        L = np.eye(3)
+        L[2, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            _cho_inverse(L)
+
+    def test_indefinite_matrix_has_no_inverse(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            spd_inverse(np.diag([1.0, -1.0]))
 
 
 class TestNumericOracle:

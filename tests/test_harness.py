@@ -236,6 +236,61 @@ class TestDeterminism:
         assert records[0].status == "ok" or records[0].status.startswith("error:")
 
 
+class TestSharedLinearProblem:
+    """The linear study builds one problem per (level, trial) for all four
+    algorithms, and each gets what a problem of its own would give."""
+
+    def test_one_problem_per_trial_matches_fresh_problems(self, monkeypatch):
+        from jointcov import harness
+        from jointcov.io_pgo import counter_rng
+        from jointcov.problem import JointProblem, NoiseGroup, linear_factor
+
+        cfg = ExperimentConfig(experiment="linear-mc", trials=2, seed=3,
+                               noise_grid=(0.01, 1.0), state_dim=6,
+                               num_measurements=12, residual_dim=3)
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return JointProblem(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "JointProblem", counting)
+        records = run_linear_mc(cfg)
+        monkeypatch.undo()
+        assert len(built) == 2 * 2
+        assert [r.algorithm for r in records] == list(harness.LINEAR_ALGORITHMS) * 4
+
+        # the study's draws, and a problem of its own per algorithm, with a
+        # fixed-weight group for the baselines
+        n, k, m = 6, 12, 3
+        sigma_base = base_covariance(cfg.seed, m)
+        spec = ManifoldSpec((euclidean_block("x", n),))
+        expected = []
+        for level_idx, sigma2 in enumerate(cfg.noise_grid):
+            sigma_true = sigma_base + sigma2 * np.eye(m)
+            L = np.linalg.cholesky(sigma_true)
+            for trial in range(cfg.trials):
+                rng = counter_rng(cfg.seed, 7, level_idx, trial)
+                Hs = rng.standard_normal((k, m, n))
+                zs = Hs @ np.ones(n) + rng.standard_normal((k, m)) @ L.T
+                for algorithm in harness.LINEAR_ALGORITHMS:
+                    group = (NoiseGroup("g", m, "fixed", information=(
+                        np.linalg.inv(sigma_true) if algorithm == "fixed-true"
+                        else np.eye(m))) if algorithm.startswith("fixed")
+                        else NoiseGroup("g", m, "ml"))
+                    problem = JointProblem(spec, tuple(
+                        linear_factor(i, "x", Hs[i], zs[i], "g") for i in range(k)),
+                        (group,))
+                    expected.append(harness._run_linear_algorithm(
+                        cfg, algorithm, problem, ManifoldPoint(spec, (np.zeros(n),)),
+                        sigma_true, np.ones(n), trial, sigma2))
+        assert all(r.status == "ok" for r in records)
+        for got, ref in zip(records, expected, strict=True):
+            assert len(got.cov_update_ms) == len(ref.cov_update_ms)  # timings
+            for name in vars(ref).keys() - {"wall_ms", "cov_update_ms"}:
+                assert getattr(got, name) == getattr(ref, name), name
+
+
 class TestTrialFailures:
     """A trial records documented domain failures and lets other errors out."""
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jointcov import io_pgo, nls
+from jointcov import joint as joint_module
 from jointcov.covariance import UnboundedProblem, mode_match_prior
 from jointcov.joint import (
     ELIMINATION,
@@ -441,6 +442,55 @@ class TestElimination:
                                       * P[g.group_id]) for g in groups}
         np.testing.assert_array_equal(
             gradient, build_system(pb, x, weights, with_hessian=False).gradient)
+
+
+class TestTracePoints:
+    """Trace points keep P and work out its covariance eigenvalues on read."""
+
+    @staticmethod
+    def runs():
+        rng = np.random.default_rng(21)
+        pb, x0, _, _ = linear_joint_problem(rng, n=6, k=25, m=3)
+        return (lambda: run_block_exact_bcd(pb, x0, JointConfig(max_outer_iterations=6)),
+                lambda: run_elimination(pb, x0, JointConfig(
+                    algorithm=ELIMINATION, max_outer_iterations=20)))
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["bcd", "elimination"])
+    def test_eigenvalues_are_those_of_P_at_record_time(self, monkeypatch, which):
+        recorded = []
+        original = joint_module._trace_point
+
+        def spy(iteration, phase, P, value, gradient_norm):
+            eigs = {gid: np.linalg.eigvalsh(mat) for gid, mat in P.items()}
+            recorded.append(({gid: float(1.0 / e[-1]) for gid, e in eigs.items()},
+                             {gid: float(1.0 / e[0]) for gid, e in eigs.items()}))
+            return original(iteration, phase, P, value, gradient_norm)
+
+        monkeypatch.setattr(joint_module, "_trace_point", spy)
+        res = self.runs()[which]()
+        res.information["g"][:] = 7.0 * np.eye(3)  # after the run, before any read
+        assert len(res.trace) == len(recorded) > 2
+        for t, (lo, hi) in zip(res.trace, recorded):
+            assert t.sigma_eig_min == lo and t.sigma_eig_max == hi
+        with pytest.raises(ValueError):
+            res.trace[-1].information["g"][0, 0] = 1.0
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["bcd", "elimination"])
+    def test_unread_trace_runs_no_eigensolve(self, monkeypatch, which):
+        calls = []
+        original = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
+
+        run = self.runs()[which]
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        res = run()
+        assert len(res.trace) > 2 and calls == []
+        res.trace[-1].sigma_eig_min
+        res.trace[-1].sigma_eig_max
+        assert len(calls) == 1
 
 
 class TestCalibrate:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointcov.manifold import (
@@ -226,32 +226,8 @@ class TestLinearBatch:
     """The compiled linear batch reproduces the same factors as batches of
     one bit for bit."""
 
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_batch_matches_per_factor(self, data):
-        dims = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3), "dims")
-        k = data.draw(st.integers(1, 40), "k")
-        gauge = data.draw(st.sampled_from([None, *range(len(dims))]), "gauge")
-        dense = data.draw(st.booleans(), "dense")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
-        # interleave an unused pose and vector so the batch gathers real columns
-        ids = [f"b{i}" for i in range(len(dims))]
-        spec = ManifoldSpec((euclidean_block("pad", 2), se2_block("p"),
-                             *(euclidean_block(b, d) for b, d in zip(ids, dims))))
-        order = tuple(rng.permutation(ids))
-        d = sum(dims)
-        if len(dims) == 1 and data.draw(st.booleans(), "with_priors"):
-            m = d  # a mix of priors and square linear factors on one block
-            factors = [prior_factor(i, ids[0], rng.normal(size=m), "g")
-                       if rng.random() < 0.5 else
-                       linear_factor(i, order, rng.normal(size=(m, d)),
-                                     rng.normal(size=m), "g")
-                       for i in range(k)]
-        else:
-            m = data.draw(st.integers(1, 5), "m")
-            factors = [linear_factor(i, order, rng.normal(size=(m, d)),
-                                     rng.normal(size=m), "g") for i in range(k)]
-        gauge_fixed = () if gauge is None else (ids[gauge],)
+    @staticmethod
+    def assert_matches_batches_of_one(spec, factors, m, gauge_fixed, dense, rng):
         A = rng.normal(size=(m, m))
         weights = {"g": A @ A.T + 0.1 * np.eye(m)}
 
@@ -262,7 +238,7 @@ class TestLinearBatch:
         batched, per_factor = problem(), problem()
         per_factor.__dict__["batches"] = {"g": tuple(
             LinearBatch.compile(spec, per_factor.active_index, (f,)) for f in factors)}
-        assert isinstance(batched.batches["g"][0], LinearBatch)
+        assert all(isinstance(b, LinearBatch) for b in batched.batches["g"])
         x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
         with patch.object(nls, "DENSE_THRESHOLD", 200 if dense else 1):
             a = build_system(batched, x, weights)
@@ -278,6 +254,56 @@ class TestLinearBatch:
         np.testing.assert_array_equal(group_residuals(batched, x, "g"),
                                       group_residuals(per_factor, x, "g"))
 
+    @settings(max_examples=150, deadline=None)
+    @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           k=st.integers(1, 40), gauge=st.none() | st.integers(0, 2),
+           dense=st.booleans(), with_priors=st.booleans(), m=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    # one column: numpy would sum it pairwise, so it is scattered instead
+    @example(dims=[1], k=16, gauge=None, dense=True, with_priors=False, m=1, seed=0)
+    # the linear study's shape
+    @example(dims=[20], k=50, gauge=None, dense=True, with_priors=False, m=5, seed=1)
+    def test_batch_matches_per_factor(self, dims, k, gauge, dense, with_priors, m, seed):
+        rng = np.random.default_rng(seed)
+        # interleave an unused pose and vector so the batch gathers real columns
+        ids = [f"b{i}" for i in range(len(dims))]
+        spec = ManifoldSpec((euclidean_block("pad", 2), se2_block("p"),
+                             *(euclidean_block(b, d) for b, d in zip(ids, dims))))
+        order = tuple(rng.permutation(ids))
+        d = sum(dims)
+        if len(dims) == 1 and with_priors:
+            m = d  # a mix of priors and square linear factors on one block
+            factors = [prior_factor(i, ids[0], rng.normal(size=m), "g")
+                       if rng.random() < 0.5 else
+                       linear_factor(i, order, rng.normal(size=(m, d)),
+                                     rng.normal(size=m), "g")
+                       for i in range(k)]
+        else:
+            factors = [linear_factor(i, order, rng.normal(size=(m, d)),
+                                     rng.normal(size=m), "g") for i in range(k)]
+        gauge_fixed = () if gauge is None else (ids[gauge % len(dims)],)
+        self.assert_matches_batches_of_one(spec, factors, m, gauge_fixed, dense, rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(runs=st.lists(st.integers(1, 12), min_size=2, max_size=6),
+           dx=st.integers(1, 4), dy=st.integers(1, 4), m=st.integers(1, 4),
+           gauge=st.sampled_from([(), ("y",)]), dense=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_overlapping_runs_match_per_factor(self, runs, dx, dy, m, gauge, dense, seed):
+        # runs of factors alternate between ("x",) and ("x", "y"): each run
+        # is a batch, and every batch adds onto x's accumulated terms
+        rng = np.random.default_rng(seed)
+        spec = ManifoldSpec((euclidean_block("x", dx), euclidean_block("y", dy)))
+        factors = []
+        for r, size in enumerate(runs):
+            ids = ("x",) if r % 2 == 0 else ("x", "y")
+            d = dx if r % 2 == 0 else dx + dy
+            factors += [linear_factor(len(factors), ids, rng.normal(size=(m, d)),
+                                      rng.normal(size=m), "g") for _ in range(size)]
+        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+        assert len(pb.batches["g"]) == len(runs)
+        self.assert_matches_batches_of_one(spec, factors, m, gauge, dense, rng)
+
     def test_mixed_block_sets_compile_to_batches_of_one(self):
         spec = ManifoldSpec((euclidean_block("x", 2), euclidean_block("y", 2)))
         factors = (prior_factor(0, "x", np.zeros(2), "g"),
@@ -288,6 +314,44 @@ class TestLinearBatch:
         system = build_system(pb, x, {"g": np.eye(2)})
         np.testing.assert_array_equal(system.gradient, [1.0, 1.0, 2.0, 2.0])
         np.testing.assert_array_equal(system.hessian, np.eye(4))
+
+
+class TestDenseDampedSolve:
+    """The dense damped solve calls LAPACK as scipy's Cholesky wrappers do,
+    and keeps their contract."""
+
+    @staticmethod
+    def system(H, g):
+        spec = ManifoldSpec((euclidean_block("x", len(g)),))
+        return nls.LinearizedSystem(H, g, 0.0, spec.ungauged_index)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 40), damping=st.sampled_from([0.0, 1e-4, 1.0, 100.0]),
+           scale=st.floats(-6.0, 6.0), seed=st.integers(0, 2**32 - 1))
+    def test_equals_scipy_cho_solve(self, n, damping, scale, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.normal(size=(n, n))
+        H = 10.0 ** scale * (A @ A.T + 1e-3 * np.eye(n))
+        g = rng.normal(size=n)
+        expected = scipy.linalg.cho_solve(
+            scipy.linalg.cho_factor(H + damping * np.eye(n)), -g)
+        assert np.array_equal(self.system(H, g).solve_damped(damping), expected)
+
+    @pytest.mark.parametrize("where", ["hessian", "gradient"])
+    def test_non_finite_input_raises(self, where):
+        H, g = np.eye(3), np.ones(3)
+        if where == "hessian":
+            H[1, 2] = np.nan
+        else:
+            g[0] = np.inf
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            self.system(H, g).solve_damped(1e-4)
+
+    def test_indefinite_matrix_gives_none(self):
+        H = np.diag([1.0, -1.0, 2.0])
+        assert self.system(H, np.ones(3)).solve_damped(0.5) is None
+        # the factorization fails before the right-hand side is checked
+        assert self.system(H, np.full(3, np.nan)).solve_damped(0.5) is None
 
 
 def random_pose_graph(data):
