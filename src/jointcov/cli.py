@@ -17,6 +17,7 @@ import numpy as np
 from . import harness, io_pgo, joint
 from .covariance import UnboundedProblem
 from .harness import ExperimentConfig
+from .problem import VARIANTS
 
 
 def _keys_of_type(*types: str) -> set:
@@ -126,7 +127,7 @@ def _build_parser():
     p.add_argument("--input", required=True, help="g2o file")
     p.add_argument("--classes", help="edge-class override file (i j odometry|loop)")
     p.add_argument("--variant", default="ml-eig",
-                   choices=sorted(set(harness._PGO_VARIANTS.values()) | {"ml", "ml-diag", "map", "map-diag"}))
+                   choices=sorted(set(VARIANTS) - {"fixed"}))
     p.add_argument("--algorithm", default=joint.HYBRID_BCD,
                    choices=joint.ALGORITHMS)
     _add_prior_and_bounds(p)
@@ -241,9 +242,8 @@ def _dispatch(args) -> int:
         if truth_graph.num_poses != graph.num_poses:
             print("ground-truth vertex count does not match input", file=sys.stderr)
             return 2
-        cfg = _experiment_config(args, "single-run", {})
-        groups = harness._pgo_groups(cfg, args.variant, graph)
-        problem = io_pgo.pose_graph_problem(graph, groups)
+        problem, _ = harness.pose_graph_setup(
+            graph, _experiment_config(args, "single-run", {}), args.variant)
         x_true = io_pgo.graph_poses_point(truth_graph)
         P = joint.calibrate(problem, x_true)
         payload = _covariance_payload(P)

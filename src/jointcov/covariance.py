@@ -339,11 +339,7 @@ class SingularityReport:
     """Diagnosis of a sample covariance for covariance-update well-posedness."""
 
     min_eigenvalue: float
-    min_diagonal: float
-    rank: int
-    threshold: float
     is_ill_posed: bool         # unconstrained update unbounded (min eigenvalue)
-    is_ill_posed_diagonal: bool  # diagonal update unbounded (min diagonal entry)
 
 
 def diagnose_singularity(S: np.ndarray) -> SingularityReport:
@@ -354,19 +350,9 @@ def diagnose_singularity(S: np.ndarray) -> SingularityReport:
     all-residuals-zero case) is flagged.
     """
     S = symmetrize(S)
-    eigvals, _ = jacobi_eigh(S)
-    threshold = _singular_threshold(S)
-    rank = int(np.sum(eigvals > threshold))
-    min_eig = float(eigvals[0])
-    min_diag = float(np.min(np.diag(S)))
-    return SingularityReport(
-        min_eigenvalue=min_eig,
-        min_diagonal=min_diag,
-        rank=rank,
-        threshold=threshold,
-        is_ill_posed=min_eig <= threshold,
-        is_ill_posed_diagonal=min_diag <= threshold,
-    )
+    min_eig = float(jacobi_eigh(S)[0][0])
+    return SingularityReport(min_eigenvalue=min_eig,
+                             is_ill_posed=min_eig <= _singular_threshold(S))
 
 
 class OracleConvergenceError(RuntimeError):

@@ -54,15 +54,26 @@ RESULT_COLUMNS = (
 TRIAL_FAILURES = (UnboundedProblem, CutLocusError, np.linalg.LinAlgError,
                   NotPositiveDefiniteError)
 
-LINEAR_ALGORITHMS = ("elimination", "bcd", "fixed-true", "fixed-identity")
-PGO_ALGORITHMS = ("bcd", "bcd-diag", "bcd-wishart", "bcd-diag-wishart",
-                  "fixed-true", "fixed-identity")
+# Fixed-weight baselines: the true covariance's information, or the identity.
+BASELINES = ("fixed-true", "fixed-identity")
 
+LINEAR_ALGORITHMS = ("elimination", "bcd") + BASELINES
+
+# pgo algorithm -> the noise-group variant its hybrid BCD run estimates
 _PGO_VARIANTS = {
     "bcd": "ml-eig",
     "bcd-diag": "ml-diag-eig",
     "bcd-wishart": "map-eig",
     "bcd-diag-wishart": "map-diag-eig",
+}
+PGO_ALGORITHMS = tuple(_PGO_VARIANTS) + BASELINES
+
+# JointConfig.algorithm -> the name of its driver in `joint`, looked up there
+# on every call so that patches of `joint.run_*` apply
+_DRIVERS = {
+    joint.ELIMINATION: "run_elimination",
+    joint.HYBRID_BCD: "run_hybrid_bcd",
+    joint.BLOCK_EXACT_BCD: "run_block_exact_bcd",
 }
 
 
@@ -96,8 +107,9 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        for name in ("trials", "state_dim", "num_measurements", "residual_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         self.noise_grid = tuple(self.noise_grid)
         if not self.noise_grid:
             raise ValueError("noise grid must be non-empty")
@@ -127,12 +139,62 @@ class TrialRecord:
         return [getattr(self, c) for c in RESULT_COLUMNS]
 
 
-def _check_finite(rec: TrialRecord) -> None:
-    """Records carry finite metrics or an explicit failure marker."""
-    for col in ("rmse", "w2_odometry", "w2_loop", "final_F"):
-        value = getattr(rec, col)
-        if value is not None and not np.isfinite(value):
-            rec.status = f"error: non-finite {col}"
+def _selected_algorithms(config: ExperimentConfig, known: tuple) -> tuple:
+    """The config's algorithms, all of ``known`` by default; an unknown name
+    fails before anything is solved."""
+    for algorithm in config.algorithms:
+        if algorithm not in known:
+            raise ValueError(f"unknown {config.experiment} algorithm {algorithm!r}; "
+                             f"choose from {', '.join(known)}")
+    return config.algorithms or known
+
+
+def _run_trial(config: ExperimentConfig, trial: int, algorithm: str, level: float,
+               solve, metrics, skipped: str | None = None) -> TrialRecord:
+    """One result row.
+
+    ``solve()`` returns a :class:`joint.JointResult` and ``metrics(rec, x,
+    sigma)`` fills the record's error metrics from its state and its
+    covariance per group.  Both are timed together; a documented domain
+    failure is recorded in the status, and a record's metrics must be
+    finite.  A ``skipped`` trial records that reason and solves nothing.
+    """
+    rec = TrialRecord(config.experiment, trial, config.seed, algorithm,
+                      level, None, None, None, None, None, None)
+    if skipped is not None:
+        rec.status = f"skipped: {skipped}"
+        return rec
+    start = time.perf_counter()
+    try:
+        res = solve()
+        rec.cov_update_ms = res.cov_update_ms
+        rec.objective_trace = tuple(t.objective for t in res.trace)
+        metrics(rec, res.x, {gid: np.linalg.inv(P) for gid, P in res.information.items()})
+        rec.final_F = float(res.objective)
+        rec.iters = int(res.iterations)
+    except TRIAL_FAILURES as err:  # per-trial failure: record and continue
+        rec.status = f"error: {type(err).__name__}: {err}"
+    else:
+        for col in ("rmse", "w2_odometry", "w2_loop", "final_F"):
+            value = getattr(rec, col)
+            if value is not None and not np.isfinite(value):
+                rec.status = f"error: non-finite {col}"
+    rec.wall_ms = (time.perf_counter() - start) * 1e3
+    return rec
+
+
+def _solve_joint(problem: JointProblem, x_init: ManifoldPoint,
+                 config: joint.JointConfig) -> joint.JointResult:
+    return getattr(joint, _DRIVERS[config.algorithm])(problem, x_init, config)
+
+
+def _solve_fixed(problem: JointProblem, x_init: ManifoldPoint, weights: dict,
+                 max_iterations: int) -> joint.JointResult:
+    """A fixed-weight baseline, as a result whose information is ``weights``."""
+    res = nls.solve_fixed_P(problem, x_init, weights,
+                            nls.NlsConfig(max_iterations=max_iterations))
+    return joint.JointResult(res.x, weights, joint.joint_objective(problem, res.x, weights),
+                             res.iterations, res.converged, (), frozenset())
 
 
 def rmse(x_est: ManifoldPoint, x_true: ManifoldPoint, which: str = "all") -> float:
@@ -210,7 +272,7 @@ def run_linear_mc(config: ExperimentConfig) -> list[TrialRecord]:
     Failures are recorded per trial and the run continues.
     """
     n, k, m = config.state_dim, config.num_measurements, config.residual_dim
-    algorithms = config.algorithms or LINEAR_ALGORITHMS
+    algorithms = _selected_algorithms(config, LINEAR_ALGORITHMS)
     sigma_base = base_covariance(config.seed, m)
     x_true_vec = np.ones(n)
     records = []
@@ -232,47 +294,25 @@ def run_linear_mc(config: ExperimentConfig) -> list[TrialRecord]:
 
 def _run_linear_algorithm(config, algorithm, problem, x0, sigma_true, x_true_vec,
                           trial, sigma2) -> TrialRecord:
-    m = sigma_true.shape[0]
-    rec = TrialRecord(config.experiment, trial, config.seed, algorithm,
-                      sigma2, None, None, None, None, None, None)
-    start = time.perf_counter()
-    try:
-        if algorithm in ("fixed-true", "fixed-identity"):
-            P = np.linalg.inv(sigma_true) if algorithm == "fixed-true" else np.eye(m)
-            res = nls.solve_fixed_P(problem, x0, {"g": P},
-                                    nls.NlsConfig(max_iterations=25))
-            x_est, iters = res.x, res.iterations
-            final_F = joint.joint_objective(problem, x_est, {"g": P})
-            sigma_est = np.linalg.inv(P)
+    def solve():
+        if algorithm in BASELINES:
+            P = (np.linalg.inv(sigma_true) if algorithm == "fixed-true"
+                 else np.eye(len(sigma_true)))
+            return _solve_fixed(problem, x0, {"g": P}, 25)
+        if algorithm == "bcd":
+            cfg = joint.JointConfig(algorithm=joint.BLOCK_EXACT_BCD,
+                                    max_outer_iterations=config.bcd_iterations)
         else:
-            if algorithm == "bcd":
-                cfg = joint.JointConfig(algorithm=joint.BLOCK_EXACT_BCD,
-                                        max_outer_iterations=config.bcd_iterations)
-                res = joint.run_block_exact_bcd(problem, x0, cfg)
-            elif algorithm == "elimination":
-                cfg = joint.JointConfig(
-                    algorithm=joint.ELIMINATION,
-                    max_outer_iterations=config.elimination_iterations,
-                    f_tol=1e-12)
-                res = joint.run_elimination(problem, x0, cfg)
-            else:
-                raise ValueError(f"unknown algorithm {algorithm!r}")
-            x_est, iters = res.x, res.iterations
-            final_F = res.objective
-            sigma_est = np.linalg.inv(res.information["g"])
-            rec.cov_update_ms = res.cov_update_ms
-            rec.objective_trace = tuple(t.objective for t in res.trace)
-        x_true = ManifoldPoint(x_est.spec, (x_true_vec,))
-        rec.rmse = rmse(x_est, x_true, "all")
-        rec.w2_odometry = wasserstein2(sigma_est, sigma_true)
-        rec.final_F = float(final_F)
-        rec.iters = int(iters)
-    except TRIAL_FAILURES as err:  # per-trial failure: record and continue
-        rec.status = f"error: {type(err).__name__}: {err}"
-    else:
-        _check_finite(rec)
-    rec.wall_ms = (time.perf_counter() - start) * 1e3
-    return rec
+            cfg = joint.JointConfig(algorithm=joint.ELIMINATION,
+                                    max_outer_iterations=config.elimination_iterations,
+                                    f_tol=1e-12)
+        return _solve_joint(problem, x0, cfg)
+
+    def metrics(rec, x_est, sigma_est):
+        rec.rmse = rmse(x_est, ManifoldPoint(x_est.spec, (x_true_vec,)), "all")
+        rec.w2_odometry = wasserstein2(sigma_est["g"], sigma_true)
+
+    return _run_trial(config, trial, algorithm, sigma2, solve, metrics)
 
 
 # ---------------------------------------------------------------------------
@@ -297,31 +337,35 @@ def _pgo_noise_spec(config: ExperimentConfig, alpha: float, seed: int,
     return SyntheticNoiseSpec(info, seed=seed, alpha=alpha)
 
 
-def _pgo_groups(config: ExperimentConfig, variant: str, graph,
-                fixed_info=None) -> list[NoiseGroup]:
-    """Noise groups for one run: per edge class when heteroscedastic."""
-    bounds = (config.lam_min, config.lam_max)
+def pose_graph_setup(graph, config: ExperimentConfig, variant: str,
+                     algorithm: str = joint.HYBRID_BCD, fixed_info=None):
+    """The pose-graph problem, with ``config``'s noise model, and the
+    :class:`joint.JointConfig` of ``algorithm`` at its outer iteration cap.
+
+    One group per edge class when heteroscedastic, else one for all edges,
+    each of ``variant`` with ``config``'s eigenvalue bounds and, for MAP
+    variants, a Wishart prior; ``fixed_info(name)``, if given, fixes each
+    group's information instead.
+    """
     if config.heteroscedastic:
-        class_counts = {
-            ODOMETRY: len(graph.edges_of_kind(ODOMETRY)),
-            LOOP: len(graph.edges_of_kind(LOOP)),
-        }
-        names = [ODOMETRY, LOOP]
+        class_counts = {ODOMETRY: len(graph.edges_of_kind(ODOMETRY)),
+                        LOOP: len(graph.edges_of_kind(LOOP))}
     else:
         class_counts = {"all": len(graph.edges)}
-        names = ["all"]
     groups = []
-    for name in names:
+    for name, count in class_counts.items():
         if fixed_info is not None:
-            groups.append(NoiseGroup(name, 3, "fixed",
-                                     information=fixed_info(name)))
+            groups.append(NoiseGroup(name, 3, "fixed", information=fixed_info(name)))
             continue
         prior = None
         if variant.startswith("map"):
-            prior = mode_match_prior(config.sigma0 * np.eye(3), config.w_prior,
-                                     class_counts[name])
-        groups.append(NoiseGroup(name, 3, variant, prior=prior, bounds=bounds))
-    return groups
+            prior = mode_match_prior(config.sigma0 * np.eye(3), config.w_prior, count)
+        groups.append(NoiseGroup(name, 3, variant, prior=prior,
+                                 bounds=(config.lam_min, config.lam_max)))
+    jcfg = joint.JointConfig(algorithm=algorithm,
+                             max_outer_iterations=config.outer_iterations,
+                             nls=nls.NlsConfig(step_mode=nls.SINGLE_ITERATION))
+    return io_pgo.pose_graph_problem(graph, groups), jcfg
 
 
 def run_pgo_ablation(config: ExperimentConfig) -> list[TrialRecord]:
@@ -338,9 +382,31 @@ def run_pgo_ablation(config: ExperimentConfig) -> list[TrialRecord]:
     ``config.dataset_truth`` when available; the true-covariance baseline
     and W2 metrics are skipped since the true noise model is unknown).
     """
-    algorithms = config.algorithms or PGO_ALGORITHMS
+    algorithms = _selected_algorithms(config, PGO_ALGORITHMS)
+    records = []
+    for trial, alpha, graph, truth, x_init, noise in _pgo_instances(config):
+        for algorithm in algorithms:
+            records.append(_run_pgo_algorithm(
+                config, algorithm, graph, truth, x_init, noise, trial, alpha))
+    return records
+
+
+def _pgo_instances(config: ExperimentConfig):
+    """(trial, alpha, graph, truth, x_init, noise) per run: a fresh noise
+    realization of the generated topology per (level, trial), or the fixed
+    dataset (truth possibly None, noise None, alpha 0) per trial."""
     if config.dataset is not None:
-        return _run_pgo_on_dataset(config, algorithms)
+        graph = io_pgo.load_g2o(config.dataset)
+        truth = None
+        if config.dataset_truth is not None:
+            truth_graph = io_pgo.load_g2o(config.dataset_truth)
+            if truth_graph.num_poses != graph.num_poses:
+                raise ValueError("ground-truth vertex count does not match dataset")
+            truth = io_pgo.graph_poses_point(truth_graph)
+        x_init = io_pgo.spanning_tree_init(graph)
+        for trial in range(config.trials):
+            yield trial, 0.0, graph, truth, x_init, None
+        return
 
     gen_cfg = {}
     if config.generator is not None:
@@ -352,8 +418,6 @@ def run_pgo_ablation(config: ExperimentConfig) -> list[TrialRecord]:
     trajectory_seed = gen_cfg.get("trajectory_seed", config.seed)
     gen_kwargs = {k: gen_cfg[k] for k in ("loop_fraction", "loop_radius", "loop_gap")
                   if k in gen_cfg}
-
-    records = []
     for level_idx, alpha in enumerate(config.noise_grid):
         for trial in range(config.trials):
             noise = _pgo_noise_spec(config, alpha,
@@ -362,35 +426,7 @@ def run_pgo_ablation(config: ExperimentConfig) -> list[TrialRecord]:
             graph, truth = io_pgo.generate_manhattan_like(
                 num_poses, scheme, noise,
                 trajectory_seed=trajectory_seed, **gen_kwargs)
-            x_init = io_pgo.spanning_tree_init(graph)
-            for algorithm in algorithms:
-                records.append(_run_pgo_algorithm(
-                    config, algorithm, graph, truth, x_init, noise, trial, alpha))
-    return records
-
-
-def _run_pgo_on_dataset(config: ExperimentConfig, algorithms) -> list[TrialRecord]:
-    graph = io_pgo.load_g2o(config.dataset)
-    truth = None
-    if config.dataset_truth is not None:
-        truth_graph = io_pgo.load_g2o(config.dataset_truth)
-        if truth_graph.num_poses != graph.num_poses:
-            raise ValueError("ground-truth vertex count does not match dataset")
-        truth = io_pgo.graph_poses_point(truth_graph)
-    x_init = io_pgo.spanning_tree_init(graph)
-    records = []
-    for trial in range(config.trials):
-        for algorithm in algorithms:
-            if algorithm == "fixed-true":
-                rec = TrialRecord(config.experiment, trial, config.seed,
-                                  algorithm, 0.0, None, None, None, None,
-                                  None, None,
-                                  status="skipped: true covariance unknown")
-                records.append(rec)
-                continue
-            records.append(_run_pgo_algorithm(
-                config, algorithm, graph, truth, x_init, None, trial, 0.0))
-    return records
+            yield trial, alpha, graph, truth, io_pgo.spanning_tree_init(graph), noise
 
 
 def _mix(*parts: int) -> int:
@@ -399,57 +435,28 @@ def _mix(*parts: int) -> int:
 
 def _run_pgo_algorithm(config, algorithm, graph, truth, x_init, noise,
                        trial, alpha) -> TrialRecord:
-    rec = TrialRecord(config.experiment, trial, config.seed, algorithm,
-                      alpha, None, None, None, None, None, None)
-    start = time.perf_counter()
-    try:
-        if algorithm in ("fixed-true", "fixed-identity"):
-            if algorithm == "fixed-true":
-                fixed_info = noise.information_for
-            else:
-                fixed_info = lambda name: np.eye(3)  # noqa: E731
-            groups = _pgo_groups(config, "fixed", graph, fixed_info=fixed_info)
-            problem = io_pgo.pose_graph_problem(graph, groups)
-            weights = {g.group_id: g.information for g in groups}
-            res = nls.solve_fixed_P(
-                problem, x_init, weights,
-                nls.NlsConfig(max_iterations=config.baseline_iterations))
-            x_est, iters = res.x, res.iterations
-            final_F = joint.joint_objective(problem, x_est, weights)
-            sigma_est = {g.group_id: np.linalg.inv(g.information) for g in groups}
-        else:
-            variant = _PGO_VARIANTS[algorithm]
-            groups = _pgo_groups(config, variant, graph)
-            problem = io_pgo.pose_graph_problem(graph, groups)
-            cfg = joint.JointConfig(
-                algorithm=joint.HYBRID_BCD,
-                max_outer_iterations=config.outer_iterations,
-                nls=nls.NlsConfig(step_mode=nls.SINGLE_ITERATION))
-            res = joint.run_hybrid_bcd(problem, x_init, cfg)
-            x_est, iters = res.x, res.iterations
-            final_F = res.objective
-            sigma_est = {gid: np.linalg.inv(P) for gid, P in res.information.items()}
-            rec.cov_update_ms = res.cov_update_ms
-            rec.objective_trace = tuple(t.objective for t in res.trace)
+    def solve():
+        if algorithm in BASELINES:
+            fixed_info = (noise.information_for if algorithm == "fixed-true"
+                          else lambda name: np.eye(3))
+            problem, _ = pose_graph_setup(graph, config, "fixed", fixed_info=fixed_info)
+            weights = {g.group_id: g.information for g in problem.groups}
+            return _solve_fixed(problem, x_init, weights, config.baseline_iterations)
+        problem, jcfg = pose_graph_setup(graph, config, _PGO_VARIANTS[algorithm])
+        return _solve_joint(problem, x_init, jcfg)
+
+    def metrics(rec, x_est, sigma_est):
         if truth is not None:
             rec.rmse = rmse(x_est, truth, "positions")
         if noise is not None:
-            if config.heteroscedastic:
-                rec.w2_odometry = wasserstein2(sigma_est[ODOMETRY],
-                                               noise.covariance_for(ODOMETRY))
-                rec.w2_loop = wasserstein2(sigma_est[LOOP],
-                                           noise.covariance_for(LOOP))
-            else:
-                rec.w2_odometry = wasserstein2(sigma_est["all"],
-                                               noise.covariance_for("all"))
-        rec.final_F = float(final_F)
-        rec.iters = int(iters)
-    except TRIAL_FAILURES as err:  # per-trial failure: record and continue
-        rec.status = f"error: {type(err).__name__}: {err}"
-    else:
-        _check_finite(rec)
-    rec.wall_ms = (time.perf_counter() - start) * 1e3
-    return rec
+            classes = (ODOMETRY, LOOP) if config.heteroscedastic else ("all",)
+            for column, name in zip(("w2_odometry", "w2_loop"), classes):
+                setattr(rec, column, wasserstein2(sigma_est[name],
+                                                  noise.covariance_for(name)))
+
+    skipped = ("true covariance unknown"
+               if noise is None and algorithm == "fixed-true" else None)
+    return _run_trial(config, trial, algorithm, alpha, solve, metrics, skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -460,19 +467,8 @@ def solve_graph(graph, cfg: ExperimentConfig, variant: str = "ml-eig",
                 algorithm: str = joint.HYBRID_BCD):
     """Jointly solve one pose graph with the noise model and outer iteration
     cap of ``cfg``; returns (JointResult, problem)."""
-    groups = _pgo_groups(cfg, variant, graph)
-    problem = io_pgo.pose_graph_problem(graph, groups)
-    x_init = io_pgo.spanning_tree_init(graph)
-    jcfg = joint.JointConfig(algorithm=algorithm,
-                             max_outer_iterations=cfg.outer_iterations,
-                             nls=nls.NlsConfig(step_mode=nls.SINGLE_ITERATION))
-    if algorithm == joint.ELIMINATION:
-        result = joint.run_elimination(problem, x_init, jcfg)
-    elif algorithm == joint.BLOCK_EXACT_BCD:
-        result = joint.run_block_exact_bcd(problem, x_init, jcfg)
-    else:
-        result = joint.run_hybrid_bcd(problem, x_init, jcfg)
-    return result, problem
+    problem, jcfg = pose_graph_setup(graph, cfg, variant, algorithm)
+    return _solve_joint(problem, io_pgo.spanning_tree_init(graph), jcfg), problem
 
 
 # ---------------------------------------------------------------------------

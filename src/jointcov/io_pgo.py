@@ -242,29 +242,25 @@ def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
     return ManifoldPoint.from_arrays(pose_manifold(n), poses)
 
 
-def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup],
-                       classify=None, gauge_first: bool = True) -> JointProblem:
-    """Build the estimation problem for a pose graph.
+def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup]) -> JointProblem:
+    """Build the estimation problem for a pose graph, with pose 0 gauge-fixed.
 
     With a single noise group every edge joins it; with groups named
-    ``odometry`` and ``loop`` edges join by class; otherwise pass
-    ``classify(edge) -> group_id``.
+    ``odometry`` and ``loop`` edges join by class.
     """
     groups = tuple(groups)
-    if classify is None:
-        if len(groups) == 1:
-            gid = groups[0].group_id
-            classify = lambda e: gid  # noqa: E731
-        elif {g.group_id for g in groups} == {ODOMETRY, LOOP}:
-            classify = lambda e: e.kind  # noqa: E731
-        else:
-            raise ValueError("ambiguous group assignment: pass classify()")
+    if len(groups) == 1:
+        gid = groups[0].group_id
+        classify = lambda e: gid  # noqa: E731
+    elif {g.group_id for g in groups} == {ODOMETRY, LOOP}:
+        classify = lambda e: e.kind  # noqa: E731
+    else:
+        raise ValueError("pose-graph groups must be one group, or 'odometry' and 'loop'")
     spec = pose_manifold(graph.num_poses)
     factors = tuple(
         relative_se2_factor(idx, e.i, e.j, e.z, classify(e))
         for idx, e in enumerate(graph.edges))
-    gauge = frozenset({0}) if gauge_first else frozenset()
-    return JointProblem(spec, factors, groups, gauge)
+    return JointProblem(spec, factors, groups, frozenset({0}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,9 +374,15 @@ def _check_generator_args(num_poses, loop_fraction, loop_radius, loop_gap) -> No
         raise ValueError(f"loop_gap must be an int >= 1, got {loop_gap!r}")
 
 
+# Settings of a run, not of its graph: generator-config key -> the CLI flag
+_RUN_FLAGS = {"seed": "--seed", "alpha": "--alpha-grid"}
+
+
 def parse_generator_config(source: str | TextIO) -> dict:
-    """Key-value generator config: num_poses, alpha, seed, scheme,
-    trajectory_seed, and per-class ``information <class> d1 d2 d3`` lines."""
+    """Key-value generator config: num_poses, scheme, trajectory_seed,
+    loop_fraction, loop_radius, loop_gap, and per-class ``information
+    <class> d1 d2 d3`` lines.  The noise seed and level are run settings,
+    so ``seed`` and ``alpha`` are rejected."""
     stream = StringIO(source) if isinstance(source, str) else source
     cfg: dict = {"information": {}}
     for lineno, line in enumerate(stream, start=1):
@@ -388,12 +390,15 @@ def parse_generator_config(source: str | TextIO) -> dict:
         if not parts or parts[0].startswith("#"):
             continue
         key = parts[0]
+        if key in _RUN_FLAGS:
+            raise GraphFormatError(f"line {lineno}: key {key!r} is not a generator "
+                                   f"setting; pass {_RUN_FLAGS[key]}")
         try:
             if key == "num_poses":
                 cfg["num_poses"] = int(parts[1])
-            elif key in ("seed", "trajectory_seed", "loop_gap"):
+            elif key in ("trajectory_seed", "loop_gap"):
                 cfg[key] = int(parts[1])
-            elif key in ("alpha", "loop_fraction", "loop_radius"):
+            elif key in ("loop_fraction", "loop_radius"):
                 cfg[key] = float(parts[1])
             elif key == "scheme":
                 cfg["scheme"] = parts[1]

@@ -22,11 +22,12 @@ bit, to the same factors' as batches of one.
 
 The sparse Hessian's structure is analysed once per problem
 (:attr:`JointProblem.hessian_pattern`, compiled on the first sparse
-Hessian build): a CSC pattern with each batch's index into its values, and
-one fill-reducing symmetric ordering of the blocks, which depends on the
-pattern alone.  Each damping trial then adds the damping on the diagonal
-of the reordered values and runs a numeric LU without pivoting, which
-suits ``H + damping I``, symmetric positive (semi-)definite.
+Hessian build): one fill-reducing symmetric ordering of the blocks, which
+depends on the pattern alone, and one CSC pattern of the Hessian in that
+order, with each batch's index into its values.  Assembly sums the terms
+straight into that CSC.  Each damping trial adds the damping on the
+diagonal of a copy of the values and runs a numeric LU without pivoting,
+which suits ``H + damping I``, symmetric positive (semi-)definite.
 
 The weighted cost is ``1/2 sum_i r_i(x)^T W_{g(i)} r_i(x)`` with one weight
 matrix per noise group; any group-level scale factors are the caller's
@@ -93,7 +94,9 @@ class NlsConfig:
 class LinearizedSystem:
     """Normal equations J^T W J delta = -J^T W r at the linearization point.
 
-    A sparse ``hessian`` is CSC on ``pattern`` (in active-tangent order).
+    The gradient is in active-tangent order.  A sparse ``hessian`` is CSC on
+    ``pattern``, in its fill-reducing order q = ``pattern.order``: it holds
+    ``H[q][:, q]``.
     """
 
     hessian: object                  # (n, n) ndarray or scipy.sparse matrix
@@ -109,16 +112,19 @@ class LinearizedSystem:
     def solve_damped(self, damping: float):
         """Solve (H + damping I) delta = -gradient; None if factorization fails.
 
-        A sparse H is factorized as ``(H + damping I)[q][:, q]`` in the
-        pattern's fill-reducing order q, by LU without pivoting: the matrix
+        A sparse H, stored as ``H[q][:, q]``, is factorized with the damping
+        added on a copy of its diagonal, by LU without pivoting: the matrix
         is symmetric positive semi-definite, and definite for damping > 0.
         """
         n = self.index.dim
         p = self.pattern
         if p is not None:
+            H = self.hessian
+            data = H.data.copy()
+            data[p.diagonal] += damping
             try:
                 lu = scipy.sparse.linalg.splu(
-                    p.permuted(self.hessian, damping),
+                    scipy.sparse.csc_matrix((data, H.indices, H.indptr), shape=H.shape),
                     permc_spec="NATURAL", diag_pivot_thresh=0.0,
                     relax=_LU_RELAX, panel_size=_LU_PANEL_SIZE,
                     options={"SymmetricMode": True})

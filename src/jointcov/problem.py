@@ -17,7 +17,8 @@ tangent.  Positions are laid out factor-major (all of factor i's before
 factor i+1's) because assembly adds terms in that order: summed in factor
 order, a batch linearizes bit for bit like the same factors as batches of
 one.  From the positions, :attr:`JointProblem.hessian_pattern` compiles
-the sparse Hessian's structure and fill-reducing order once per problem.
+once per problem one CSC structure of the sparse Hessian, in a
+fill-reducing order of the blocks.
 
 The relative-pose kernel (:func:`_batch_relative_se2`) is one fused pass:
 it forms ``b^-1 . a . z`` in closed form from the point's cached pose trig
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable
 
 import numpy as np
 
@@ -235,10 +236,7 @@ class JointProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "factors", tuple(self.factors))
-        if isinstance(self.groups, Mapping):
-            object.__setattr__(self, "groups", tuple(self.groups.values()))
-        else:
-            object.__setattr__(self, "groups", tuple(self.groups))
+        object.__setattr__(self, "groups", tuple(self.groups))
         object.__setattr__(self, "gauge_fixed", frozenset(self.gauge_fixed))
         ids = [g.group_id for g in self.groups]
         if len(set(ids)) != len(ids):
@@ -290,10 +288,6 @@ class JointProblem:
             raise ValueError(f"factor {bad.factor_id} has non-finite values")
 
     @cached_property
-    def group_table(self) -> dict:
-        return {g.group_id: g for g in self.groups}
-
-    @cached_property
     def factors_by_group(self) -> dict:
         out: dict = {g.group_id: [] for g in self.groups}
         for f in self.factors:
@@ -333,9 +327,6 @@ class JointProblem:
         return HessianPattern.compile(
             [b for g in self.groups for b in self.batches[g.group_id]],
             self.active_index)
-
-    def group(self, group_id) -> NoiseGroup:
-        return self.group_table[group_id]
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,9 +400,9 @@ class LinearBatch(Batch):
     """Linear and prior factors on the same distinct Euclidean blocks.
 
     ``cols`` are the blocks' entries in :attr:`ManifoldPoint.vector`, in the
-    factors' block order; ``H`` ``(k, m, d)`` and ``z`` ``(k, m)`` stack the
-    observation matrices (the identity for a prior) and the measurements, so
-    the Jacobian is ``-H``.
+    factors' block order; ``J`` ``(k, m, d)``, read-only, stacks the
+    Jacobians, the negated observation matrices (``-I`` for a prior), and
+    ``z`` ``(k, m)`` the measurements, so the residuals are ``z + J x``.
 
     Every factor sits on the same positions, so assembly sums the factors'
     terms, in factor order, onto the accumulator's values at
@@ -421,7 +412,7 @@ class LinearBatch(Batch):
     """
 
     cols: np.ndarray
-    H: np.ndarray
+    J: np.ndarray
     z: np.ndarray
 
     @cached_property
@@ -432,17 +423,19 @@ class LinearBatch(Batch):
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "LinearBatch":
         ids = factors[0].block_ids
         slices = [spec._storage[spec.position(bid)][1] for bid in ids]
-        H = np.array([f.H if f.kind == LINEAR_GAUSSIAN else np.eye(f.dim) for f in factors])
+        J = -np.array([f.H if f.kind == LINEAR_GAUSSIAN else np.eye(f.dim) for f in factors])
+        J.setflags(write=False)
         return cls(tuple(np.full(len(factors), index.offsets[bid]) for bid in ids),
                    tuple(sl.stop - sl.start for sl in slices), index.dim,
                    np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
-                   H, np.array([f.z for f in factors]))
+                   J, np.array([f.z for f in factors]))
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
-        return self.z - self.H @ x.vector[self.cols]
+        # z - H x, bit for bit: negation is exact
+        return self.z + self.J @ x.vector[self.cols]
 
     def linearize(self, x: ManifoldPoint):
-        return self.residuals(x), -self.H
+        return self.residuals(x), self.J
 
 
 @dataclass(frozen=True, eq=False)
@@ -488,31 +481,26 @@ class CustomBatch(Batch):
 
 @dataclass(frozen=True, eq=False)
 class HessianPattern:
-    """Compiled CSC structure of the sparse Hessian over the active tangent.
+    """Compiled CSC structure of the sparse Hessian in a fill-reducing order.
 
-    ``indptr`` and ``indices`` (int32, rows sorted in each column) hold
-    every entry that a factor couples, plus the whole diagonal.  A factor
-    couples whole blocks, so in each column a block's rows have consecutive
-    data indices.  ``heads`` holds per batch ``(first, row_slot,
-    row_step)``: ``first`` ``(k, S, D)`` is the data index of each connected
-    block's first row in each of the factor's D columns, and each of the D
-    rows lies ``row_step`` rows below the first row of block ``row_slot``.
-
-    ``order`` is a fill-reducing symmetric permutation q that keeps blocks
-    contiguous.  ``H[q][:, q]`` has the pattern
-    ``permuted_indptr``/``permuted_indices`` and the values
-    ``H.data[permuted_take]``, with the diagonal at the data indices
-    ``permuted_diagonal``.
+    ``order`` is a symmetric permutation q of the active tangent that keeps
+    each block's coordinates contiguous and in their order; ``H[q][:, q]``
+    factorizes with less fill than H.  ``indptr`` and ``indices`` (int32,
+    rows sorted in each column) are the structure of ``H[q][:, q]``: every
+    entry that a factor couples, plus the whole diagonal, whose data indices
+    are ``diagonal``.  A factor couples whole blocks, so in each column a
+    block's rows have consecutive data indices.  ``heads`` holds per batch
+    ``(first, row_slot, row_step)``: ``first`` ``(k, S, D)`` is the data
+    index of each connected block's first row in each of the factor's D
+    columns, and each of the D rows lies ``row_step`` rows below the first
+    row of block ``row_slot``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
+    diagonal: np.ndarray
     heads: tuple
     order: np.ndarray
-    permuted_indptr: np.ndarray
-    permuted_indices: np.ndarray
-    permuted_take: np.ndarray
-    permuted_diagonal: np.ndarray
 
     def __post_init__(self):
         # every sparse Hessian built on this pattern shares these arrays
@@ -520,7 +508,7 @@ class HessianPattern:
         self.indices.setflags(write=False)
 
     def matrix(self, terms: np.ndarray):
-        """The Hessian, CSC, from every batch's ``(D, D)`` block terms,
+        """``H[q][:, q]``, CSC, from every batch's ``(D, D)`` block terms,
         raveled in assembly order (batches in turn, each factor-major) and
         summed in that order; terms of gauge-fixed blocks are dropped."""
         import scipy.sparse  # here, not at module level: it slows `import jointcov`
@@ -533,30 +521,11 @@ class HessianPattern:
         return scipy.sparse.csc_matrix((data, self.indices, self.indptr),
                                        shape=(n, n), dtype=float)
 
-    def permuted(self, hessian, damping: float):
-        """``(H + damping I)[q][:, q]``, CSC, of a :meth:`matrix` H, with q
-        = ``order``."""
-        import scipy.sparse
-
-        data = hessian.data[self.permuted_take]
-        data[self.permuted_diagonal] += damping
-        return scipy.sparse.csc_matrix(
-            (data, self.permuted_indices, self.permuted_indptr), shape=hessian.shape)
-
     @classmethod
     def compile(cls, batches, index: ActiveIndex) -> "HessianPattern":
         n = index.dim
         starts = np.unique([off for off in index.offsets.values() if off < n])
         firsts = [np.stack(b.offsets, axis=1) for b in batches]  # (k, S)
-        pos = [b.positions() for b in batches]
-        keys = np.unique(np.concatenate(
-            [_pair_keys(p, p, n).ravel() for p in pos] + [np.arange(n) * (n + 1)]))
-        keys = keys[keys < n * n]
-        heads = tuple((np.searchsorted(keys, _pair_keys(f, p, n)).astype(np.int32),
-                       np.repeat(np.arange(len(b.dims)), b.dims),
-                       np.concatenate([np.arange(d) for d in b.dims]))
-                      for b, f, p in zip(batches, firsts, pos))
-        indptr, indices = _csc_arrays(keys, n)
 
         # order the blocks, then expand each block to its coordinates
         nb = len(starts)
@@ -567,16 +536,20 @@ class HessianPattern:
         sizes = np.diff(starts, append=n)[block_order]
         order = np.repeat(starts[block_order] - (np.cumsum(sizes) - sizes), sizes) + np.arange(n)
 
-        rank = np.empty(n, dtype=np.int64)
+        # each position's place in that order; gauge-fixed positions map to n
+        rank = np.full(n + 1, n)
         rank[order] = np.arange(n)
-        permuted_keys = rank[keys // n] * n + rank[keys % n]
-        take = np.argsort(permuted_keys)
-        permuted_keys = permuted_keys[take]
-        permuted_indptr, permuted_indices = _csc_arrays(permuted_keys, n)
-        permuted_diagonal = np.flatnonzero(
-            permuted_keys // n == permuted_keys % n).astype(np.int32)
-        return cls(indptr, indices, heads, order.astype(np.int32), permuted_indptr,
-                   permuted_indices, take.astype(np.int32), permuted_diagonal)
+        firsts = [rank[np.minimum(f, n)] for f in firsts]
+        pos = [rank[np.minimum(b.positions(), n)] for b in batches]
+        keys = np.unique(np.concatenate(
+            [_pair_keys(p, p, n).ravel() for p in pos] + [np.arange(n) * (n + 1)]))
+        keys = keys[keys < n * n]
+        heads = tuple((np.searchsorted(keys, _pair_keys(f, p, n)).astype(np.int32),
+                       np.repeat(np.arange(len(b.dims)), b.dims),
+                       np.concatenate([np.arange(d) for d in b.dims]))
+                      for b, f, p in zip(batches, firsts, pos))
+        diagonal = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
+        return cls(*_csc_arrays(keys, n), diagonal, heads, order.astype(np.int32))
 
 
 def _pair_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:

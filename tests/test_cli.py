@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from jointcov import joint, nls
 from jointcov.cli import load_config_file, main
 from jointcov.harness import ExperimentConfig, read_results
 from jointcov.io_pgo import (
@@ -105,6 +106,36 @@ class TestPgoCommand:
         assert by_alg["bcd"].status == "ok"
         assert by_alg["bcd"].rmse is not None
         assert by_alg["fixed-true"].status.startswith("skipped")
+
+
+class TestBoundaryErrors:
+    """Bad experiment settings end in one error line before anything is solved."""
+
+    @pytest.mark.parametrize("command, experiment", [("linear-mc", "linear-mc"),
+                                                     ("pgo", "pgo-ablation")])
+    def test_unknown_algorithm_fails_before_solving(self, tmp_path, capsys,
+                                                    monkeypatch, command, experiment):
+        def solved(*args, **kwargs):
+            raise AssertionError("solved before the algorithm names were checked")
+
+        for name in ("solve_fixed_P", "run_block_exact_bcd", "run_hybrid_bcd"):
+            monkeypatch.setattr(nls if name == "solve_fixed_P" else joint, name, solved)
+        out = tmp_path / "r.csv"
+        rc = main([command, "--trials", "1", "--algorithms", "bcd,foo",
+                   "--output", str(out)])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: unknown {experiment} algorithm 'foo'; choose from ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--state-dim", "--num-measurements",
+                                      "--residual-dim"])
+    def test_non_positive_size_rejected(self, tmp_path, capsys, flag):
+        rc = main(["linear-mc", "--trials", "1", flag, "0",
+                   "--output", str(tmp_path / "r.csv")])
+        assert rc == 2
+        name = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1"]
 
 
 class TestSolveCommand:

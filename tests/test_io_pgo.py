@@ -470,9 +470,7 @@ class TestGeneratorConfig:
 # synthetic dataset
 num_poses 40
 scheme densified
-seed 11
 trajectory_seed 4
-alpha 5
 information odometry 1000 1000 800
 information loop 100 200 150
 """
@@ -488,6 +486,14 @@ information loop 100 200 150
     def test_unknown_key_rejected(self):
         with pytest.raises(GraphFormatError, match="unknown key"):
             parse_generator_config("bogus 3\n")
+
+    @pytest.mark.parametrize("key, flag", [("seed", "--seed"), ("alpha", "--alpha-grid")])
+    def test_run_setting_rejected_with_its_flag(self, key, flag):
+        # the noise seed and level come from the run, not the generator config
+        with pytest.raises(GraphFormatError,
+                           match=f"line 2: key '{key}' is not a generator setting; "
+                                 f"pass {flag}$"):
+            parse_generator_config(f"num_poses 40\n{key} 5\n")
 
 
 class TestProblemBuild:

@@ -185,9 +185,12 @@ class TestSparsity:
                     expected.add((b, b))
             if u not in pb.gauge_fixed and v not in pb.gauge_fixed:
                 expected.add(tuple(sorted((u, v))))
-        # structural check on the assembled matrix: nonzero blocks are
-        # exactly the connected pairs (blocks 1..5 are active)
-        H = system.hessian.toarray()
+        # structural check on the assembled matrix, back in natural order
+        # (it is stored as H[q][:, q]): nonzero blocks are exactly the
+        # connected pairs (blocks 1..5 are active)
+        q = system.pattern.order
+        H = np.zeros(system.hessian.shape)
+        H[np.ix_(q, q)] = system.hessian.toarray()
         n_blocks = 5
         for bi in range(n_blocks):
             for bj in range(n_blocks):
@@ -420,7 +423,11 @@ class TestCompiledSparseSolve:
         with patch.object(nls, "DENSE_THRESHOLD", 1):
             system = build_system(pb, x, weights)
         H = system.hessian
-        ref, abs_sum, count, dense = coo_hessian(pb, x, weights)
+        # the references, in the pattern's order q: H holds H[q][:, q]
+        q = system.pattern.order
+        *coo, dense = coo_hessian(pb, x, weights)
+        ref, abs_sum, count = (a[q][:, q].sorted_indices() for a in coo)
+        dense = dense[np.ix_(q, q)]
         np.testing.assert_array_equal(H.indptr, ref.indptr)
         np.testing.assert_array_equal(H.indices, ref.indices)
         # the terms are summed in factor order, as np.add.at does; scipy sums
@@ -432,8 +439,9 @@ class TestCompiledSparseSolve:
         n = pb.active_index.dim
         for damping in (1e-4, 1.0, 100.0) + ((0.0,) if pb.gauge_fixed else ()):
             delta = system.solve_damped(damping)
-            expected = scipy.linalg.cho_solve(
-                scipy.linalg.cho_factor(dense + damping * np.eye(n)), -system.gradient)
+            expected = np.empty(n)
+            expected[q] = scipy.linalg.cho_solve(
+                scipy.linalg.cho_factor(dense + damping * np.eye(n)), -system.gradient[q])
             assert np.linalg.norm(delta - expected) <= 1e-9 * np.linalg.norm(expected)
 
     @settings(max_examples=20, deadline=None)
