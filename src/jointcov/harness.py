@@ -107,13 +107,32 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        for name in ("trials", "state_dim", "num_measurements", "residual_dim"):
+        """Reject a bad setting before anything is solved; each message names
+        the config key, which is the CLI flag with underscores."""
+        for name in ("trials", "state_dim", "num_measurements", "residual_dim",
+                     "outer_iterations", "baseline_iterations", "bcd_iterations",
+                     "elimination_iterations"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         self.noise_grid = tuple(self.noise_grid)
         if not self.noise_grid:
             raise ValueError("noise grid must be non-empty")
+        # a fixed dataset ignores the grid (its runs record level 0)
+        if self.dataset is None and not all(0 < v < np.inf for v in self.noise_grid):
+            flag = _GRID_FLAGS.get(self.experiment)
+            raise ValueError("noise_grid entries " + (f"({flag}) " if flag else "")
+                             + "must be finite and > 0")
+        for name in ("w_prior", "sigma0", "lam_min"):
+            if not 0 < getattr(self, name) < np.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and > 0")
+        if not (self.lam_min <= self.lam_max < np.inf):
+            raise ValueError(f"lam_max ({self.lam_max:g}) must be finite and "
+                             f">= lam_min ({self.lam_min:g})")
         self.algorithms = tuple(self.algorithms)
+
+
+# the CLI flag that sets ExperimentConfig.noise_grid, per experiment
+_GRID_FLAGS = {"linear-mc": "--sigma2-grid", "pgo-ablation": "--alpha-grid"}
 
 
 @dataclass

@@ -116,6 +116,8 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
                 vals = [float(p) for p in parts[3:12]]
             except ValueError as err:
                 raise GraphFormatError(f"line {lineno}: {err}") from None
+            if i == j:
+                raise GraphFormatError(f"line {lineno}: self-loop edge on vertex {i}")
             _require_finite(vals, lineno)
             z = np.array(vals[:3])
             q11, q12, q13, q22, q23, q33 = vals[3:]

@@ -9,11 +9,16 @@ either a damped Gauss-Newton iteration from a given damping
 Riemannian gradient-descent step (:func:`step_once`, which also runs the
 former from zero damping).
 
-Assembly is one loop over batches.  Each batch's cost, gradient and Hessian
-terms are stacked matmuls per factor and are added in factor order: the
-costs by a sequential ``np.cumsum``, and a sparse Hessian by one
-``np.bincount`` over all terms, with entries laid out factor-major.  The
-gradient and a dense Hessian take each batch in turn: a linear batch, whose
+Assembly is one loop over batches.  Each batch gives its costs and gradient
+terms ``J^T W r`` per factor (:meth:`Batch.gradient_terms`): a linear or
+custom batch by stacked matmuls per factor, a relative-pose batch from its
+Jacobians' eight closed-form entries by whole-vector arithmetic.  Hessian
+terms ``J^T W J`` are stacked matmuls on the dense Jacobians
+(:meth:`Batch.jacobian`), which a relative-pose batch expands only for a
+Hessian build.  All terms are added in factor order: the costs by a
+sequential ``np.cumsum``, and a sparse Hessian by one ``np.bincount`` over
+all terms, with entries laid out factor-major.  The gradient and a dense
+Hessian take each batch in turn: a linear batch, whose
 factors share their positions (:attr:`LinearBatch.shared_positions`), is
 summed over its factors starting from the accumulator's values there and
 written back once; every other batch is scattered by one sequential
@@ -73,7 +78,8 @@ def vector_norm(v: np.ndarray) -> float:
 
 @dataclass
 class NlsConfig:
-    """Solver settings; all tolerances must be positive."""
+    """Solver settings; all tolerances must be positive and the iteration
+    cap at least 1."""
 
     max_iterations: int = 100
     damping_init: float = 1e-4
@@ -84,6 +90,8 @@ class NlsConfig:
     step_mode: str = SINGLE_ITERATION
 
     def __post_init__(self):
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if self.cost_tol <= 0 or self.grad_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.step_mode not in (SINGLE_ITERATION, RIEMANNIAN_GD):
@@ -175,7 +183,8 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
     Terms are added batch by batch and, inside a batch, factor by factor
     (see the module docstring); gauge-fixed terms land past the active
     tangent and are dropped.  ``linearization`` (group id -> each batch's
-    ``linearize(x)``) passes in residuals and Jacobians evaluated already.
+    ``linearize(x)``) passes in residuals and Jacobians evaluated already,
+    in each batch's own form.
     """
     index = problem.active_index
     n = index.dim
@@ -189,16 +198,16 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         batches = problem.batches[g.group_id]
         pairs = (linearization[g.group_id] if linearization is not None
                  else (batch.linearize(x) for batch in batches))
-        for batch, (r, J) in zip(batches, pairs):
-            Wr = (Wg @ r[:, :, None])[:, :, 0]
-            costs.append(0.5 * np.vecdot(r, Wr))
-            JT = np.swapaxes(J, 1, 2)
+        for batch, (r, jac) in zip(batches, pairs):
+            cost, grad_terms = batch.gradient_terms(r, jac, Wg)
+            costs.append(cost)
             shared = batch.shared_positions
-            _add_terms(grad, batch.positions() if shared is None else shared,
-                       (JT @ Wr[:, :, None])[:, :, 0], shared is not None)
+            _add_terms(grad, batch.positions if shared is None else shared,
+                       grad_terms, shared is not None)
             if not with_hessian:
                 continue
-            blocks = JT @ Wg @ J
+            J = batch.jacobian(jac)
+            blocks = np.swapaxes(J, 1, 2) @ Wg @ J
             if dense:
                 _add_terms(H, batch.dense_hessian_index,
                            blocks.reshape(len(blocks), -1), shared is not None)

@@ -12,8 +12,10 @@ group's factors in order: a run of relative-pose factors becomes a
 kind has this one residual and Jacobian formula; :func:`residual` and
 :func:`residual_jacobian` evaluate a factor as a batch of one.  A batch of k
 factors gives residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D
-connected tangent coordinates, and each coordinate's position in the active
-tangent.  Positions are laid out factor-major (all of factor i's before
+connected tangent coordinates (:meth:`Batch.jacobian`), its costs and
+gradient terms at a weight (:meth:`Batch.gradient_terms`), and each
+coordinate's position in the active tangent (:attr:`Batch.positions`,
+compiled once).  Positions are laid out factor-major (all of factor i's before
 factor i+1's) because assembly adds terms in that order: summed in factor
 order, a batch linearizes bit for bit like the same factors as batches of
 one.  From the positions, :attr:`JointProblem.hessian_pattern` compiles
@@ -23,7 +25,9 @@ fill-reducing order of the blocks.
 The relative-pose kernel (:func:`_batch_relative_se2`) is one fused pass:
 it forms ``b^-1 . a . z`` in closed form from the point's cached pose trig
 (:attr:`ManifoldPoint.pose_trig`), wraps the relative angle once, and takes
-one half-angle sine and cosine per factor, which its Jacobians reuse.
+one half-angle sine and cosine per factor, which its Jacobians reuse.  It
+returns the Jacobians as their eight distinct entry arrays, from which
+:class:`Se2Batch` forms the gradient terms without the dense blocks.
 """
 
 from __future__ import annotations
@@ -154,7 +158,11 @@ def prior_factor(factor_id, block_id, z, group_id):
 
 def relative_se2_factor(factor_id, block_a, block_b, z, group_id,
                         preprocess_jacobian=None):
-    """r(x) = log((a^-1 b)^-1 . z) for the measured relative pose z of b in a."""
+    """r(x) = log((a^-1 b)^-1 . z) for the measured relative pose z of b in
+    a; the two blocks must differ (a self-loop's residual ignores x)."""
+    if block_a == block_b:
+        raise ValueError(f"factor {factor_id}: relative pose of block {block_a!r} "
+                         "to itself")
     return MeasurementFactor(factor_id, RELATIVE_SE2, (block_a, block_b), z,
                              group_id, preprocess_jacobian=preprocess_jacobian)
 
@@ -337,7 +345,9 @@ class Batch:
     tangent dimension and ``offsets[s]`` ``(k,)`` each factor's
     :attr:`ActiveIndex.offsets` entry for that block, in an active tangent of
     dimension ``n``.  Subclasses give ``residuals(x)`` ``(k, m)`` and
-    ``linearize(x)``: the residuals and the Jacobians ``(k, m, sum(dims))``.
+    ``linearize(x)``: the residuals and the Jacobians in the batch's own form,
+    which :meth:`jacobian` expands to ``(k, m, sum(dims))`` and
+    :meth:`gradient_terms` reads.
 
     Assembly adds a batch's gradient terms, and its dense Hessian terms, in
     factor order: a batch with :attr:`shared_positions` (a linear batch) is
@@ -352,11 +362,15 @@ class Batch:
     # the one position row (D,) every factor shares, or None (see above)
     shared_positions = None
 
+    @cached_property
     def positions(self) -> np.ndarray:
         """Tangent position of each factor's Jacobian columns,
-        ``(k, sum(dims))``; positions ``>= n`` belong to gauge-fixed blocks."""
-        return np.concatenate([off[:, None] + np.arange(d)
-                               for off, d in zip(self.offsets, self.dims)], axis=1)
+        ``(k, sum(dims))``, int32 and read-only; positions ``>= n`` belong
+        to gauge-fixed blocks."""
+        p = np.concatenate([off[:, None] + np.arange(d) for off, d in
+                            zip(self.offsets, self.dims)], axis=1).astype(np.int32)
+        p.setflags(write=False)
+        return p
 
     @cached_property
     def dense_hessian_index(self) -> np.ndarray:
@@ -365,16 +379,29 @@ class Batch:
         gauge-fixed terms (``np.add.at`` is much faster on a 1-D index).
         With :attr:`shared_positions` it indexes the one shared block."""
         n, shared = self.n, self.shared_positions
-        p = self.positions() if shared is None else shared[None]
+        p = (self.positions if shared is None else shared[None]).astype(np.intp)
         return np.where((p[:, :, None] < n) & (p[:, None, :] < n),
                         p[:, :, None] * n + p[:, None, :], n * n).ravel()
+
+    def jacobian(self, jac) -> np.ndarray:
+        """The Jacobians ``(k, m, D)`` from ``linearize(x)[1]``."""
+        return jac
+
+    def gradient_terms(self, r: np.ndarray, jac, W: np.ndarray):
+        """Each factor's cost ``1/2 r^T W r`` ``(k,)`` and gradient terms
+        ``J^T W r`` ``(k, D)``, as stacked matmuls per factor."""
+        Wr = (W @ r[:, :, None])[:, :, 0]
+        return 0.5 * np.vecdot(r, Wr), (np.swapaxes(jac, 1, 2) @ Wr[:, :, None])[:, :, 0]
 
 
 @dataclass(frozen=True, eq=False)
 class Se2Batch(Batch):
     """Relative-pose factors: ``ia`` and ``ib`` are the rows of the two
     connected poses in :attr:`ManifoldPoint.poses`, ``z`` the stacked
-    measurements ``(k, 3)``."""
+    measurements ``(k, 3)``.  Its Jacobians are the kernel's eight entry
+    arrays: :meth:`gradient_terms` forms ``u = W r``, the costs and ``J^T u``
+    from them by whole-vector arithmetic, and :meth:`jacobian` expands them
+    to dense ``(k, 3, 6)`` blocks for a Hessian build."""
 
     ia: np.ndarray
     ib: np.ndarray
@@ -393,6 +420,31 @@ class Se2Batch(Batch):
 
     def linearize(self, x: ManifoldPoint):
         return _batch_relative_se2(x, self.ia, self.ib, self.z, with_jacobians=True)
+
+    def jacobian(self, jac) -> np.ndarray:
+        alpha, beta, j00, j10, j02, j12, j05, j15 = jac
+        J = np.zeros((3, 6, len(alpha)))  # entry by entry in contiguous rows
+        J[0, 0], J[1, 0] = j00, j10
+        J[0, 1], J[1, 1] = -j10, j00
+        J[0, 2], J[1, 2] = j02, j12
+        J[0, 3], J[1, 3] = -alpha, beta
+        J[0, 4], J[1, 4] = -beta, -alpha
+        J[0, 5], J[1, 5] = j05, j15
+        J[2, 2], J[2, 5] = 1.0, -1.0
+        return np.ascontiguousarray(J.transpose(2, 0, 1))
+
+    def gradient_terms(self, r: np.ndarray, jac, W: np.ndarray):
+        alpha, beta, j00, j10, j02, j12, j05, j15 = jac
+        (w00, w01, w02), (w10, w11, w12), (w20, w21, w22) = W.tolist()
+        r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
+        u0 = w00 * r0 + w01 * r1 + w02 * r2
+        u1 = w10 * r0 + w11 * r1 + w12 * r2
+        u2 = w20 * r0 + w21 * r1 + w22 * r2
+        # J^T u, column by column of J (see the jacobian layout above)
+        terms = np.stack((j00 * u0 + j10 * u1, j00 * u1 - j10 * u0,
+                          j02 * u0 + j12 * u1 + u2, beta * u1 - alpha * u0,
+                          -(beta * u0 + alpha * u1), j05 * u0 + j15 * u1 - u2), axis=1)
+        return 0.5 * (r0 * u0 + r1 * u1 + r2 * u2), terms
 
 
 @dataclass(frozen=True, eq=False)
@@ -417,7 +469,7 @@ class LinearBatch(Batch):
 
     @cached_property
     def shared_positions(self) -> np.ndarray | None:
-        return self.positions()[0] if sum(self.dims) > 1 else None
+        return self.positions[0] if sum(self.dims) > 1 else None
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "LinearBatch":
@@ -540,7 +592,7 @@ class HessianPattern:
         rank = np.full(n + 1, n)
         rank[order] = np.arange(n)
         firsts = [rank[np.minimum(f, n)] for f in firsts]
-        pos = [rank[np.minimum(b.positions(), n)] for b in batches]
+        pos = [rank[np.minimum(b.positions, n)] for b in batches]
         keys = np.unique(np.concatenate(
             [_pair_keys(p, p, n).ravel() for p in pos] + [np.arange(n) * (n + 1)]))
         keys = keys[keys < n * n]
@@ -619,7 +671,8 @@ def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
     relative-pose factors; custom factors use central finite differences
     with step ``1e-6``.
     """
-    return _batch_of_one(f, x.spec).linearize(x)[1][0]
+    batch = _batch_of_one(f, x.spec)
+    return batch.jacobian(batch.linearize(x)[1])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -627,15 +680,24 @@ def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians: bool):
-    """Residuals (k, 3) and right-perturbation Jacobians (k, 3, 6) of
-    relative-pose factors between the pose rows ``ia`` and ``ib``.
+    """Residuals (k, 3) and the right-perturbation Jacobians' eight distinct
+    entry arrays (k,) of relative-pose factors between the pose rows ``ia``
+    and ``ib``.
 
     ``r = log(g)`` with ``g = b^-1 . a . z`` in closed form: ``t_g = R(b)^T
     (t_a + R(a) t_z - t_b)`` and ``th = wrap(th_a + th_z - th_b)``, from the
     point's cached pose trig (:attr:`ManifoldPoint.pose_trig`); only the
     half-angle trig of the log is computed per factor.  The Jacobian's first
     three columns differentiate r with respect to the tangent of the first
-    pose, the last three with respect to the second.
+    pose, the last three with respect to the second.  Each 3 x 6 Jacobian is
+
+        [[J00, -J10, J02, -alpha, -beta, J05],
+         [J10,  J00, J12,  beta, -alpha, J15],
+         [  0,    0,   1,     0,      0,  -1]]
+
+    and the entries are returned as ``(alpha, beta, J00, J10, J02, J12, J05,
+    J15)``, or None without ``with_jacobians``; :meth:`Se2Batch.jacobian`
+    expands them.
 
     Raises:
         CutLocusError: if a relative rotation is within ``1e-12`` of ``+/-pi``.
@@ -681,19 +743,9 @@ def _batch_relative_se2(x: ManifoldPoint, ia, ib, z: np.ndarray, with_jacobians:
     s = sa * cb - ca * sb  # sin(th_a - th_b)
     u0 = -c * zy - s * zx  # R(th_a - th_b) J t_z
     u1 = c * zx - s * zy
-    J = np.zeros((3, 6, len(z)))  # entry by entry in contiguous rows, then (k, 3, 6)
-    J[0, 0] = alpha * c + beta * s
-    J[1, 0] = alpha * s - beta * c
-    J[0, 1] = -J[1, 0]
-    J[1, 1] = J[0, 0]
-    J[0, 2] = alpha * u0 + beta * u1 + dv0
-    J[1, 2] = alpha * u1 - beta * u0 + dv1
-    J[0, 3], J[1, 3] = -alpha, beta
-    J[0, 4], J[1, 4] = -beta, -alpha
-    J[0, 5] = r[:, 1] - dv0
-    J[1, 5] = -r[:, 0] - dv1
-    J[2, 2], J[2, 5] = 1.0, -1.0
-    return r, np.ascontiguousarray(J.transpose(2, 0, 1))
+    return r, (alpha, beta, alpha * c + beta * s, alpha * s - beta * c,
+               alpha * u0 + beta * u1 + dv0, alpha * u1 - beta * u0 + dv1,
+               r[:, 1] - dv0, -r[:, 0] - dv1)
 
 
 def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:

@@ -1,10 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
+import tempfile
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from jointcov import joint, nls
+from jointcov import harness, joint, nls
 from jointcov.cli import load_config_file, main
 from jointcov.harness import ExperimentConfig, read_results
 from jointcov.io_pgo import (
@@ -108,6 +115,35 @@ class TestPgoCommand:
         assert by_alg["fixed-true"].status.startswith("skipped")
 
 
+def invalid_settings():
+    """(command, flag, value) with a value the flag must reject: a cap
+    below 1, a grid entry that is not finite and positive, a prior weight
+    or scale that is not, or eigenvalue bounds out of order."""
+    not_positive = st.one_of(st.floats(max_value=0.0, allow_nan=False),
+                             st.sampled_from([np.nan, np.inf]))
+    cap = st.integers(max_value=0)
+    grid = st.tuples(not_positive, st.lists(st.floats(0.1, 10.0), max_size=2)).map(
+        lambda t: ",".join(repr(float(v)) for v in (t[0], *t[1])))
+    return st.one_of(
+        st.tuples(st.just("linear-mc"),
+                  st.sampled_from(["--bcd-iterations", "--elimination-iterations"]),
+                  cap),
+        st.tuples(st.just("pgo"),
+                  st.sampled_from(["--outer-iterations", "--baseline-iterations"]),
+                  cap),
+        st.tuples(st.just("linear-mc"), st.just("--sigma2-grid"), grid),
+        st.tuples(st.just("pgo"), st.just("--alpha-grid"), grid),
+        st.tuples(st.just("pgo"), st.sampled_from(["--w-prior", "--sigma0", "--lam-min"]),
+                  not_positive),
+        # above the default lam_max, 1e4
+        st.tuples(st.just("pgo"), st.just("--lam-min"), st.floats(1.01e4, 1e300)),
+        # below the default lam_min, 1e-4
+        st.tuples(st.just("pgo"), st.just("--lam-max"),
+                  st.one_of(st.floats(max_value=0.99e-4, allow_nan=False),
+                            st.sampled_from([np.nan, np.inf]))),
+    )
+
+
 class TestBoundaryErrors:
     """Bad experiment settings end in one error line before anything is solved."""
 
@@ -136,6 +172,32 @@ class TestBoundaryErrors:
         assert rc == 2
         name = flag[2:].replace("-", "_")
         assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1"]
+
+    @settings(max_examples=150, deadline=None)
+    @given(invalid_settings())
+    @example(("pgo", "--baseline-iterations", 0))
+    @example(("linear-mc", "--bcd-iterations", 0))
+    @example(("linear-mc", "--sigma2-grid", "-5"))
+    def test_invalid_numeric_setting_fails_before_solving(self, setting):
+        command, flag, value = setting
+
+        def called(*args, **kwargs):
+            raise AssertionError("a runner was called before the settings were checked")
+
+        err = io.StringIO()
+        with contextlib.ExitStack() as stack:
+            out = Path(stack.enter_context(tempfile.TemporaryDirectory())) / "r.csv"
+            for module, name in ((harness, "run_linear_mc"), (harness, "run_pgo_ablation"),
+                                 (nls, "solve_fixed_P"), (joint, "run_elimination"),
+                                 (joint, "run_block_exact_bcd"), (joint, "run_hybrid_bcd")):
+                stack.enter_context(patch.object(module, name, called))
+            stack.enter_context(contextlib.redirect_stderr(err))
+            rc = main([command, "--trials", "1", f"{flag}={value}", "--output", str(out)])
+            assert not out.exists()
+        assert rc == 2
+        (line,) = err.getvalue().splitlines()
+        assert line.startswith("error: ")
+        assert flag in line or flag[2:].replace("-", "_") in line
 
 
 class TestSolveCommand:

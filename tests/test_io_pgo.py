@@ -106,6 +106,14 @@ class TestParser:
         with pytest.raises(GraphFormatError, match="line 3: non-finite"):
             parse_g2o(text)
 
+    def test_self_loop_edge_rejected(self):
+        # its residual log(z) ignores the state, so it would only bias its
+        # group's sample covariance
+        text = ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
+                "EDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\nEDGE_SE2 0 0 1 0 0 1 0 0 1 0 1\n")
+        with pytest.raises(GraphFormatError, match="line 4: self-loop edge on vertex 0"):
+            parse_g2o(text)
+
     def test_missing_vertex_rejected(self):
         with pytest.raises(GraphFormatError, match="missing vertex"):
             parse_g2o("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n")

@@ -395,9 +395,9 @@ def coo_hessian(pb, x, weights):
     for g in pb.groups:
         W = weights[g.group_id]
         for batch in pb.batches[g.group_id]:
-            _, J = batch.linearize(x)
+            J = batch.jacobian(batch.linearize(x)[1])
             blocks = np.swapaxes(J, 1, 2) @ W @ J
-            pos = batch.positions()
+            pos = batch.positions
             pr = np.broadcast_to(pos[:, :, None], blocks.shape)
             pc = np.broadcast_to(pos[:, None, :], blocks.shape)
             keep = (pr < n) & (pc < n)

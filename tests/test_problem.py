@@ -20,7 +20,9 @@ from jointcov.manifold import (
     se2_inverse,
     wrap_angle,
 )
+from jointcov.nls import build_system
 from jointcov.problem import (
+    _DALPHA_SERIES_ANGLE,
     CUSTOM,
     CustomBatch,
     JointProblem,
@@ -126,7 +128,7 @@ class TestJacobians:
         x = ManifoldPoint(spec, (a, b))
         f = relative_se2_factor(0, 0, 1, z, "g")
         (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
-        _, J = batch.linearize(x)
+        _, J = dense_linearization(batch, x)
         J_fd = _fd_oracle(f, x)
         scale = max(1.0, np.abs(J_fd).max())
         assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
@@ -154,6 +156,12 @@ def _fd_oracle(f, x, h=1e-6):
             J[:, col] = (rp - rm) / (2 * h)
             col += 1
     return J
+
+
+def dense_linearization(batch, x):
+    """A batch's residuals and its Jacobians expanded to ``(k, m, D)``."""
+    r, jac = batch.linearize(x)
+    return r, batch.jacobian(jac)
 
 
 def make_problem(factors, groups, spec, gauge=()):
@@ -233,7 +241,7 @@ class TestBatchPath:
                 k, int(i), int(j), rng.uniform(-1, 1, size=3), "g"))
         (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         assert isinstance(batch, Se2Batch)
-        r, J = batch.linearize(x)
+        r, J = dense_linearization(batch, x)
         for k, f in enumerate(factors):
             a, b = (x.block(bid) for bid in f.block_ids)
             np.testing.assert_allclose(r[k], reference_se2_residual(a, b, f.z), atol=1e-14)
@@ -259,7 +267,7 @@ class TestBatchPath:
         assert [type(b) for b in batches] == [Se2Batch, LinearBatch, LinearBatch,
                                               CustomBatch, Se2Batch]
         x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
-        rows = [(r[i], J[i]) for r, J in (b.linearize(x) for b in batches)
+        rows = [(r[i], J[i]) for r, J in (dense_linearization(b, x) for b in batches)
                 for i in range(len(r))]
         assert len(rows) == len(factors)
         for f, (r, J) in zip(factors, rows):
@@ -275,7 +283,7 @@ class TestBatchPath:
         factors = [relative_se2_factor(i, i, i + 1, rng.uniform(-1, 1, 3), "g")
                    for i in range(n - 1)]
         (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
-        r, J = batch.linearize(x)
+        r, J = dense_linearization(batch, x)
         with patch.object(ActiveIndex, "build", wraps=ActiveIndex.build) as build:
             for _ in range(3):
                 for i, f in enumerate(factors):
@@ -327,7 +335,7 @@ class TestFusedKernelEdgeCases:
         rng = np.random.default_rng(59)
         for _ in range(20):
             x, f, batch = relative_rotation_factor(rotation, rng)
-            _, J = batch.linearize(x)
+            _, J = dense_linearization(batch, x)
             J_fd = _fd_oracle(f, x)
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
@@ -341,7 +349,7 @@ class TestFusedKernelEdgeCases:
         x = ManifoldPoint(spec, ([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
         f = relative_se2_factor(0, 0, 1, [0.0, 0.0, rotation], "g")
         (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
-        _, J = batch.linearize(x)
+        _, J = dense_linearization(batch, x)
         th, t2 = rotation, rotation * rotation
         alpha = 1.0 - t2 * (1 / 12 + t2 * (1 / 720 + t2 * (1 / 30240 + t2 / 1209600)))
         dalpha = -th * (1 / 6 + t2 * (1 / 180 + t2 * (1 / 5040 + t2 * (
@@ -363,7 +371,112 @@ class TestFusedKernelEdgeCases:
             batch.linearize(x)
 
 
+def relative_rotations():
+    """Relative rotations on both sides of the kernel's two branch points,
+    SMALL_ANGLE (alpha's Taylor branch) and 0.04 (dalpha's series), plus
+    exact zero and generic angles, with either sign."""
+    near = st.sampled_from([SMALL_ANGLE, _DALPHA_SERIES_ANGLE]).flatmap(
+        lambda edge: st.floats(0.5, 2.0).map(lambda f: edge * f))
+    magnitude = st.one_of(st.just(0.0), near, st.floats(1e-10, 3.0))
+    return st.tuples(magnitude, st.sampled_from([1.0, -1.0])).map(lambda t: t[0] * t[1])
+
+
+@st.composite
+def se2_chains(draw, max_factors=5):
+    """A gauge-fixed chain of poses whose factor i has the drawn relative
+    rotation ``th_a + th_z - th_b`` (pose i to pose i + 1), with a random
+    SPD weight."""
+    k = draw(st.integers(1, max_factors))
+    coords = st.floats(-2.0, 2.0)
+    poses = [np.array([draw(coords), draw(coords), draw(coords)])]
+    zs = []
+    for _ in range(k):
+        z = np.array([draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)),
+                      draw(st.floats(-1.0, 1.0))])
+        rotation = draw(relative_rotations())
+        poses.append(np.array([draw(coords), draw(coords),
+                               poses[-1][2] + z[2] - rotation]))
+        zs.append(z)
+    spec = ManifoldSpec(tuple(se2_block(i) for i in range(k + 1)))
+    factors = [relative_se2_factor(i, i, i + 1, z, "g") for i, z in enumerate(zs)]
+    pb = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec, gauge=(0,))
+    A = np.reshape([draw(st.floats(-1.0, 1.0)) for _ in range(9)], (3, 3))
+    return pb, ManifoldPoint(spec, tuple(poses)), A @ A.T + 0.1 * np.eye(3)
+
+
+def stacked_reference(batch, x, W):
+    """Costs, gradient terms ``J^T W r`` and Hessian blocks ``J^T W J`` as
+    stacked matmuls per factor on the dense Jacobians, with the bounds
+    ``|J|^T |W| |r|`` and ``|J|^T |W| |J|`` that their rounding errors scale
+    with."""
+    r, J = dense_linearization(batch, x)
+    JT = np.swapaxes(J, 1, 2)
+    Wr = (W @ r[:, :, None])[:, :, 0]
+    absJT, absW = np.abs(JT), np.abs(W)
+    return (0.5 * np.vecdot(r, Wr), (JT @ Wr[:, :, None])[:, :, 0], JT @ W @ J,
+            (absJT @ (absW @ np.abs(r)[:, :, None]))[:, :, 0],
+            absJT @ absW @ np.abs(J))
+
+
+class TestSe2KernelProperties:
+    """The relative-pose kernel's eight Jacobian entries, on generated poses."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(se2_chains())
+    def test_dense_jacobian_matches_finite_differences(self, case):
+        pb, x, _ = case
+        (batch,) = pb.batches["g"]
+        _, J = dense_linearization(batch, x)
+        for f, J_f in zip(pb.factors, J):
+            J_fd = _fd_oracle(f, x)
+            scale = max(1.0, np.abs(J_fd).max())
+            assert np.abs(J_f - J_fd).max() / scale <= 1e-5
+
+    @settings(max_examples=200, deadline=None)
+    @given(se2_chains())
+    def test_gradient_terms_and_hessian_match_stacked_products(self, case):
+        pb, x, W = case
+        (batch,) = pb.batches["g"]
+        cost, terms, blocks, terms_bound, blocks_bound = stacked_reference(batch, x, W)
+        r, jac = batch.linearize(x)
+        got_cost, got_terms = batch.gradient_terms(r, jac, W)
+        assert np.all(np.abs(got_terms - terms) <= 1e-13 * terms_bound)
+        assert np.all(np.abs(got_cost - cost) <= 1e-13 * cost)
+
+        # and through assembly, whose Hessian blocks come from the dense
+        # Jacobians: every term scattered at the batch's positions
+        n = pb.active_index.dim
+        system = build_system(pb, x, {"g": W})
+        pos = batch.positions
+        grad, grad_bound = np.zeros(n + 3), np.zeros(n + 3)
+        np.add.at(grad, pos, terms)
+        np.add.at(grad_bound, pos, terms_bound)
+        H, H_bound = np.zeros((n + 3, n + 3)), np.zeros((n + 3, n + 3))
+        rows, cols = pos[:, :, None], pos[:, None, :]
+        np.add.at(H, (rows, cols), blocks)
+        np.add.at(H_bound, (rows, cols), blocks_bound)
+        assert np.all(np.abs(system.gradient - grad[:n]) <= 1e-13 * grad_bound[:n])
+        assert np.all(np.abs(system.hessian - H[:n, :n]) <= 1e-13 * H_bound[:n, :n])
+        assert abs(system.cost - cost.sum()) <= 1e-13 * cost.sum()
+
+    @pytest.mark.parametrize("rotation", [np.pi - 1e-13, -np.pi + 1e-13, np.pi])
+    def test_rotation_near_pi_raises_before_any_term(self, rotation):
+        rng = np.random.default_rng(67)
+        x, f, batch = relative_rotation_factor(rotation, rng)
+        pb = make_problem([f], [NoiseGroup("g", 3, "ml")], x.spec, gauge=(0,))
+        with patch.object(Se2Batch, "gradient_terms", side_effect=AssertionError), \
+                patch.object(Se2Batch, "jacobian", side_effect=AssertionError):
+            with pytest.raises(CutLocusError):
+                batch.linearize(x)
+            with pytest.raises(CutLocusError):
+                build_system(pb, x, {"g": np.eye(3)})
+
+
 class TestValidation:
+    def test_relative_pose_to_itself_rejected(self):
+        with pytest.raises(ValueError, match="relative pose of block 3 to itself"):
+            relative_se2_factor(0, 3, 3, [1.0, 0.0, 0.0], "g")
+
     def test_variant_parts(self):
         assert variant_parts("map-diag-eig") == ("map", "diag-eig")
         assert variant_parts("ml") == ("ml", "unconstrained")
