@@ -59,8 +59,9 @@ cfg = JointConfig(max_outer_iterations=13,
 for name, make_group in variants.items():
     problem = pose_graph_problem(graph, tuple(make_group(k) for k in counts))
     res = run_hybrid_bcd(problem, x0, cfg)
+    p_step_ms = max(t.wall_ms for t in res.trace if t.phase == "p-step")
     print(f"{name}: RMSE {rmse(res.x, truth, 'positions'):.3f} "
-          f"(covariance update: max {max(res.cov_update_ms):.1f} ms/iter)")
+          f"(covariance update: max {p_step_ms:.1f} ms/iter)")
     for gid in (ODOMETRY, LOOP):
         sigma_est = np.linalg.inv(res.information[gid])
         sigma_true = np.linalg.inv(info_true[gid])

@@ -29,38 +29,65 @@ _GRID_KEYS = {"noise_grid"}
 _INT_KEYS = _keys_of_type("int")
 _FLOAT_KEYS = _keys_of_type("float")
 _BOOL_KEYS = _keys_of_type("bool")
-_STR_KEYS = _keys_of_type("str", "str | None")
+_CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True,
+               "0": False, "false": False, "no": False}
 
 
 def _parse_grid(text: str) -> tuple:
     return tuple(float(v) for v in text.replace(",", " ").split())
 
 
+def _number(kind, text: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"takes {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
+def _config_value(key: str, values: list):
+    """The typed value of a config line's ``values``; the ValueError names
+    what is wrong with them."""
+    if not values:
+        raise ValueError("needs a value")
+    if key in _GRID_KEYS:
+        return tuple(_number(float, v) for v in values)
+    if key == "algorithms":
+        return tuple(values)
+    if len(values) > 1:
+        raise ValueError(f"takes one value, got {len(values)}")
+    (value,) = values
+    if key in _INT_KEYS:
+        return _number(int, value)
+    if key in _FLOAT_KEYS:
+        return _number(float, value)
+    if key in _BOOL_KEYS:
+        if value.lower() not in _BOOL_WORDS:
+            raise ValueError(f"takes one of {'/'.join(_BOOL_WORDS)}, got {value!r}")
+        return _BOOL_WORDS[value.lower()]
+    return value
+
+
 def load_config_file(path) -> dict:
-    """Key-value overrides: one `key value...` pair per line, '#' comments."""
+    """Key-value overrides: one `key value...` pair per line, '#' comments.
+
+    Grids and algorithm lists take several values, every other key one;
+    a bad line fails as ``path:line: config key 'k' ...``.
+    """
     overrides = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
-            key, values = parts[0], parts[1:]
-            if not values:
-                raise ValueError(f"{path}:{lineno}: config key {key!r} needs a value")
-            if key in _GRID_KEYS:
-                overrides[key] = tuple(float(v) for v in values)
-            elif key in _INT_KEYS:
-                overrides[key] = int(values[0])
-            elif key in _FLOAT_KEYS:
-                overrides[key] = float(values[0])
-            elif key in _BOOL_KEYS:
-                overrides[key] = values[0].lower() in ("1", "true", "yes")
-            elif key == "algorithms":
-                overrides[key] = tuple(values)
-            elif key in _STR_KEYS:
-                overrides[key] = values[0]
-            else:
+            key = parts[0]
+            if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            try:
+                overrides[key] = _config_value(key, parts[1:])
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} {err}") from None
     return overrides
 
 
@@ -78,7 +105,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int)
     p.add_argument("--algorithms", type=lambda s: tuple(s.split(",")))
     p.add_argument("--output", help="result file path")
-    p.add_argument("--format", choices=("csv", "json"))
+    p.add_argument("--format", choices=harness.FORMATS)
     p.add_argument("--config", help="key-value config file; overrides flags")
 
 

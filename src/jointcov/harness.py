@@ -54,6 +54,9 @@ RESULT_COLUMNS = (
 TRIAL_FAILURES = (UnboundedProblem, CutLocusError, np.linalg.LinAlgError,
                   NotPositiveDefiniteError)
 
+# Result file formats of emit_results.
+FORMATS = ("csv", "json")
+
 # Fixed-weight baselines: the true covariance's information, or the identity.
 BASELINES = ("fixed-true", "fixed-identity")
 
@@ -128,6 +131,9 @@ class ExperimentConfig:
         if not (self.lam_min <= self.lam_max < np.inf):
             raise ValueError(f"lam_max ({self.lam_max:g}) must be finite and "
                              f">= lam_min ({self.lam_min:g})")
+        if self.format not in FORMATS:
+            raise ValueError(f"format must be one of {', '.join(FORMATS)}; "
+                             f"got {self.format!r}")
         self.algorithms = tuple(self.algorithms)
 
 
@@ -151,8 +157,7 @@ class TrialRecord:
     iters: int | None
     wall_ms: float | None
     status: str = "ok"
-    cov_update_ms: tuple = ()   # per-iteration P-update timing; not emitted
-    objective_trace: tuple = ()  # F after each half-step; not emitted
+    trace: tuple = ()  # the solver's JointResult.trace; not emitted
 
     def row(self) -> list:
         return [getattr(self, c) for c in RESULT_COLUMNS]
@@ -186,8 +191,7 @@ def _run_trial(config: ExperimentConfig, trial: int, algorithm: str, level: floa
     start = time.perf_counter()
     try:
         res = solve()
-        rec.cov_update_ms = res.cov_update_ms
-        rec.objective_trace = tuple(t.objective for t in res.trace)
+        rec.trace = res.trace
         metrics(rec, res.x, {gid: np.linalg.inv(P) for gid, P in res.information.items()})
         rec.final_F = float(res.objective)
         rec.iters = int(res.iterations)
@@ -521,36 +525,3 @@ def emit_results(records: Iterable[TrialRecord], path, fmt: str = "csv") -> None
             fh.write("\n")
     else:
         raise ValueError(f"unknown format {fmt!r}")
-
-
-def _parse_cell(column: str, text: str):
-    if text == "":
-        return None
-    if column in ("trial", "seed", "iters"):
-        return int(text)
-    if column in ("noise_level", "rmse", "w2_odometry", "w2_loop",
-                  "final_F", "wall_ms"):
-        return float(text)
-    return text
-
-
-def read_results(path, fmt: str = "csv") -> list[TrialRecord]:
-    """Inverse of :func:`emit_results` (up to the non-emitted timing field)."""
-    records = []
-    if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if tuple(header) != RESULT_COLUMNS:
-                raise ValueError("unexpected result header")
-            for row in reader:
-                kwargs = {c: _parse_cell(c, v) for c, v in zip(RESULT_COLUMNS, row)}
-                records.append(TrialRecord(**kwargs))
-    elif fmt == "json":
-        with open(path) as fh:
-            payload = json.load(fh)
-        for entry in payload:
-            records.append(TrialRecord(**{c: entry[c] for c in RESULT_COLUMNS}))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
-    return records

@@ -383,7 +383,8 @@ _RUN_FLAGS = {"seed": "--seed", "alpha": "--alpha-grid"}
 def parse_generator_config(source: str | TextIO) -> dict:
     """Key-value generator config: num_poses, scheme, trajectory_seed,
     loop_fraction, loop_radius, loop_gap, and per-class ``information
-    <class> d1 d2 d3`` lines.  The noise seed and level are run settings,
+    <class> d1 d2 d3`` lines (class odometry, loop or all; three finite,
+    positive diagonal entries).  The noise seed and level are run settings,
     so ``seed`` and ``alpha`` are rejected."""
     stream = StringIO(source) if isinstance(source, str) else source
     cfg: dict = {"information": {}}
@@ -405,9 +406,15 @@ def parse_generator_config(source: str | TextIO) -> dict:
             elif key == "scheme":
                 cfg["scheme"] = parts[1]
             elif key == "information":
-                cfg["information"][parts[1]] = np.diag([float(v) for v in parts[2:5]])
+                if len(parts) != 5 or parts[1] not in (ODOMETRY, LOOP, "all"):
+                    raise ValueError(f"information takes a class ({ODOMETRY}, {LOOP} "
+                                     "or all) and three diagonal entries")
+                diagonal = [float(v) for v in parts[2:]]
+                if not all(0 < v < np.inf for v in diagonal):  # also rejects NaN
+                    raise ValueError("information entries must be finite and > 0")
+                cfg["information"][parts[1]] = np.diag(diagonal)
             else:
-                raise GraphFormatError(f"line {lineno}: unknown key {key!r}")
+                raise ValueError(f"unknown key {key!r}")
         except (IndexError, ValueError) as err:
             raise GraphFormatError(f"line {lineno}: {err}") from None
     return cfg

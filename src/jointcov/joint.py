@@ -22,6 +22,12 @@ evaluated once: one residual pass gives every ``M_g``, from which the P
 update and both F values there derive.  Elimination forms ``M_g`` from the
 residuals of the linearization its gradient uses.
 
+``JointResult.trace`` is the one record of a run: a :class:`TracePoint`
+per half-step, with F after it, the latest gradient norm and the wall time
+the half-step took.  A BCD ``p-step`` entry's time covers ``M_g`` at the new
+x, the P update and F at the new P; its ``x-step`` entry takes the rest of
+the iteration.
+
 The x-dependent part of F is ``sum_g s_g sum_{i in g} ||r_i||^2_{P_g}`` with
 ``s_g = 1/(k_g + nu_g - m_g - 1)`` for MAP groups and ``1/k_g`` otherwise,
 so the NLS subproblems are weighted with ``s_g P_g``.
@@ -32,7 +38,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,32 +81,14 @@ class JointConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class TracePoint:
-    """One convergence-trace entry (recorded after each half-step).
-
-    ``information`` holds a read-only copy of each group's P at record time.
-    The covariance eigenvalue extremes per group id, ``sigma_eig_min`` and
-    ``sigma_eig_max``, are worked out from it the first time one is read.
-    """
+class TracePoint(NamedTuple):
+    """One trace entry, recorded after each half-step."""
 
     iteration: int
     phase: str                 # "init" | "x-step" | "p-step"
     objective: float
-    information: dict
     gradient_norm: float       # proxy: latest weighted-NLS gradient norm
-
-    @cached_property
-    def _information_eigenvalues(self) -> dict:
-        return {gid: np.linalg.eigvalsh(P) for gid, P in self.information.items()}
-
-    @cached_property
-    def sigma_eig_min(self) -> dict:
-        return {gid: float(1.0 / e[-1]) for gid, e in self._information_eigenvalues.items()}
-
-    @cached_property
-    def sigma_eig_max(self) -> dict:
-        return {gid: float(1.0 / e[0]) for gid, e in self._information_eigenvalues.items()}
+    wall_ms: float             # the half-step's wall time; "init": the driver's so far
 
 
 @dataclass
@@ -112,7 +100,6 @@ class JointResult:
     converged: bool
     trace: tuple[TracePoint, ...]
     flags: frozenset
-    cov_update_ms: tuple[float, ...] = ()
 
 
 def group_scale(group: NoiseGroup, k: int) -> float:
@@ -201,14 +188,6 @@ def calibrate(problem: JointProblem, x_true_cal: ManifoldPoint) -> dict:
     return P
 
 
-def _trace_point(iteration: int, phase: str, P: dict, value: float,
-                 gradient_norm: float) -> TracePoint:
-    copies = {gid: mat.copy() for gid, mat in P.items()}
-    for mat in copies.values():
-        mat.setflags(write=False)
-    return TracePoint(iteration, phase, value, copies, gradient_norm)
-
-
 class _Convergence:
     """Declares convergence after two consecutive small relative F changes."""
 
@@ -229,6 +208,8 @@ class _Convergence:
 
 def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
              exact: bool) -> JointResult:
+    clock = time.perf_counter
+    start = clock()
     flags = set()
 
     def p_step(x, residuals=None):
@@ -242,11 +223,11 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
     x = x_init
     M, P = p_step(x)
     f = joint_objective(problem, x, P, M)
-    trace = [_trace_point(0, "init", P, f, np.nan)]
+    last = clock()
+    trace = [TracePoint(0, "init", f, np.nan, (last - start) * 1e3)]
     conv = _Convergence(config.f_tol)
     conv.update(f)
     converged = False
-    cov_ms = []
     iterations = 0
     damping = 0.0  # the LM x-step's first trial
     for iterations in range(1, config.max_outer_iterations + 1):
@@ -259,25 +240,29 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
             if res.lm_failure:
                 flags.add(FLAG_LM_FAILURE)
         elif config.nls.step_mode == nls.RIEMANNIAN_GD:
-            x, grad_proxy = nls.step_once(problem, x, weights, config.nls)
+            x, grad_proxy = nls.step_once(problem, x, weights)
         else:
             x, grad_proxy, accepted, residuals = nls._lm_step(
                 problem, x, weights, damping, config.nls)
             damping = 0.0 if accepted == 0.0 else config.nls.damping_init
 
-        start = time.perf_counter()
+        x_done = clock()
         M, P_new = p_step(x, residuals)
-        cov_ms.append((time.perf_counter() - start) * 1e3)
-        trace.append(_trace_point(iterations, "x-step", P,
-                                  joint_objective(problem, x, P, M), grad_proxy))
+        f = joint_objective(problem, x, P_new, M)
+        p_done = clock()
+        f_x = joint_objective(problem, x, P, M)  # the x-step's F, at the old P
+        now = clock()
         P = P_new
-        f = joint_objective(problem, x, P, M)
-        trace.append(_trace_point(iterations, "p-step", P, f, grad_proxy))
+        trace.append(TracePoint(iterations, "x-step", f_x, grad_proxy,
+                                (x_done - last + now - p_done) * 1e3))
+        trace.append(TracePoint(iterations, "p-step", f, grad_proxy,
+                                (p_done - x_done) * 1e3))
+        last = now
         if conv.update(f):
             converged = True
             break
     return JointResult(x, P, f, iterations, converged, tuple(trace),
-                       frozenset(flags), tuple(cov_ms))
+                       frozenset(flags))
 
 
 def run_block_exact_bcd(problem: JointProblem, x_init: ManifoldPoint,
@@ -338,18 +323,21 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     singularity-monitored at every evaluation and raise
     :class:`UnboundedProblem` when their second moment degenerates.
     """
+    clock = time.perf_counter
+    start = clock()
     config = config or JointConfig(algorithm=ELIMINATION)
     x = x_init
     f, g, P, bound_hit, index = _reduced_value_and_grad(problem, x)
     flags = {FLAG_BOUND_HIT} if bound_hit else set()
-    trace = [_trace_point(0, "init", P, f, nls.vector_norm(g))]
+    gnorm = nls.vector_norm(g)
+    last = clock()
+    trace = [TracePoint(0, "init", f, gnorm, (last - start) * 1e3)]
     memory: deque = deque(maxlen=config.lbfgs_memory)
     conv = _Convergence(config.f_tol)
     conv.update(f)
     converged = False
     iterations = 0
     for iterations in range(1, config.max_outer_iterations + 1):
-        gnorm = nls.vector_norm(g)
         if gnorm <= config.nls.grad_tol:
             converged = True
             iterations -= 1
@@ -384,7 +372,10 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
         x, f, g, P, index = x_trial, f_trial, g_trial, P_trial, index_trial
         if bound_hit:
             flags.add(FLAG_BOUND_HIT)
-        trace.append(_trace_point(iterations, "x-step", P, f, nls.vector_norm(g)))
+        gnorm = nls.vector_norm(g)
+        now = clock()
+        trace.append(TracePoint(iterations, "x-step", f, gnorm, (now - last) * 1e3))
+        last = now
         if conv.update(f):
             converged = True
             break

@@ -6,8 +6,7 @@ solves them with Levenberg-Marquardt damping, and applies retraction
 updates.  Besides the full solve, one x-step for the hybrid BCD driver is
 either a damped Gauss-Newton iteration from a given damping
 (:func:`_lm_step`, the full solve's damping loop) or a backtracking
-Riemannian gradient-descent step (:func:`step_once`, which also runs the
-former from zero damping).
+Riemannian gradient-descent step (:func:`step_once`).
 
 Assembly is one loop over batches.  Each batch gives its costs and gradient
 terms ``J^T W r`` per factor (:meth:`Batch.gradient_terms`): a linear or
@@ -247,7 +246,6 @@ class NlsResult:
     iterations: int
     converged: bool
     lm_failure: bool = False
-    trace: tuple = ()
 
 
 def _try_cost(problem, x, weights, residuals=None):
@@ -265,8 +263,8 @@ def _damped_step(problem: JointProblem, system: LinearizedSystem,
     that was 0, else ``damping * damping_factor``, up to ``damping_max``.
 
     The caller picks the first: :func:`solve_fixed_P` a damping that shrinks
-    on acceptance, :func:`step_once` 0, hybrid BCD 0 only while its previous
-    x-step accepted 0, else ``damping_init``.
+    on acceptance, hybrid BCD 0 only while its previous x-step accepted 0,
+    else ``damping_init``.
 
     Returns (trial, its cost, damping, its residuals per group id) for the
     first trial whose cost does not exceed ``system.cost``, or None on stall.
@@ -288,20 +286,18 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
     """Levenberg-Marquardt minimization of the weighted cost at fixed weights.
 
     Steps are accepted only when the cost does not increase, so the cost
-    trace is non-increasing; damping grows multiplicatively on rejection and
-    shrinks on acceptance.  If damping exceeds ``damping_max`` the best
+    never rises from one iteration to the next; damping grows
+    multiplicatively on rejection and shrinks on acceptance.  If damping exceeds ``damping_max`` the best
     iterate so far is returned with ``lm_failure`` set.
     """
     config = config or NlsConfig()
     x = x_init
     damping = config.damping_init
-    trace = []
     converged = lm_failure = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         system = build_system(problem, x, weights)
         cost, grad_norm = system.cost, system.gradient_norm
-        trace.append((iterations, cost, grad_norm, damping))
         if grad_norm <= config.grad_tol:
             converged = True
             break
@@ -316,37 +312,29 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
             break
     final = build_system(problem, x, weights, with_hessian=False)
     return NlsResult(x, final.cost, final.gradient_norm, iterations,
-                     converged, lm_failure, tuple(trace))
+                     converged, lm_failure)
 
 
-def step_once(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
-              config: NlsConfig | None = None) -> tuple[ManifoldPoint, float]:
-    """One descent step on x at fixed weights.
+def step_once(problem: JointProblem, x: ManifoldPoint,
+              weights: Mapping) -> tuple[ManifoldPoint, float]:
+    """One Riemannian gradient-descent step on x at fixed weights: a step
+    along the negative gradient in the local chart, with Armijo
+    backtracking from step 1.
 
-    Returns the new point (x itself on stall) and the gradient norm at the
-    linearization point.  ``single-iteration`` mode attempts an undamped
-    Gauss-Newton step first (exact for linear residuals) and escalates
-    damping until the cost stops increasing; the hybrid BCD driver, which
-    calls :func:`_lm_step` itself, tries the undamped step only while its
-    previous step accepted it.  ``riemannian-gd`` mode takes a
-    gradient step in the local chart with Armijo backtracking from step 1.
+    Returns the new point (x itself on stall) and the gradient norm at x.
     """
-    config = config or NlsConfig()
-    if config.step_mode == RIEMANNIAN_GD:
-        system = build_system(problem, x, weights, with_hessian=False)
-        g = system.gradient
-        g_sq = float(g @ g)
-        if g_sq == 0.0:
-            return x, 0.0
-        t = 1.0
-        while t > 1e-20:
-            x_new = boxplus(x, system.index.scatter(-t * g))
-            if _try_cost(problem, x_new, weights) <= system.cost - _ARMIJO_C * t * g_sq:
-                return x_new, system.gradient_norm
-            t *= _ARMIJO_SHRINK
-        return x, system.gradient_norm
-
-    return _lm_step(problem, x, weights, 0.0, config)[:2]
+    system = build_system(problem, x, weights, with_hessian=False)
+    g = system.gradient
+    g_sq = float(g @ g)
+    if g_sq == 0.0:
+        return x, 0.0
+    t = 1.0
+    while t > 1e-20:
+        x_new = boxplus(x, system.index.scatter(-t * g))
+        if _try_cost(problem, x_new, weights) <= system.cost - _ARMIJO_C * t * g_sq:
+            return x_new, system.gradient_norm
+        t *= _ARMIJO_SHRINK
+    return x, system.gradient_norm
 
 
 def _lm_step(problem: JointProblem, x: ManifoldPoint, weights: Mapping,

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 
 from jointcov import harness, joint, nls
 from jointcov.cli import load_config_file, main
-from jointcov.harness import ExperimentConfig, read_results
+from jointcov.harness import ExperimentConfig
 from jointcov.io_pgo import (
     PoseGraph2D,
     SyntheticNoiseSpec,
@@ -21,6 +22,12 @@ from jointcov.io_pgo import (
     load_g2o,
     save_g2o,
 )
+
+
+def read_rows(path):
+    """The result CSV's rows, as dicts keyed by column."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture
@@ -45,9 +52,9 @@ class TestLinearMcCommand:
                    "--sigma2-grid", "0.01", "--algorithms", "bcd,fixed-true",
                    "--output", str(out)])
         assert rc == 0
-        records = read_results(out)
+        records = read_rows(out)
         assert len(records) == 4
-        assert {r.algorithm for r in records} == {"bcd", "fixed-true"}
+        assert {r["algorithm"] for r in records} == {"bcd", "fixed-true"}
 
     def test_config_file_overrides_flags(self, tmp_path):
         cfg = tmp_path / "cfg.txt"
@@ -56,10 +63,9 @@ class TestLinearMcCommand:
         rc = main(["linear-mc", "--trials", "5", "--sigma2-grid", "0.01,100",
                    "--output", str(out), "--config", str(cfg)])
         assert rc == 0
-        records = read_results(out)
-        assert len(records) == 1
-        assert records[0].algorithm == "fixed-identity"
-        assert records[0].noise_level == 1.0
+        (record,) = read_rows(out)
+        assert record["algorithm"] == "fixed-identity"
+        assert float(record["noise_level"]) == 1.0
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "r.json"
@@ -78,9 +84,9 @@ class TestPgoCommand:
                    "--alpha-grid", "5", "--algorithms", "bcd,fixed-identity",
                    "--output", str(out)])
         assert rc == 0
-        records = read_results(out)
+        records = read_rows(out)
         assert len(records) == 2
-        assert all(r.status == "ok" for r in records)
+        assert all(r["status"] == "ok" for r in records)
 
     def test_generator_config_input(self, tmp_path):
         gen = tmp_path / "gen.cfg"
@@ -90,8 +96,8 @@ class TestPgoCommand:
                    "--algorithms", "bcd", "--generator", str(gen),
                    "--output", str(out)])
         assert rc == 0
-        records = read_results(out)
-        assert records[0].status == "ok"
+        (record,) = read_rows(out)
+        assert record["status"] == "ok"
 
     def test_bad_generator_argument_is_one_error_line(self, tmp_path, capsys):
         gen = tmp_path / "gen.cfg"
@@ -102,6 +108,16 @@ class TestPgoCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: loop_fraction must be finite and >= 0")
 
+    def test_short_information_line_is_one_error_line(self, tmp_path, capsys):
+        gen = tmp_path / "gen.cfg"
+        gen.write_text("num_poses 90\ninformation loop 1 2\n")
+        rc = main(["pgo", "--trials", "1", "--alpha-grid", "5", "--algorithms", "bcd",
+                   "--heteroscedastic", "--generator", str(gen),
+                   "--output", str(tmp_path / "pgo.csv")])
+        assert rc == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: line 2: information takes a class")
+
     def test_dataset_input(self, small_graph_files, tmp_path):
         noisy, gt = small_graph_files
         out = tmp_path / "pgo.csv"
@@ -109,10 +125,10 @@ class TestPgoCommand:
                    "--dataset", str(noisy), "--dataset-truth", str(gt),
                    "--output", str(out)])
         assert rc == 0
-        by_alg = {r.algorithm: r for r in read_results(out)}
-        assert by_alg["bcd"].status == "ok"
-        assert by_alg["bcd"].rmse is not None
-        assert by_alg["fixed-true"].status.startswith("skipped")
+        by_alg = {r["algorithm"]: r for r in read_rows(out)}
+        assert by_alg["bcd"]["status"] == "ok"
+        assert by_alg["bcd"]["rmse"] != ""
+        assert by_alg["fixed-true"]["status"].startswith("skipped")
 
 
 def invalid_settings():
@@ -299,3 +315,37 @@ class TestConfigFile:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {cfg}:2: config key 'trials' needs a value"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("heteroscedastic ture",
+         "config key 'heteroscedastic' takes one of 1/true/yes/0/false/no, got 'ture'"),
+        ("trials 2 3", "config key 'trials' takes one value, got 2"),
+        ("trials 2.5", "config key 'trials' takes an integer, got '2.5'"),
+        ("w_prior abc", "config key 'w_prior' takes a number, got 'abc'"),
+        ("noise_grid 1 x", "config key 'noise_grid' takes a number, got 'x'"),
+    ], ids=["bool", "two-values", "int", "float", "grid"])
+    def test_bad_value_fails_before_solving(self, tmp_path, capsys, monkeypatch,
+                                            text, message):
+        def called(*args, **kwargs):
+            raise AssertionError("a runner was called before the config was checked")
+
+        monkeypatch.setattr(harness, "run_linear_mc", called)
+        cfg = tmp_path / "bad.txt"
+        cfg.write_text(f"# comment\n{text}\n")
+        with pytest.raises(ValueError, match=f"^{cfg}:2: "):
+            load_config_file(cfg)
+        assert main(["linear-mc", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {cfg}:2: {message}"]
+
+    def test_unknown_format_fails_before_solving(self, tmp_path, capsys, monkeypatch):
+        def called(*args, **kwargs):
+            raise AssertionError("a runner was called before the config was checked")
+
+        monkeypatch.setattr(harness, "run_linear_mc", called)
+        cfg = tmp_path / "fmt.txt"
+        cfg.write_text("format xml\n")
+        out = tmp_path / "r.xml"
+        assert main(["linear-mc", "--config", str(cfg), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: format must be one of csv, json; got 'xml'"]
+        assert not out.exists()

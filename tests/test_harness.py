@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,6 @@ from jointcov.harness import (
     TrialRecord,
     base_covariance,
     emit_results,
-    read_results,
     rmse,
     run_linear_mc,
     run_pgo_ablation,
@@ -131,22 +133,25 @@ class TestEmit:
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "out.csv"
-        records = self.make_records()
-        emit_results(records, path, "csv")
-        back = read_results(path, "csv")
-        assert [r.row() for r in back] == [r.row() for r in records]
+        emit_results(self.make_records(), path, "csv")
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [
+            list(RESULT_COLUMNS),
+            ["linear-mc", "0", "7", "bcd", "0.01", "0.5", "0.25", "", "-3.25",
+             "12", "17.25", "ok"],
+            ["linear-mc", "1", "7", "elimination", "0.01", "", "", "", "", "",
+             "4.0", "error: ValueError: boom"],
+        ]
 
     def test_json_roundtrip_and_keys(self, tmp_path):
-        import json
-
         path = tmp_path / "out.json"
         records = self.make_records()
         emit_results(records, path, "json")
         payload = json.loads(path.read_text())
         assert isinstance(payload, list)
-        assert list(payload[0].keys()) == list(RESULT_COLUMNS)
-        back = read_results(path, "json")
-        assert [r.row() for r in back] == [r.row() for r in records]
+        assert all(list(entry) == list(RESULT_COLUMNS) for entry in payload)
+        assert [list(entry.values()) for entry in payload] == [r.row() for r in records]
 
     def test_float_precision_survives(self, tmp_path):
         path = tmp_path / "out.csv"
@@ -154,7 +159,9 @@ class TestEmit:
         rec = TrialRecord("linear-mc", 0, 0, "bcd", value, value, value, value,
                           value, 1, value, "ok")
         emit_results([rec], path, "csv")
-        assert read_results(path)[0].rmse == value
+        with open(path, newline="") as fh:
+            (row,) = csv.DictReader(fh)
+        assert float(row["rmse"]) == value
 
 
 class TestConfig:
@@ -286,8 +293,10 @@ class TestSharedLinearProblem:
                         sigma_true, np.ones(n), trial, sigma2))
         assert all(r.status == "ok" for r in records)
         for got, ref in zip(records, expected, strict=True):
-            assert len(got.cov_update_ms) == len(ref.cov_update_ms)  # timings
-            for name in vars(ref).keys() - {"wall_ms", "cov_update_ms"}:
+            # traces match but for the timings
+            assert ([t._replace(wall_ms=None) for t in got.trace]
+                    == [t._replace(wall_ms=None) for t in ref.trace])
+            for name in vars(ref).keys() - {"wall_ms", "trace"}:
                 assert getattr(got, name) == getattr(ref, name), name
 
 

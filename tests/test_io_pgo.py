@@ -492,8 +492,23 @@ information loop 100 200 150
         assert graph.num_poses == 40
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(GraphFormatError, match="unknown key"):
+        with pytest.raises(GraphFormatError, match="^line 1: unknown key 'bogus'$"):
             parse_generator_config("bogus 3\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("information loop 1 2", "information takes a class"),
+        ("information foo 1 2 3", "information takes a class"),
+        ("information all 1 2 3 4", "information takes a class"),
+        ("information all", "information takes a class"),
+        ("information all 1 0 3", "information entries must be finite and > 0"),
+        ("information odometry -1 2 3", "information entries must be finite and > 0"),
+        ("information loop 1 nan 3", "information entries must be finite and > 0"),
+        ("information loop 1 2 inf", "information entries must be finite and > 0"),
+        ("information loop 1 x 3", "could not convert string to float: 'x'"),
+    ])
+    def test_bad_information_line_rejected(self, line, message):
+        with pytest.raises(GraphFormatError, match=f"^line 2: {message}"):
+            parse_generator_config(f"num_poses 40\n{line}\n")
 
     @pytest.mark.parametrize("key, flag", [("seed", "--seed"), ("alpha", "--alpha-grid")])
     def test_run_setting_rejected_with_its_flag(self, key, flag):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -315,19 +317,30 @@ class TestHybridBcd:
         res = run_hybrid_bcd(pb_fixed, x0, JointConfig(max_outer_iterations=8))
         np.testing.assert_allclose(res.information["g"], P_fixed)
 
-    def test_eig_variant_never_produces_indefinite_P(self):
+    def test_eig_variant_never_produces_indefinite_P(self, monkeypatch):
         rng = np.random.default_rng(8)
         pb, x0, _, _ = linear_joint_problem(rng, variant="ml-eig",
                                             bounds=(1e-4, 1e4))
+        updates = []
+        original = joint_module.information_update
+
+        def spy(*args, **kwargs):
+            P, solutions = original(*args, **kwargs)
+            updates.append(P["g"].copy())
+            return P, solutions
+
+        monkeypatch.setattr(joint_module, "information_update", spy)
         res = run_hybrid_bcd(pb, x0, JointConfig(max_outer_iterations=13))
-        assert np.all(np.linalg.eigvalsh(res.information["g"]) > 0)
-        sigma_eigs = 1.0 / np.linalg.eigvalsh(res.information["g"])
-        assert sigma_eigs.min() >= 1e-4 - 1e-12
-        assert sigma_eigs.max() <= 1e4 + 1e-12
-        # every iterate along the run kept a PD covariance within bounds
-        for t in res.trace:
-            assert t.sigma_eig_min["g"] >= 1e-4 - 1e-12
-            assert t.sigma_eig_max["g"] <= 1e4 + 1e-12
+        # every P update along the run, the last included, kept a PD
+        # covariance within the bounds
+        assert len(updates) == res.iterations + 1
+        np.testing.assert_array_equal(updates[-1], res.information["g"])
+        for P in updates:
+            eigs = np.linalg.eigvalsh(P)
+            assert eigs.min() > 0
+            sigma_eigs = 1.0 / eigs
+            assert sigma_eigs.min() >= 1e-4 - 1e-12
+            assert sigma_eigs.max() <= 1e4 + 1e-12
 
 
 class TestElimination:
@@ -444,53 +457,41 @@ class TestElimination:
             gradient, build_system(pb, x, weights, with_hessian=False).gradient)
 
 
-class TestTracePoints:
-    """Trace points keep P and work out its covariance eigenvalues on read."""
+class TestTrace:
+    """One entry per half-step, each timing its own work."""
 
-    @staticmethod
-    def runs():
+    def test_bcd_entries_time_their_half_steps(self, monkeypatch):
         rng = np.random.default_rng(21)
         pb, x0, _, _ = linear_joint_problem(rng, n=6, k=25, m=3)
-        return (lambda: run_block_exact_bcd(pb, x0, JointConfig(max_outer_iterations=6)),
-                lambda: run_elimination(pb, x0, JointConfig(
-                    algorithm=ELIMINATION, max_outer_iterations=20)))
+        original = joint_module.information_update
 
-    @pytest.mark.parametrize("which", [0, 1], ids=["bcd", "elimination"])
-    def test_eigenvalues_are_those_of_P_at_record_time(self, monkeypatch, which):
-        recorded = []
-        original = joint_module._trace_point
+        def slow(*args, **kwargs):
+            time.sleep(0.02)
+            return original(*args, **kwargs)
 
-        def spy(iteration, phase, P, value, gradient_norm):
-            eigs = {gid: np.linalg.eigvalsh(mat) for gid, mat in P.items()}
-            recorded.append(({gid: float(1.0 / e[-1]) for gid, e in eigs.items()},
-                             {gid: float(1.0 / e[0]) for gid, e in eigs.items()}))
-            return original(iteration, phase, P, value, gradient_norm)
+        monkeypatch.setattr(joint_module, "information_update", slow)
+        start = time.perf_counter()
+        res = run_block_exact_bcd(pb, x0, JointConfig(max_outer_iterations=3))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        assert [(t.iteration, t.phase) for t in res.trace] == [(0, "init")] + [
+            (i, phase) for i in range(1, 4) for phase in ("x-step", "p-step")]
+        assert res.trace[-1].objective == res.objective
+        for t in res.trace:
+            assert (t.wall_ms >= 20.0) == (t.phase != "x-step"), t
+        assert sum(t.wall_ms for t in res.trace) <= elapsed_ms
 
-        monkeypatch.setattr(joint_module, "_trace_point", spy)
-        res = self.runs()[which]()
-        res.information["g"][:] = 7.0 * np.eye(3)  # after the run, before any read
-        assert len(res.trace) == len(recorded) > 2
-        for t, (lo, hi) in zip(res.trace, recorded):
-            assert t.sigma_eig_min == lo and t.sigma_eig_max == hi
-        with pytest.raises(ValueError):
-            res.trace[-1].information["g"][0, 0] = 1.0
-
-    @pytest.mark.parametrize("which", [0, 1], ids=["bcd", "elimination"])
-    def test_unread_trace_runs_no_eigensolve(self, monkeypatch, which):
-        calls = []
-        original = np.linalg.eigvalsh
-
-        def counting(a, *args, **kwargs):
-            calls.append(a)
-            return original(a, *args, **kwargs)
-
-        run = self.runs()[which]
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        res = run()
-        assert len(res.trace) > 2 and calls == []
-        res.trace[-1].sigma_eig_min
-        res.trace[-1].sigma_eig_max
-        assert len(calls) == 1
+    def test_elimination_entries_are_x_steps(self):
+        rng = np.random.default_rng(21)
+        pb, x0, _, _ = linear_joint_problem(rng, n=6, k=25, m=3)
+        start = time.perf_counter()
+        res = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                  max_outer_iterations=20))
+        elapsed_ms = (time.perf_counter() - start) * 1e3
+        assert [(t.iteration, t.phase) for t in res.trace] == [(0, "init")] + [
+            (i, "x-step") for i in range(1, res.iterations + 1)]
+        assert res.trace[-1].objective == res.objective
+        assert all(t.wall_ms >= 0.0 for t in res.trace)
+        assert sum(t.wall_ms for t in res.trace) <= elapsed_ms
 
 
 class TestCalibrate:

@@ -17,8 +17,6 @@ from jointcov.manifold import (
 )
 from jointcov import nls
 from jointcov.nls import (
-    RIEMANNIAN_GD,
-    SINGLE_ITERATION,
     NlsConfig,
     build_system,
     solve_fixed_P,
@@ -139,10 +137,14 @@ class TestSolveFixedP:
     def test_cost_monotone_over_accepted_steps(self):
         pb, _ = chain_problem(noise=0.05)
         x0 = pb.manifold.identity()
-        res = solve_fixed_P(pb, x0, {"g": np.diag([5.0, 5.0, 8.0])})
-        costs = [t[1] for t in res.trace]
+        W = {"g": np.diag([5.0, 5.0, 8.0])}
+        res = solve_fixed_P(pb, x0, W)
+        assert res.converged and res.iterations > 2
+        # a run capped at i iterations is the first i of the full run
+        costs = [solve_fixed_P(pb, x0, W, NlsConfig(max_iterations=i)).cost
+                 for i in range(1, res.iterations + 1)]
+        assert costs[-1] == res.cost
         assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
-        assert res.converged
 
     def test_gauge_block_never_moves(self):
         pb, _ = chain_problem(noise=0.05)
@@ -199,13 +201,18 @@ class TestSparsity:
                 assert np.any(sub != 0.0) == (key in expected)
 
 
+def lm_step(pb, x, weights):
+    """One Levenberg-Marquardt x-step from zero damping: the new point."""
+    return nls._lm_step(pb, x, weights, 0.0, NlsConfig())[0]
+
+
 class TestStepOnce:
     def test_stationary_point_fixed(self):
         rng = np.random.default_rng(2)
         pb, spec, Hs, zs, _ = linear_problem(rng)
         P = np.eye(3)
         x_star = ManifoldPoint(spec, (gls_solution(Hs, zs, P),))
-        x_next, _ = step_once(pb, x_star, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
+        x_next = lm_step(pb, x_star, {"g": P})
         np.testing.assert_allclose(x_next.block("x"), x_star.block("x"), atol=1e-10)
 
     def test_linear_single_iteration_reaches_gls(self):
@@ -213,15 +220,14 @@ class TestStepOnce:
         pb, spec, Hs, zs, _ = linear_problem(rng)
         P = np.diag([1.0, 3.0, 0.5])
         x0 = ManifoldPoint(spec, (rng.normal(size=6),))
-        x1, _ = step_once(pb, x0, {"g": P}, NlsConfig(step_mode=SINGLE_ITERATION))
+        x1 = lm_step(pb, x0, {"g": P})
         np.testing.assert_allclose(x1.block("x"), gls_solution(Hs, zs, P), atol=1e-9)
 
     def test_descent_on_pose_graph(self):
         pb, _ = chain_problem(noise=0.1)
         x0 = pb.manifold.identity()
         W = {"g": np.eye(3)}
-        for mode in (SINGLE_ITERATION, RIEMANNIAN_GD):
-            x1, _ = step_once(pb, x0, W, NlsConfig(step_mode=mode))
+        for x1 in (lm_step(pb, x0, W), step_once(pb, x0, W)[0]):
             assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
 
 
@@ -450,7 +456,7 @@ class TestCompiledSparseSolve:
         pb, x, weights = random_pose_graph(data)
         pb = JointProblem(pb.manifold, pb.factors, pb.groups)
         with patch.object(nls, "DENSE_THRESHOLD", 1):
-            x1, _ = step_once(pb, x, weights, NlsConfig(step_mode=SINGLE_ITERATION))
+            x1 = lm_step(pb, x, weights)
         assert weighted_cost(pb, x1, weights) <= weighted_cost(pb, x, weights)
 
     def test_analysis_runs_once_per_problem(self):
