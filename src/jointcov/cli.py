@@ -73,7 +73,8 @@ def load_config_file(path) -> dict:
     """Key-value overrides: one `key value...` pair per line, '#' comments.
 
     Grids and algorithm lists take several values, every other key one;
-    a bad line fails as ``path:line: config key 'k' ...``.
+    a bad line fails as ``path:line: config key 'k' ...``.  The subcommand
+    names the experiment, so the file may not set ``experiment``.
     """
     overrides = {}
     with open(path) as fh:
@@ -84,6 +85,9 @@ def load_config_file(path) -> dict:
             key = parts[0]
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key == "experiment":
+                raise ValueError(f"{path}:{lineno}: config key 'experiment' is set by "
+                                 "the subcommand")
             try:
                 overrides[key] = _config_value(key, parts[1:])
             except ValueError as err:
@@ -252,10 +256,8 @@ def _dispatch(args) -> int:
             print(f"group {gid}: estimated covariance diag "
                   f"{np.diag(sigma).round(8).tolist()}")
         if args.output_graph:
-            est = io_pgo.PoseGraph2D(
-                poses={i: np.asarray(result.x.block(i)) for i in graph.poses},
-                edges=graph.edges)
-            io_pgo.save_g2o(est, args.output_graph)
+            io_pgo.save_g2o(io_pgo.PoseGraph2D.from_edges(result.x.poses, graph.edges),
+                            args.output_graph)
             print(f"poses -> {args.output_graph}")
         if args.output_covariance:
             with open(args.output_covariance, "w") as fh:

@@ -2,6 +2,14 @@
 initialization, odometry/loop-closure classification, and synthetic
 Manhattan-style dataset generation with controllable noise.
 
+A :class:`PoseGraph2D` is columnar: a pose array and one read-only array
+per edge field.  The generator and the parser build those arrays, and
+:func:`spanning_tree_init`, :func:`pose_graph_problem` and the writer read them;
+:attr:`PoseGraph2D.edges` makes an :class:`Edge` record only when one is
+asked for.  The graphs of ``n`` vertices share one :func:`pose_manifold`
+spec.  Loop-closure candidates come from a grid hash (:func:`_near_pairs`),
+not a k-d tree.
+
 Supported tags: ``VERTEX_SE2 id x y theta`` and
 ``EDGE_SE2 i j dx dy dtheta q11 q12 q13 q22 q23 q33`` (upper-triangular
 information, row-major).  Unknown tags are skipped with a warning.  Edge
@@ -13,9 +21,10 @@ class table is supplied.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from io import StringIO
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, NamedTuple, TextIO
 
 import numpy as np
 
@@ -33,6 +42,7 @@ ODOMETRY = "odometry"
 LOOP = "loop"
 
 EDGE_KINDS = (ODOMETRY, LOOP)
+_KIND_CODE = {kind: code for code, kind in enumerate(EDGE_KINDS)}
 
 
 class GraphFormatError(ValueError):
@@ -48,8 +58,11 @@ def counter_rng(*key_parts: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(list(key_parts))))
 
 
-@dataclass(eq=False)
-class Edge:
+class Edge(NamedTuple):
+    """One edge of a :class:`PoseGraph2D`, as :attr:`PoseGraph2D.edges`
+    hands it out: ``z`` and ``information`` are read-only rows of the
+    graph's arrays."""
+
     i: int
     j: int
     z: np.ndarray              # relative pose (dx, dy, dtheta)
@@ -57,28 +70,96 @@ class Edge:
     kind: str = ODOMETRY
 
 
-@dataclass(eq=False)
-class PoseGraph2D:
-    """Vertices (dense int ids -> SE(2) pose) and relative-pose edges."""
+def _read_only(values, dtype, shape) -> np.ndarray:
+    """``values`` as a read-only array of ``shape``; writable input is copied."""
+    out = np.asarray(values, dtype=dtype).reshape(shape)
+    if out.flags.writeable:
+        out = out.copy()
+        out.setflags(write=False)
+    return out
 
-    poses: dict = field(default_factory=dict)
-    edges: list = field(default_factory=list)
+
+class PoseGraph2D:
+    """Vertex poses and relative-pose edges, one read-only array per field.
+
+    ``poses`` ``(n, 3)`` holds vertex v's pose in row v.  Edge e joins
+    vertices ``i[e]`` and ``j[e]`` (``(k,)`` each) by the measured pose
+    ``z[e]`` of j relative to i (``(k, 3)``), with the information matrix
+    ``information[e]`` (``(k, 3, 3)``) and the class ``EDGE_KINDS[kind[e]]``
+    (``kind`` ``(k,)`` int8).  The constructor takes the arrays as they
+    are and copies only writable ones, so a read-only broadcast of one
+    information matrix stays one matrix.
+    """
+
+    def __init__(self, poses, i, j, z, information, kind):
+        self.poses = _read_only(poses, float, (-1, 3))
+        self.i = _read_only(i, np.intp, (-1,))
+        self.j = _read_only(j, np.intp, (-1,))
+        self.z = _read_only(z, float, (-1, 3))
+        self.information = _read_only(information, float, (-1, 3, 3))
+        self.kind = _read_only(kind, np.int8, (-1,))
+        if not (len(self.i) == len(self.j) == len(self.z) == len(self.information)
+                == len(self.kind)):
+            raise ValueError("edge arrays differ in length")
+
+    @classmethod
+    def from_edges(cls, poses, edges: Iterable[Edge]) -> "PoseGraph2D":
+        """The graph of vertex poses ``(n, 3)`` and :class:`Edge` records."""
+        edges = list(edges)
+        for e in edges:
+            if e.kind not in EDGE_KINDS:
+                raise ValueError(f"unknown edge class {e.kind!r} for edge ({e.i}, {e.j})")
+        return cls(poses, [e.i for e in edges], [e.j for e in edges],
+                   [e.z for e in edges], [e.information for e in edges],
+                   [_KIND_CODE[e.kind] for e in edges])
 
     @property
     def num_poses(self) -> int:
         return len(self.poses)
 
-    def edges_of_kind(self, kind: str) -> list:
-        return [e for e in self.edges if e.kind == kind]
+    @property
+    def edges(self) -> "_EdgeView":
+        """Every edge, in order, as a read-only sequence of :class:`Edge`."""
+        return _EdgeView(self, range(len(self.i)))
+
+    def edges_of_kind(self, kind: str) -> "_EdgeView":
+        return _EdgeView(self, np.flatnonzero(self.kind == _KIND_CODE.get(kind, -1)))
+
+    def _edge(self, e) -> Edge:
+        return Edge(int(self.i[e]), int(self.j[e]), self.z[e], self.information[e],
+                    EDGE_KINDS[self.kind[e]])
 
 
-def _classify(i: int, j: int) -> str:
-    return ODOMETRY if abs(i - j) == 1 else LOOP
+class _EdgeView:
+    """Read-only sequence of a graph's edges ``index``, each an :class:`Edge`
+    made when it is read."""
+
+    __slots__ = ("_graph", "_index")
+
+    def __init__(self, graph: PoseGraph2D, index):
+        self._graph, self._index = graph, index
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return _EdgeView(self._graph, self._index[k])
+        return self._graph._edge(self._index[k])
+
+    def __iter__(self):
+        return map(self._graph._edge, self._index)
 
 
 def _require_finite(vals, lineno: int) -> None:
     if not all(np.isfinite(vals)):
         raise GraphFormatError(f"line {lineno}: non-finite value in {vals}")
+
+
+# the rows and columns of q11 q12 q13 q22 q23 q33 in the information
+# matrix, and each entry of the matrix (row-major) as an index into the six
+_UPPER = ((0, 0, 0, 1, 1, 2), (0, 1, 2, 1, 2, 2))
+_FROM_UPPER = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph2D:
@@ -87,10 +168,13 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
     ``classes`` optionally overrides edge classification: a mapping from
     ``(i, j)`` (original file ids) to ``"odometry"`` or ``"loop"``.
     Vertex ids are remapped to a dense 0..n-1 range (sorted order) if needed.
+    Each line is checked as it is read; the information matrices, the
+    vertex references and the classes once the whole file is read, each
+    error naming the first bad line or edge.
     """
     stream = StringIO(source) if isinstance(source, str) else source
     poses: dict = {}
-    raw_edges: list = []
+    edge_lines, edge_ends, edge_values = [], [], []
     for lineno, line in enumerate(stream, start=1):
         parts = line.split()
         if not parts:
@@ -107,7 +191,7 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
             _require_finite(vals, lineno)
             if vid in poses:
                 raise GraphFormatError(f"line {lineno}: duplicate vertex {vid}")
-            poses[vid] = np.array(vals)
+            poses[vid] = vals
         elif tag == "EDGE_SE2":
             if len(parts) != 12:
                 raise GraphFormatError(f"line {lineno}: EDGE_SE2 expects 11 fields")
@@ -119,33 +203,39 @@ def parse_g2o(source: str | TextIO, classes: Mapping | None = None) -> PoseGraph
             if i == j:
                 raise GraphFormatError(f"line {lineno}: self-loop edge on vertex {i}")
             _require_finite(vals, lineno)
-            z = np.array(vals[:3])
-            q11, q12, q13, q22, q23, q33 = vals[3:]
-            info = np.array([[q11, q12, q13], [q12, q22, q23], [q13, q23, q33]])
-            if np.linalg.eigvalsh(info).min() < -1e-9 * max(1.0, abs(info).max()):
-                raise GraphFormatError(
-                    f"line {lineno}: information matrix is not positive semidefinite")
-            raw_edges.append((lineno, i, j, z, info))
+            edge_lines.append(lineno)
+            edge_ends.append((i, j))
+            edge_values.append(vals)
         else:
             warnings.warn(f"line {lineno}: skipping unknown tag {tag!r}")
 
-    for lineno, i, j, _, _ in raw_edges:
-        for v in (i, j):
+    values = np.array(edge_values, dtype=float).reshape(-1, 9)
+    information = values[:, 3:][:, _FROM_UPPER].reshape(-1, 3, 3)
+    scale = np.maximum(1.0, np.abs(information).max(axis=(1, 2)))
+    not_psd = np.linalg.eigvalsh(information).min(axis=1) < -1e-9 * scale
+    if not_psd.any():
+        raise GraphFormatError(f"line {edge_lines[np.argmax(not_psd)]}: "
+                               "information matrix is not positive semidefinite")
+
+    for lineno, ends in zip(edge_lines, edge_ends):
+        for v in ends:
             if v not in poses:
                 raise GraphFormatError(f"line {lineno}: edge references missing vertex {v}")
 
-    ids = sorted(poses)
-    remap = {vid: n for n, vid in enumerate(ids)}
-    graph = PoseGraph2D(poses={remap[v]: poses[v] for v in ids})
-    for _, i, j, z, info in raw_edges:
+    kinds = []
+    for i, j in edge_ends:
         if classes is not None and (i, j) in classes:
             kind = classes[(i, j)]
             if kind not in EDGE_KINDS:
                 raise GraphFormatError(f"unknown edge class {kind!r} for edge ({i}, {j})")
         else:
-            kind = _classify(i, j)
-        graph.edges.append(Edge(remap[i], remap[j], z, info, kind))
-    return graph
+            kind = ODOMETRY if abs(i - j) == 1 else LOOP
+        kinds.append(_KIND_CODE[kind])
+
+    ids = sorted(poses)
+    remap = {vid: n for n, vid in enumerate(ids)}
+    return PoseGraph2D([poses[v] for v in ids], [remap[i] for i, _ in edge_ends],
+                       [remap[j] for _, j in edge_ends], values[:, :3], information, kinds)
 
 
 def parse_edge_classes(source: str | TextIO) -> dict:
@@ -163,22 +253,17 @@ def parse_edge_classes(source: str | TextIO) -> dict:
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return format(x, ".17g")
 
 
 def write_g2o(graph: PoseGraph2D) -> str:
     """Inverse of :func:`parse_g2o` on its image; 17 significant digits."""
-    lines = []
-    for vid in sorted(graph.poses):
-        p = graph.poses[vid]
-        lines.append(f"VERTEX_SE2 {vid} {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}")
-    for e in graph.edges:
-        q = e.information
-        lines.append(
-            "EDGE_SE2 "
-            f"{e.i} {e.j} {_fmt(e.z[0])} {_fmt(e.z[1])} {_fmt(e.z[2])} "
-            f"{_fmt(q[0, 0])} {_fmt(q[0, 1])} {_fmt(q[0, 2])} "
-            f"{_fmt(q[1, 1])} {_fmt(q[1, 2])} {_fmt(q[2, 2])}")
+    lines = [f"VERTEX_SE2 {v} {_fmt(x)} {_fmt(y)} {_fmt(th)}"
+             for v, (x, y, th) in enumerate(graph.poses.tolist())]
+    upper = graph.information[(slice(None), *_UPPER)]
+    for i, j, z, q in zip(graph.i.tolist(), graph.j.tolist(), graph.z.tolist(),
+                          upper.tolist()):
+        lines.append(f"EDGE_SE2 {i} {j} " + " ".join(map(_fmt, z + q)))
     return "\n".join(lines) + "\n"
 
 
@@ -196,14 +281,17 @@ def save_g2o(graph: PoseGraph2D, path) -> None:
         fh.write(write_g2o(graph))
 
 
+@lru_cache(maxsize=4)
 def pose_manifold(num_poses: int) -> ManifoldSpec:
+    """The spec of poses 0..num_poses-1.  A spec is immutable, so every
+    graph, problem and point of one size shares one; the specs of the four
+    most recently used sizes are kept."""
     return ManifoldSpec(tuple(se2_block(i) for i in range(num_poses)))
 
 
 def graph_poses_point(graph: PoseGraph2D) -> ManifoldPoint:
     """The graph's stored vertex poses as a manifold point."""
-    n = graph.num_poses
-    return ManifoldPoint.from_arrays(pose_manifold(n), [graph.poses[v] for v in range(n)])
+    return ManifoldPoint.from_arrays(pose_manifold(graph.num_poses), graph.poses)
 
 
 def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
@@ -218,21 +306,19 @@ def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
     n = graph.num_poses
     if n == 0:
         raise GraphConnectivityError("graph has no vertices")
-    ij = np.array([(e.i, e.j) for e in graph.edges], dtype=np.intp).reshape(-1, 2)
+    ij = np.column_stack([graph.i, graph.j])
     if ij.size and (ij.min() < 0 or ij.max() >= n):
         raise GraphFormatError(f"edge references a vertex outside 0..{n - 1}")
-    z = np.array([e.z for e in graph.edges], dtype=float).reshape(-1, 3)
     # arc 2e leaves edge e's i side with z, arc 2e + 1 its j side with z^-1
     order = np.argsort(ij.ravel(), kind="stable")
     src, dst = ij.ravel()[order], ij[:, ::-1].ravel()[order]
-    step = np.stack([z, se2_inverse(z)], axis=1).reshape(-1, 3)[order]
+    step = np.stack([graph.z, se2_inverse(graph.z)], axis=1).reshape(-1, 3)[order]
     first_arc = np.searchsorted(src, np.arange(n + 1))
     poses, seen = np.zeros((n, 3)), np.arange(n) == 0
     frontier = np.zeros(1, dtype=np.intp)
     while frontier.size:
-        counts = first_arc[frontier + 1] - first_arc[frontier]
-        arcs = np.repeat(first_arc[frontier] + counts - np.cumsum(counts), counts)
-        arcs += np.arange(len(arcs))   # the frontier's arcs, in frontier order
+        # the frontier's arcs, in frontier order
+        arcs = _ranges(first_arc[frontier], first_arc[frontier + 1] - first_arc[frontier])
         arcs = arcs[~seen[dst[arcs]]]
         arcs = arcs[np.sort(np.unique(dst[arcs], return_index=True)[1])]
         frontier = dst[arcs]
@@ -244,6 +330,12 @@ def spanning_tree_init(graph: PoseGraph2D) -> ManifoldPoint:
     return ManifoldPoint.from_arrays(pose_manifold(n), poses)
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The integers ``starts[r] .. starts[r] + counts[r] - 1`` of every range
+    r, concatenated in order."""
+    return np.repeat(starts + counts - np.cumsum(counts), counts) + np.arange(counts.sum())
+
+
 def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup]) -> JointProblem:
     """Build the estimation problem for a pose graph, with pose 0 gauge-fixed.
 
@@ -252,17 +344,14 @@ def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup]) -> Join
     """
     groups = tuple(groups)
     if len(groups) == 1:
-        gid = groups[0].group_id
-        classify = lambda e: gid  # noqa: E731
+        group_of = [groups[0].group_id] * len(graph.kind)
     elif {g.group_id for g in groups} == {ODOMETRY, LOOP}:
-        classify = lambda e: e.kind  # noqa: E731
+        group_of = [EDGE_KINDS[code] for code in graph.kind.tolist()]
     else:
         raise ValueError("pose-graph groups must be one group, or 'odometry' and 'loop'")
-    spec = pose_manifold(graph.num_poses)
-    factors = tuple(
-        relative_se2_factor(idx, e.i, e.j, e.z, classify(e))
-        for idx, e in enumerate(graph.edges))
-    return JointProblem(spec, factors, groups, frozenset({0}))
+    factors = tuple(map(relative_se2_factor, range(len(group_of)), graph.i.tolist(),
+                        graph.j.tolist(), graph.z, group_of))
+    return JointProblem(pose_manifold(graph.num_poses), factors, groups, frozenset({0}))
 
 
 @dataclass(frozen=True, eq=False)
@@ -324,9 +413,7 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
     positions = np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
     truth = np.column_stack([positions, headings])
 
-    from scipy.spatial import cKDTree  # here, not at module level: it slows every import
-
-    pairs = cKDTree(positions).query_pairs(loop_radius, output_type="ndarray")
+    pairs = _near_pairs(positions, loop_radius)
     pairs = pairs[np.abs(pairs[:, 1] - pairs[:, 0]) >= loop_gap]
     pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     target = int(round(loop_fraction * num_poses))
@@ -352,12 +439,46 @@ def generate_manhattan_like(num_poses: int, scheme: str = "nearby",
     z = measure_batch(odo_i, odo_i + 1, ODOMETRY)
     if len(loop_i):
         z = np.concatenate([z, measure_batch(loop_i, loop_j, LOOP)])
-    kinds = [ODOMETRY] * len(odo_i) + [LOOP] * len(loop_i)
-    edges = map(Edge, np.concatenate([odo_i, loop_i]).tolist(),
-                np.concatenate([odo_i + 1, loop_j]).tolist(), z,
-                np.tile(np.eye(3), (len(kinds), 1, 1)), kinds)
-    graph = PoseGraph2D(poses=dict(enumerate(truth.copy())), edges=list(edges))
+    kind = np.repeat(np.int8([_KIND_CODE[ODOMETRY], _KIND_CODE[LOOP]]),
+                     [len(odo_i), len(loop_i)])
+    graph = PoseGraph2D(truth, np.concatenate([odo_i, loop_i]),
+                        np.concatenate([odo_i + 1, loop_j]), z,
+                        np.broadcast_to(np.eye(3), (len(z), 3, 3)), kind)
     return graph, ManifoldPoint.from_arrays(pose_manifold(num_poses), truth)
+
+
+def _near_pairs(points: np.ndarray, radius: float) -> np.ndarray:
+    """Index pairs ``(i, j)``, ``i < j``, of the 2-D ``points`` within
+    ``radius`` of each other, in no particular order: the pairs
+    ``cKDTree(points).query_pairs(radius)`` finds, by the same test
+    ``dx * dx + dy * dy <= radius * radius``.
+
+    A grid hash: the points fall into square cells of side ``radius``, and
+    a point's candidates are the points in the 3 x 3 cells around its own.
+    Rounding in ``(p - lo) / side`` moves a cell coordinate by at most about
+    ``2 eps span / side``; the side's margin covers that, so a pair that
+    passes the test is never two cells apart.  At least ``span / 2**20``,
+    the side keeps the cell keys within int64.
+    """
+    lo = points.min(axis=0)
+    span = float((points.max(axis=0) - lo).max())
+    side = max(radius + 4 * np.finfo(float).eps * (radius + span), span / 2**20)
+    cell = np.floor((points - lo) / side).astype(np.int64) + 1   # >= 1: cell - 1 >= 0
+    width = int(cell[:, 1].max()) + 2
+    key = cell[:, 0] * width + cell[:, 1]
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    around = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+    wanted = (key[:, None] + around).ravel()
+    first = np.searchsorted(sorted_key, wanted, side="left")
+    counts = np.searchsorted(sorted_key, wanted, side="right") - first
+    i = np.repeat(np.repeat(np.arange(len(points)), len(around)), counts)
+    j = order[_ranges(first, counts)]
+    keep = i < j
+    i, j = i[keep], j[keep]
+    d = points[i] - points[j]
+    near = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] <= radius * radius
+    return np.column_stack([i[near], j[near]])
 
 
 def _check_generator_args(num_poses, loop_fraction, loop_radius, loop_gap) -> None:

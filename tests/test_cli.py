@@ -37,11 +37,8 @@ def small_graph_files(tmp_path):
         80, "nearby", SyntheticNoiseSpec(info, seed=4), trajectory_seed=5)
     noisy = tmp_path / "graph.g2o"
     save_g2o(graph, noisy)
-    gt_graph = type(graph)(
-        poses={i: np.asarray(truth.block(i)) for i in graph.poses},
-        edges=graph.edges)
     gt = tmp_path / "gt.g2o"
-    save_g2o(gt_graph, gt)
+    save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
     return noisy, gt
 
 
@@ -235,6 +232,20 @@ class TestSolveCommand:
         assert cov.shape == (3, 3)
         assert np.linalg.eigvalsh(cov).min() > 0
 
+    def test_output_graph_is_the_input_edges_at_the_solved_poses(self, small_graph_files,
+                                                                 tmp_path):
+        # one VERTEX_SE2 line per solved pose block, each value to 17
+        # digits, then the input's edge lines byte for byte
+        noisy, _ = small_graph_files
+        out_graph = tmp_path / "est.g2o"
+        assert main(["solve", "--input", str(noisy), "--output-graph", str(out_graph)]) == 0
+        result, _ = harness.solve_graph(load_g2o(noisy), ExperimentConfig(experiment="single-run"))
+        vertices = [f"VERTEX_SE2 {v} " + " ".join(format(float(c), ".17g")
+                                                  for c in result.x.block(v))
+                    for v in range(80)]
+        edges = [line for line in noisy.read_text().splitlines() if line.startswith("EDGE_SE2")]
+        assert out_graph.read_text() == "\n".join(vertices + edges) + "\n"
+
 
 @pytest.fixture
 def noise_free_graph(tmp_path):
@@ -242,8 +253,7 @@ def noise_free_graph(tmp_path):
     noisy = tmp_path / "clean.g2o"
     save_g2o(graph, noisy)
     gt = tmp_path / "clean_gt.g2o"
-    save_g2o(PoseGraph2D(poses={i: np.asarray(truth.block(i)) for i in graph.poses},
-                         edges=graph.edges), gt)
+    save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
     return noisy, gt
 
 
@@ -290,8 +300,8 @@ _VALUE_BY_NAME = {"noise_grid": ("0.1 2", (0.1, 2.0)),
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig),
-                             ids=lambda f: f.name)
+    @pytest.mark.parametrize("field", [f for f in dataclasses.fields(ExperimentConfig)
+                                       if f.name != "experiment"], ids=lambda f: f.name)
     def test_every_field_accepted(self, tmp_path, field):
         text, value = _VALUE_BY_NAME.get(field.name) or _VALUE_BY_TYPE[field.type]
         cfg = tmp_path / "cfg.txt"
@@ -299,6 +309,24 @@ class TestConfigFile:
         parsed = load_config_file(cfg)
         assert parsed == {field.name: value}
         assert type(parsed[field.name]) is type(value)
+
+    @pytest.mark.parametrize("command", ["linear-mc", "pgo"])
+    def test_experiment_key_rejected(self, tmp_path, capsys, monkeypatch, command):
+        # the subcommand names the experiment; a config file relabelling it
+        # would mislabel every record
+        def called(*args, **kwargs):
+            raise AssertionError("a runner was called before the config was checked")
+
+        monkeypatch.setattr(harness, "run_linear_mc", called)
+        monkeypatch.setattr(harness, "run_pgo_ablation", called)
+        cfg = tmp_path / "exp.txt"
+        cfg.write_text("trials 2\nexperiment bogus\n")
+        with pytest.raises(ValueError, match=f"^{cfg}:2: config key 'experiment' is set "
+                                             "by the subcommand$"):
+            load_config_file(cfg)
+        assert main([command, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {cfg}:2: config key 'experiment' is set by the subcommand"]
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.txt"

@@ -207,7 +207,7 @@ class TestDeterminism:
         assert records[0].rmse is not None
 
     def test_pgo_external_dataset_input(self, tmp_path):
-        from jointcov.io_pgo import (SyntheticNoiseSpec,
+        from jointcov.io_pgo import (PoseGraph2D, SyntheticNoiseSpec,
                                      generate_manhattan_like, save_g2o)
 
         info = {"all": np.diag([100.0, 200.0, 150.0])}
@@ -215,11 +215,8 @@ class TestDeterminism:
             100, "nearby", SyntheticNoiseSpec(info, seed=3), trajectory_seed=5)
         data = tmp_path / "data.g2o"
         save_g2o(graph, data)
-        gt_graph = type(graph)(
-            poses={i: np.asarray(truth.block(i)) for i in graph.poses},
-            edges=graph.edges)
         gt = tmp_path / "gt.g2o"
-        save_g2o(gt_graph, gt)
+        save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
         cfg = ExperimentConfig(experiment="pgo-ablation", trials=1,
                                noise_grid=(0.0,),
                                algorithms=("bcd", "fixed-true"),

@@ -1,6 +1,7 @@
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -19,6 +20,7 @@ from jointcov.io_pgo import (
     GraphFormatError,
     PoseGraph2D,
     SyntheticNoiseSpec,
+    _near_pairs,
     counter_rng,
     generate_manhattan_like,
     parse_edge_classes,
@@ -34,11 +36,8 @@ from jointcov.problem import NoiseGroup, residual
 
 
 def graphs_equal(a, b):
-    if sorted(a.poses) != sorted(b.poses):
+    if not np.array_equal(a.poses, b.poses):
         return False
-    for vid in a.poses:
-        if not np.array_equal(a.poses[vid], b.poses[vid]):
-            return False
     if len(a.edges) != len(b.edges):
         return False
     for ea, eb in zip(a.edges, b.edges):
@@ -50,17 +49,17 @@ def graphs_equal(a, b):
 
 
 def random_graph(rng, n=8, extra=3):
-    g = PoseGraph2D(poses={i: rng.uniform(-2, 2, size=3) for i in range(n)})
+    poses = rng.uniform(-2, 2, size=(n, 3))
+    edges = []
     for i in range(n - 1):
         q = rng.uniform(0.5, 3.0, size=3)
-        g.edges.append(Edge(i, i + 1, rng.uniform(-1, 1, size=3), np.diag(q), ODOMETRY))
+        edges.append(Edge(i, i + 1, rng.uniform(-1, 1, size=3), np.diag(q), ODOMETRY))
     for _ in range(extra):
         i, j = sorted(rng.choice(n, size=2, replace=False))
         if j - i == 1:
             continue
-        g.edges.append(Edge(int(i), int(j), rng.uniform(-1, 1, size=3),
-                            np.eye(3), LOOP))
-    return g
+        edges.append(Edge(int(i), int(j), rng.uniform(-1, 1, size=3), np.eye(3), LOOP))
+    return PoseGraph2D.from_edges(poses, edges)
 
 
 class TestParser:
@@ -114,6 +113,16 @@ class TestParser:
         with pytest.raises(GraphFormatError, match="line 4: self-loop edge on vertex 0"):
             parse_g2o(text)
 
+    def test_first_non_psd_information_names_its_line(self):
+        bad = "EDGE_SE2 {} {} 1 0 0 1 2 0 1 0 1\n"   # eigenvalues -1, 1, 3
+        good = "EDGE_SE2 {} {} 1 0 0 1 0 0 1 0 1\n"
+        text = ("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\nVERTEX_SE2 2 2 0 0\n"
+                + good.format(0, 1) + good.format(1, 2) + bad.format(0, 2)
+                + good.format(2, 0) + bad.format(2, 1))
+        with pytest.raises(GraphFormatError,
+                           match="^line 6: information matrix is not positive semidefinite$"):
+            parse_g2o(text)
+
     def test_missing_vertex_rejected(self):
         with pytest.raises(GraphFormatError, match="missing vertex"):
             parse_g2o("VERTEX_SE2 0 0 0 0\nEDGE_SE2 0 1 1 0 0 1 0 0 1 0 1\n")
@@ -127,7 +136,7 @@ class TestParser:
         text = ("VERTEX_SE2 5 0 0 0\nVERTEX_SE2 9 1 0 0\n"
                 "EDGE_SE2 5 9 1 0 0 1 0 0 1 0 1\n")
         g = parse_g2o(text)
-        assert sorted(g.poses) == [0, 1]
+        np.testing.assert_array_equal(g.poses, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         assert (g.edges[0].i, g.edges[0].j) == (0, 1)
         # classification used the original ids: gap 4 -> loop closure
         assert g.edges[0].kind == LOOP
@@ -135,8 +144,8 @@ class TestParser:
 
 class TestWriter:
     def test_identity_graph_canonical(self):
-        g = PoseGraph2D(poses={0: np.zeros(3), 1: np.array([1.0, 0.0, 0.0])})
-        g.edges.append(Edge(0, 1, np.array([1.0, 0.0, 0.0]), np.eye(3), ODOMETRY))
+        g = PoseGraph2D.from_edges([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                                   [Edge(0, 1, np.array([1.0, 0.0, 0.0]), np.eye(3), ODOMETRY)])
         text = write_g2o(g)
         lines = text.strip().split("\n")
         assert lines[0] == "VERTEX_SE2 0 0 0 0"
@@ -156,6 +165,24 @@ class TestWriter:
         twice = write_g2o(parse_g2o(once))
         assert once == twice
 
+    def test_graph_without_edges_round_trips(self):
+        text = "VERTEX_SE2 0 0.5 -1 3\nVERTEX_SE2 1 2 0 -0.25\n"
+        g = parse_g2o(text)
+        assert len(g.edges) == 0 and not g.edges_of_kind(LOOP)
+        assert g.z.shape == (0, 3) and g.information.shape == (0, 3, 3)
+        assert write_g2o(g) == text
+
+    def test_class_override_round_trips(self):
+        rng = np.random.default_rng(20)
+        text = write_g2o(random_graph(rng))
+        classes = {(0, 1): LOOP, (3, 4): LOOP}
+        g = parse_g2o(text, classes=classes)
+        assert [e.kind for e in g.edges[:5]] == [LOOP, ODOMETRY, ODOMETRY, LOOP, ODOMETRY]
+        assert write_g2o(g) == text
+        assert graphs_equal(parse_g2o(write_g2o(g), classes=classes), g)
+        with pytest.raises(GraphFormatError, match=r"unknown edge class 'gps' for edge \(3, 4\)"):
+            parse_g2o(text, classes={(3, 4): "gps"})
+
     def test_edge_order_preserved(self):
         rng = np.random.default_rng(19)
         g = random_graph(rng)
@@ -163,24 +190,38 @@ class TestWriter:
         assert [(e.i, e.j) for e in g.edges] == [(e.i, e.j) for e in g2.edges]
 
 
+class TestGraph:
+    def test_edge_view(self):
+        g = random_graph(np.random.default_rng(21))
+        edges = list(g.edges)
+        assert [e.i for e in g.edges[2:5]] == [e.i for e in edges[2:5]]
+        assert g.edges[-1].j == edges[-1].j == g.j[-1]
+        loops = g.edges_of_kind(LOOP)
+        assert [(e.i, e.j) for e in loops] == [(e.i, e.j) for e in edges if e.kind == LOOP]
+        assert len(loops) + len(g.edges_of_kind(ODOMETRY)) == len(g.edges)
+        with pytest.raises(IndexError):
+            g.edges[len(edges)]
+        with pytest.raises(ValueError, match="unknown edge class 'gps'"):
+            PoseGraph2D.from_edges(g.poses, [edges[0]._replace(kind="gps")])
+
+
 class TestSpanningTree:
     def test_translation_chain(self):
-        g = PoseGraph2D(poses={i: np.zeros(3) for i in range(3)})
-        for i in range(2):
-            g.edges.append(Edge(i, i + 1, np.array([1.0, 0.0, 0.0]), np.eye(3)))
+        g = PoseGraph2D.from_edges(np.zeros((3, 3)), [
+            Edge(i, i + 1, np.array([1.0, 0.0, 0.0]), np.eye(3)) for i in range(2)])
         x = spanning_tree_init(g)
         np.testing.assert_allclose(x.block(0), [0, 0, 0])
         np.testing.assert_allclose(x.block(1), [1, 0, 0])
         np.testing.assert_allclose(x.block(2), [2, 0, 0])
 
     def test_single_vertex(self):
-        g = PoseGraph2D(poses={0: np.array([5.0, 5.0, 1.0])})
+        g = PoseGraph2D.from_edges([[5.0, 5.0, 1.0]], [])
         x = spanning_tree_init(g)
         np.testing.assert_array_equal(x.block(0), np.zeros(3))
 
     def test_reversed_edge_inverted(self):
-        g = PoseGraph2D(poses={0: np.zeros(3), 1: np.zeros(3)})
-        g.edges.append(Edge(1, 0, np.array([1.0, 0.0, 0.0]), np.eye(3)))
+        g = PoseGraph2D.from_edges(np.zeros((2, 3)),
+                                   [Edge(1, 0, np.array([1.0, 0.0, 0.0]), np.eye(3))])
         x = spanning_tree_init(g)
         np.testing.assert_allclose(x.block(1), [-1.0, 0.0, 0.0], atol=1e-15)
 
@@ -195,14 +236,13 @@ class TestSpanningTree:
             adjacency_used.add((e.i, e.j))
 
     def test_disconnected_raises(self):
-        g = PoseGraph2D(poses={0: np.zeros(3), 1: np.zeros(3), 2: np.zeros(3)})
-        g.edges.append(Edge(0, 1, np.zeros(3), np.eye(3)))
+        g = PoseGraph2D.from_edges(np.zeros((3, 3)), [Edge(0, 1, np.zeros(3), np.eye(3))])
         with pytest.raises(GraphConnectivityError, match="vertex 2"):
             spanning_tree_init(g)
 
     def test_empty_graph_raises(self):
         with pytest.raises(GraphConnectivityError, match="no vertices"):
-            spanning_tree_init(PoseGraph2D())
+            spanning_tree_init(PoseGraph2D.from_edges(np.zeros((0, 3)), []))
 
 
 def reference_spanning_tree(graph):
@@ -237,15 +277,15 @@ def multigraphs(draw):
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
-    graph = PoseGraph2D(poses={v: np.zeros(3) for v in range(n)})
+    edges = []
     for i, j in pairs:
         z = np.array([draw(_coordinate), draw(_coordinate), draw(st.floats(-7.0, 7.0))])
-        graph.edges.append(Edge(i, j, z, np.eye(3)))
+        edges.append(Edge(i, j, z, np.eye(3)))
     if pairs and draw(st.booleans()):  # repeat an edge, and write one the other way
-        graph.edges.append(graph.edges[draw(st.integers(0, len(pairs) - 1))])
-        e = graph.edges[draw(st.integers(0, len(pairs) - 1))]
-        graph.edges.append(Edge(e.j, e.i, se2_inverse(e.z), np.eye(3)))
-    return graph
+        edges.append(edges[draw(st.integers(0, len(pairs) - 1))])
+        e = edges[draw(st.integers(0, len(pairs) - 1))]
+        edges.append(Edge(e.j, e.i, se2_inverse(e.z), np.eye(3)))
+    return PoseGraph2D.from_edges(np.zeros((n, 3)), edges)
 
 
 class TestSpanningTreeOrder:
@@ -271,8 +311,7 @@ class TestSpanningTreeOrder:
                               reference_spanning_tree(graph).poses)
 
     def test_edge_to_a_missing_vertex_rejected(self):
-        g = PoseGraph2D(poses={0: np.zeros(3), 1: np.zeros(3)})
-        g.edges.append(Edge(0, -1, np.zeros(3), np.eye(3)))
+        g = PoseGraph2D.from_edges(np.zeros((2, 3)), [Edge(0, -1, np.zeros(3), np.eye(3))])
         with pytest.raises(GraphFormatError, match="outside 0..1"):
             spanning_tree_init(g)
 
@@ -383,13 +422,12 @@ def reference_manhattan_like(num_poses, scheme="nearby", noise=None, trajectory_
 
     odo_i = np.arange(num_poses - 1)
     z_odo = measure(odo_i, odo_i + 1, ODOMETRY)
-    graph = PoseGraph2D(poses={i: truth[i].copy() for i in range(num_poses)})
-    for i in odo_i:
-        graph.edges.append(Edge(int(i), int(i) + 1, z_odo[i], np.eye(3), ODOMETRY))
+    edges = [Edge(int(i), int(i) + 1, z_odo[i], np.eye(3), ODOMETRY) for i in odo_i]
     if loops:
         z_loop = measure(np.array([p[0] for p in loops]), np.array([p[1] for p in loops]), LOOP)
         for n, (i, j) in enumerate(loops):
-            graph.edges.append(Edge(i, j, z_loop[n], np.eye(3), LOOP))
+            edges.append(Edge(i, j, z_loop[n], np.eye(3), LOOP))
+    graph = PoseGraph2D.from_edges(truth, edges)
     spec = pose_manifold(num_poses)
     return graph, ManifoldPoint(spec, tuple(truth[i] for i in range(num_poses)))
 
@@ -432,10 +470,14 @@ class TestGeneratorMatchesReference:
         far = [e for e in graph.edges_of_kind(LOOP) if e.j - e.i >= 10]
         assert bool(far) == (loops == "all")
 
-    def test_information_matrices_are_distinct(self):
+    def test_information_matrices_cannot_be_written(self):
+        # every edge reads one shared identity, so a write through one edge
+        # would reach all of them: the arrays refuse it
         graph, _ = generate_manhattan_like(30, "nearby", None, trajectory_seed=1)
-        graph.edges[0].information[0, 0] = 5.0
-        assert all(e.information[0, 0] == 1.0 for e in graph.edges[1:])
+        for array in (graph.edges[0].information, graph.edges[0].z, graph.poses):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        assert all(np.array_equal(e.information, np.eye(3)) for e in graph.edges)
 
 
 class TestGeneratorArguments:
@@ -464,12 +506,88 @@ class TestGeneratorArguments:
         assert graph.num_poses == 20
 
 
-def test_package_import_defers_scipy_spatial():
-    # only the synthetic graph generator needs the KD-tree
+def test_library_never_imports_scipy_spatial():
+    # the generator finds loop-closure candidates with a grid hash, so
+    # neither the import nor a generated graph needs the k-d tree
     src = str(pathlib.Path(jointcov.__file__).parents[1])
     code = (f"import sys; sys.path.insert(0, {src!r}); import jointcov.cli, "
-            "jointcov.harness; sys.exit('scipy.spatial' in sys.modules)")
+            "jointcov.harness; jointcov.io_pgo.generate_manhattan_like(50); "
+            "sys.exit('scipy.spatial' in sys.modules)")
     assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+
+def _lattice_walk(turns):
+    """Positions of a unit-step walk turning by quarter turns, rounded as the
+    generator rounds them (cos and sin of multiples of pi / 2)."""
+    headings = np.cumsum(turns) * (np.pi / 2.0)
+    steps = np.column_stack([np.cos(headings), np.sin(headings)])
+    return np.vstack([[0.0, 0.0], np.cumsum(steps, axis=0)])
+
+
+@st.composite
+def point_sets(draw):
+    """Lattice walks, jittered lattice points and arbitrary points, with
+    some points repeated exactly."""
+    shape = draw(st.sampled_from(["walk", "jittered", "arbitrary"]))
+    if shape == "walk":
+        points = _lattice_walk(draw(st.lists(st.sampled_from([0, 1, -1]), max_size=120)))
+    else:
+        n = draw(st.integers(1, 80))
+        if shape == "jittered":
+            lattice = np.array(draw(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                                             min_size=n, max_size=n)), dtype=float)
+            scale = draw(st.sampled_from([0.0, 1e-15, 1e-9, 0.1]))
+            jitter = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=2 * n,
+                                            max_size=2 * n))).reshape(n, 2)
+            points = lattice + scale * jitter
+        else:
+            points = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=2 * n,
+                                            max_size=2 * n))).reshape(n, 2)
+    repeats = draw(st.lists(st.integers(0, len(points) - 1), max_size=5))
+    return np.vstack([points, points[repeats]])
+
+
+class TestNearPairs:
+    @settings(max_examples=400, deadline=None)
+    @given(point_sets(), st.sampled_from([1.0, 2.0, np.sqrt(2.0), 0.7, 1.5, 2.3, 1e-9]))
+    def test_matches_the_kd_tree(self, points, radius):
+        from scipy.spatial import cKDTree
+
+        pairs = _near_pairs(points, radius)
+        assert (pairs[:, 0] < pairs[:, 1]).all()
+        got = set(map(tuple, pairs.tolist()))
+        assert len(got) == len(pairs)
+        assert got == cKDTree(points).query_pairs(radius)
+
+    @pytest.mark.parametrize("radius", [1.0, 2.0, np.sqrt(2.0), 1.5])
+    def test_benchmark_walk(self, radius):
+        from scipy.spatial import cKDTree
+
+        turns = counter_rng(1, 0xA11CE).choice([0, 1, -1], size=3499, p=[0.5, 0.25, 0.25])
+        points = _lattice_walk(turns)
+        got = set(map(tuple, _near_pairs(points, radius).tolist()))
+        assert got == cKDTree(points).query_pairs(radius)
+
+
+def test_benchmark_setup_retains_under_4_mb():
+    # one 3500-pose set-up keeps the graph's arrays, the one pose spec it
+    # shares with the problem and the initial point, and the problem's
+    # factors; per-edge records and per-call specs are not kept
+    pose_manifold.cache_clear()
+    noise = SyntheticNoiseSpec({"all": 5.0 * np.diag([20.0, 40.0, 30.0])}, seed=1)
+    groups = [NoiseGroup(kind, 3, "ml-eig", bounds=(1e-4, 1e4)) for kind in (ODOMETRY, LOOP)]
+    tracemalloc.start()
+    try:
+        graph = generate_manhattan_like(3500, "nearby", noise, trajectory_seed=1,
+                                        loop_fraction=2099 / 3500)[0]
+        problem = pose_graph_problem(graph, groups)
+        x_init = spanning_tree_init(graph)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(graph.edges) == 5598
+    assert problem.manifold is x_init.spec
+    assert retained < 4e6
 
 
 class TestGeneratorConfig:
