@@ -16,7 +16,7 @@ from jointcov.joint import (
 )
 from jointcov.manifold import ManifoldPoint, ManifoldSpec, euclidean_block
 from jointcov.nls import solve_fixed_P
-from jointcov.problem import JointProblem, NoiseGroup, linear_factor
+from jointcov.problem import JointProblem, NoiseGroup, linear_set
 
 rng = np.random.default_rng(3)
 n, k, m = 20, 50, 5
@@ -32,11 +32,11 @@ Hs = rng.standard_normal((k, m, n))
 zs = Hs @ x_true + rng.standard_normal((k, m)) @ L.T
 
 spec = ManifoldSpec((euclidean_block("x", n),))
-factors = [linear_factor(i, "x", Hs[i], zs[i], "g") for i in range(k)]
+measurements = linear_set("x", Hs, zs, "g")  # k rows of one kind and group
 
 # A single prior-free noise group: pure likelihood estimation of the
 # covariance alongside the state.
-problem = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+problem = JointProblem(spec, (measurements,), (NoiseGroup("g", m, "ml"),))
 x0 = ManifoldPoint(spec, (np.zeros(n),))
 truth = ManifoldPoint(spec, (x_true,))
 

@@ -35,15 +35,14 @@ from .manifold import (
     se2_inverse,
 )
 from .problem import (
+    FactorSet,
     JointProblem,
-    MeasurementFactor,
     NoiseGroup,
-    custom_factor,
-    linear_factor,
-    prior_factor,
-    relative_se2_factor,
+    custom_set,
+    linear_set,
+    prior_set,
+    relative_se2_set,
     residual,
-    residual_jacobian,
     sample_covariance,
 )
 

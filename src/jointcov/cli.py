@@ -256,7 +256,8 @@ def _dispatch(args) -> int:
             print(f"group {gid}: estimated covariance diag "
                   f"{np.diag(sigma).round(8).tolist()}")
         if args.output_graph:
-            io_pgo.save_g2o(io_pgo.PoseGraph2D.from_edges(result.x.poses, graph.edges),
+            io_pgo.save_g2o(io_pgo.PoseGraph2D(result.x.poses, graph.i, graph.j, graph.z,
+                                               graph.information, graph.kind),
                             args.output_graph)
             print(f"poses -> {args.output_graph}")
         if args.output_covariance:

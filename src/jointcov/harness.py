@@ -42,7 +42,7 @@ from .covariance import (
 )
 from .io_pgo import LOOP, ODOMETRY, SyntheticNoiseSpec, counter_rng
 from .manifold import CutLocusError, ManifoldPoint, ManifoldSpec, euclidean_block
-from .problem import JointProblem, NoiseGroup, linear_factor
+from .problem import JointProblem, NoiseGroup, linear_set
 
 RESULT_COLUMNS = (
     "experiment", "trial", "seed", "algorithm", "noise_level",
@@ -271,10 +271,9 @@ def wasserstein2(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
 def _linear_problem(Hs, zs) -> tuple[JointProblem, ManifoldPoint]:
     """One trial's problem, with one likelihood noise group ``"g"``, and the
     zero start."""
-    k, m, n = Hs.shape
+    _, m, n = Hs.shape
     spec = ManifoldSpec((euclidean_block("x", n),))
-    factors = tuple(linear_factor(i, "x", Hs[i], zs[i], "g") for i in range(k))
-    problem = JointProblem(spec, factors, (NoiseGroup("g", m, "ml"),))
+    problem = JointProblem(spec, (linear_set("x", Hs, zs, "g"),), (NoiseGroup("g", m, "ml"),))
     return problem, ManifoldPoint(spec, (np.zeros(n),))
 
 

@@ -36,7 +36,7 @@ from .manifold import (
     se2_compose,
     se2_inverse,
 )
-from .problem import JointProblem, NoiseGroup, relative_se2_factor
+from .problem import JointProblem, NoiseGroup, _read_only, relative_se2_set
 
 ODOMETRY = "odometry"
 LOOP = "loop"
@@ -70,15 +70,6 @@ class Edge(NamedTuple):
     kind: str = ODOMETRY
 
 
-def _read_only(values, dtype, shape) -> np.ndarray:
-    """``values`` as a read-only array of ``shape``; writable input is copied."""
-    out = np.asarray(values, dtype=dtype).reshape(shape)
-    if out.flags.writeable:
-        out = out.copy()
-        out.setflags(write=False)
-    return out
-
-
 class PoseGraph2D:
     """Vertex poses and relative-pose edges, one read-only array per field.
 
@@ -101,17 +92,6 @@ class PoseGraph2D:
         if not (len(self.i) == len(self.j) == len(self.z) == len(self.information)
                 == len(self.kind)):
             raise ValueError("edge arrays differ in length")
-
-    @classmethod
-    def from_edges(cls, poses, edges: Iterable[Edge]) -> "PoseGraph2D":
-        """The graph of vertex poses ``(n, 3)`` and :class:`Edge` records."""
-        edges = list(edges)
-        for e in edges:
-            if e.kind not in EDGE_KINDS:
-                raise ValueError(f"unknown edge class {e.kind!r} for edge ({e.i}, {e.j})")
-        return cls(poses, [e.i for e in edges], [e.j for e in edges],
-                   [e.z for e in edges], [e.information for e in edges],
-                   [_KIND_CODE[e.kind] for e in edges])
 
     @property
     def num_poses(self) -> int:
@@ -340,18 +320,19 @@ def pose_graph_problem(graph: PoseGraph2D, groups: Iterable[NoiseGroup]) -> Join
     """Build the estimation problem for a pose graph, with pose 0 gauge-fixed.
 
     With a single noise group every edge joins it; with groups named
-    ``odometry`` and ``loop`` edges join by class.
+    ``odometry`` and ``loop`` edges join by class.  Each group gets one
+    relative-pose set of its edges, in edge order.
     """
     groups = tuple(groups)
     if len(groups) == 1:
-        group_of = [groups[0].group_id] * len(graph.kind)
+        sets = [relative_se2_set(graph.i, graph.j, graph.z, groups[0].group_id)]
     elif {g.group_id for g in groups} == {ODOMETRY, LOOP}:
-        group_of = [EDGE_KINDS[code] for code in graph.kind.tolist()]
+        masks = [(g.group_id, graph.kind == _KIND_CODE[g.group_id]) for g in groups]
+        sets = [relative_se2_set(graph.i[mask], graph.j[mask], graph.z[mask], gid)
+                for gid, mask in masks if mask.any()]
     else:
         raise ValueError("pose-graph groups must be one group, or 'odometry' and 'loop'")
-    factors = tuple(map(relative_se2_factor, range(len(group_of)), graph.i.tolist(),
-                        graph.j.tolist(), graph.z, group_of))
-    return JointProblem(pose_manifold(graph.num_poses), factors, groups, frozenset({0}))
+    return JointProblem(pose_manifold(graph.num_poses), sets, groups, frozenset({0}))
 
 
 @dataclass(frozen=True, eq=False)

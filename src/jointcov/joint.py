@@ -112,7 +112,7 @@ def group_scale(group: NoiseGroup, k: int) -> float:
 
 def _scaled_weights(problem: JointProblem, P: dict) -> dict:
     return {
-        g.group_id: group_scale(g, len(problem.factors_by_group[g.group_id]))
+        g.group_id: group_scale(g, problem.group_sizes[g.group_id])
         * P[g.group_id]
         for g in problem.groups
     }
@@ -127,7 +127,7 @@ def second_moments(problem: JointProblem, x: ManifoldPoint,
     for g in problem.groups:
         S = (sample_covariance(problem, x, g.group_id) if residuals is None
              else residual_covariance(problem, g.group_id, residuals[g.group_id]))
-        M[g.group_id] = (assemble_M(S, len(problem.factors_by_group[g.group_id]),
+        M[g.group_id] = (assemble_M(S, problem.group_sizes[g.group_id],
                                     g.prior, g.m) if g.estimator == "map" else S)
     return M
 

@@ -21,8 +21,8 @@ Hessian take each batch in turn: a linear batch, whose
 factors share their positions (:attr:`LinearBatch.shared_positions`), is
 summed over its factors starting from the accumulator's values there and
 written back once; every other batch is scattered by one sequential
-``np.add.at``.  That order makes a batch's linearization equal, bit for
-bit, to the same factors' as batches of one.
+``np.add.at``.  That order makes a k-row set's linearization equal, bit
+for bit, to that of its rows as k one-row sets.
 
 The sparse Hessian's structure is analysed once per problem
 (:attr:`JointProblem.hessian_pattern`, compiled on the first sparse

@@ -1,31 +1,30 @@
-"""Estimation-problem model: measurement factors, noise groups, residuals.
+"""Estimation-problem model: factor sets, noise groups, residuals.
 
-A :class:`JointProblem` bundles a manifold declaration, a factor list, a
-table of noise groups, and a gauge (the block ids held fixed).  Residual and
-Jacobian evaluation is stateless and reentrant.
+A :class:`JointProblem` bundles a manifold declaration, a tuple of factor
+sets, a table of noise groups, and a gauge (the block ids held fixed).
+Residual and Jacobian evaluation is stateless and reentrant.
 
-Every group is compiled once (:attr:`JointProblem.batches`) into batches,
-one per maximal run of consecutive factors of one kind, so they cover the
-group's factors in order: a run of relative-pose factors becomes a
-:class:`Se2Batch`, a run of linear and prior factors on the same blocks a
-:class:`LinearBatch`, and each custom factor a :class:`CustomBatch`.  Each
-kind has this one residual and Jacobian formula; :func:`residual` and
-:func:`residual_jacobian` evaluate a factor as a batch of one.  A batch of k
-factors gives residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D
-connected tangent coordinates (:meth:`Batch.jacobian`), its costs and
-gradient terms at a weight (:meth:`Batch.gradient_terms`), and each
-coordinate's position in the active tangent (:attr:`Batch.positions`,
-compiled once).  Positions are laid out factor-major (all of factor i's before
-factor i+1's) because assembly adds terms in that order: summed in factor
-order, a batch linearizes bit for bit like the same factors as batches of
-one.  From the positions, :attr:`JointProblem.hessian_pattern` compiles
-once per problem one CSC structure of the sparse Hessian, in a
-fill-reducing order of the blocks.
+A :class:`FactorSet` holds k measurements of one residual kind in one noise
+group as arrays (:func:`relative_se2_set`, :func:`linear_set`,
+:func:`prior_set`, :func:`custom_set`).  The problem compiles each set into
+exactly one batch (:attr:`JointProblem.batches`), a :class:`Se2Batch`,
+:class:`LinearBatch` or :class:`CustomBatch`, in the group's set order and
+the set's row order.  Each kind has this one residual and Jacobian
+formula; :func:`residual` evaluates one set.  A batch of k rows gives
+residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D connected tangent
+coordinates (:meth:`Batch.jacobian`), its costs and gradient terms at a
+weight (:meth:`Batch.gradient_terms`), and each coordinate's position in
+the active tangent (:attr:`Batch.positions`, compiled once).  Positions
+are laid out row-major (all of row i's before row i+1's) because assembly adds
+terms in that order: summed in row order, a k-row set linearizes bit for
+bit like the same rows as k one-row sets.  From the positions,
+:attr:`JointProblem.hessian_pattern` compiles once per problem one CSC
+structure of the sparse Hessian, in a fill-reducing order of the blocks.
 
 The relative-pose kernel (:func:`_batch_relative_se2`) is one fused pass:
 it forms ``b^-1 . a . z`` in closed form from the point's cached pose trig
 (:attr:`ManifoldPoint.pose_trig`), wraps the relative angle once, and takes
-one half-angle sine and cosine per factor, which its Jacobians reuse.  It
+one half-angle sine and cosine per row, which its Jacobians reuse.  It
 returns the Jacobians as their eight distinct entry arrays, from which
 :class:`Se2Batch` forms the gradient terms without the dense blocks.
 """
@@ -34,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby
 from typing import Callable, Hashable
 
 import numpy as np
@@ -60,7 +58,6 @@ from .manifold import (
 # Residual kinds.
 LINEAR_GAUSSIAN = "linear_gaussian"
 RELATIVE_SE2 = "relative_se2"
-PRIOR_EUCLIDEAN = "prior_euclidean"
 CUSTOM = "custom"
 
 # Noise-group variants: estimator (map / ml / fixed) x constraint set.
@@ -70,7 +67,7 @@ VARIANTS = (
     "fixed",
 )
 
-FD_STEP = 1e-6  # central finite-difference step for custom-factor Jacobians
+FD_STEP = 1e-6  # central finite-difference step for custom-set Jacobians
 
 _MAX_PREPROCESS_COND = 1e12
 
@@ -89,88 +86,139 @@ def variant_parts(variant: str) -> tuple[str, str]:
     return estimator, constraint
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementFactor:
-    """One measurement: residual kind, connected blocks, value, noise group.
+def _read_only(values, dtype, shape=None) -> np.ndarray:
+    """``values`` as a read-only array (of ``shape``); writable input is copied."""
+    out = np.asarray(values, dtype=dtype)
+    out = out if shape is None else out.reshape(shape)
+    if out.flags.writeable:
+        out = out.copy()
+        out.setflags(write=False)
+    return out
 
-    ``preprocess_jacobian`` is the (state-independent) Jacobian of a
-    measurement-space transformation applied upstream; when present, its
-    inverse maps residuals back to raw-measurement space before the sample
-    covariance is formed.  The inverse is computed once here and cached.
+
+@dataclass(frozen=True, eq=False)
+class FactorSet:
+    """k measurements of one residual kind in one noise group.
+
+    ``blocks`` names the connected blocks: a relative-pose set's id arrays
+    ``(a, b)``, ``(k,)`` each (row i measures block ``b[i]`` relative to
+    block ``a[i]``), or the one tuple of block ids that every row of a
+    linear or custom set connects.  ``z`` ``(k, m)`` holds the measurements,
+    ``H`` ``(k, m, d)`` a linear set's observation matrices over its stacked
+    blocks, and ``residual_fn`` a custom set's callable.  The optional
+    ``preprocess_jacobian`` ``(k, m, m)`` is each row's (state-independent)
+    Jacobian of a measurement-space transformation applied upstream; its
+    inverse maps the row's residual back to raw-measurement space before the
+    sample covariance is formed.  Arrays are kept read-only (writable input
+    is copied).  A set checks its shapes, finiteness, preprocessing
+    condition numbers and self-loops once, vectorized, and an error names
+    the set and the first bad row.
     """
 
-    factor_id: int
     kind: str
-    block_ids: tuple
+    blocks: tuple
     z: np.ndarray
     group_id: Hashable
     H: np.ndarray | None = None
     residual_fn: Callable | None = None
     preprocess_jacobian: np.ndarray | None = None
-    preprocess_jacobian_inv: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "block_ids", tuple(self.block_ids))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        if self.kind not in (LINEAR_GAUSSIAN, RELATIVE_SE2, PRIOR_EUCLIDEAN, CUSTOM):
+        if self.kind not in (LINEAR_GAUSSIAN, RELATIVE_SE2, CUSTOM):
             raise ValueError(f"unknown residual kind {self.kind!r}")
+        z = self._keep("z", _read_only(self.z, float))
+        if z.ndim != 2 or not len(z):
+            raise self._error(f"measurements of shape {z.shape}, not (k, m) with k >= 1")
+        k, m = z.shape
+        bad = ~np.isfinite(z).all(axis=1)
+        if self.kind == RELATIVE_SE2:
+            a, b = self._keep("blocks", tuple(_read_only(ids, None) for ids in self.blocks))
+            if m != 3 or a.shape != (k,) or b.shape != (k,):
+                raise self._error("needs pose ids (k,) and measurements (k, 3)")
+            loops = np.flatnonzero(a == b)
+            if len(loops):
+                r = int(loops[0])
+                raise self._error(f"relative pose of block {a[r:r + 1].tolist()[0]!r} "
+                                  "to itself", r)
+        else:
+            blocks = self.blocks
+            self._keep("blocks", (blocks,) if isinstance(blocks, (str, int)) else tuple(blocks))
         if self.kind == LINEAR_GAUSSIAN:
-            if self.H is None:
-                raise ValueError("linear_gaussian factors need an observation matrix")
-            object.__setattr__(self, "H", np.asarray(self.H, dtype=float))
-        if self.kind == CUSTOM and self.residual_fn is None:
-            raise ValueError("custom factors need a residual callable")
-        if self.kind == RELATIVE_SE2 and len(self.block_ids) != 2:
-            raise ValueError("relative_se2 factors connect exactly two blocks")
+            H = self._keep("H", _read_only(self.H, float))
+            if H.ndim != 3 or H.shape[:2] != (k, m):
+                raise self._error(f"observation matrices of shape {H.shape}, not "
+                                  f"(k, m, d) with (k, m) = {(k, m)}")
+            bad |= ~np.isfinite(H).all(axis=(1, 2))
+        if self.kind == CUSTOM and (k != 1 or not callable(self.residual_fn)):
+            raise self._error("a custom set has one row and a residual callable")
+        self._check(bad, "non-finite values")
         if self.preprocess_jacobian is not None:
-            J = np.asarray(self.preprocess_jacobian, dtype=float)
-            if J.ndim != 2 or J.shape[0] != J.shape[1]:
-                raise ValueError("preprocessing Jacobian must be square")
-            if not np.all(np.isfinite(J)):
-                raise ValueError(f"factor {self.factor_id}: preprocessing Jacobian "
-                                 "has non-finite values")
-            if np.linalg.cond(J) >= _MAX_PREPROCESS_COND:
-                raise ValueError("preprocessing Jacobian is numerically rank deficient")
-            object.__setattr__(self, "preprocess_jacobian", J)
-            object.__setattr__(self, "preprocess_jacobian_inv", np.linalg.inv(J))
+            J = self._keep("preprocess_jacobian", _read_only(self.preprocess_jacobian, float))
+            if J.shape != (k, m, m):
+                raise self._error(f"preprocessing Jacobians of shape {J.shape}, not {(k, m, m)}")
+            self._check(~np.isfinite(J).all(axis=(1, 2)),
+                        "preprocessing Jacobian has non-finite values")
+            self._check(np.linalg.cond(J) >= _MAX_PREPROCESS_COND,
+                        "preprocessing Jacobian is numerically rank deficient")
+
+    def _keep(self, name, value):
+        object.__setattr__(self, name, value)
+        return value
+
+    def _error(self, message: str, row: int | None = None) -> ValueError:
+        where = "" if row is None else f", row {row}"
+        return ValueError(f"{self.kind} set of group {self.group_id!r}{where}: {message}")
+
+    def _check(self, bad: np.ndarray, message: str):
+        """Raise ``message`` for the first row where ``bad`` is set."""
+        rows = np.flatnonzero(bad)
+        if len(rows):
+            raise self._error(message, int(rows[0]))
+
+    def __len__(self) -> int:
+        return len(self.z)
 
     @property
-    def dim(self) -> int:
-        """Residual dimension m."""
-        if self.kind == LINEAR_GAUSSIAN:
-            return self.H.shape[0]
-        if self.kind == RELATIVE_SE2:
-            return 3
-        return self.z.shape[0]
+    def m(self) -> int:
+        """Residual dimension."""
+        return self.z.shape[1]
+
+    def compile(self, spec: ManifoldSpec, index: ActiveIndex) -> "Batch":
+        """This set's one batch, positioned in the active tangent ``index``."""
+        cls = {RELATIVE_SE2: Se2Batch, CUSTOM: CustomBatch}.get(self.kind, LinearBatch)
+        return cls.compile(spec, index, self)
 
 
-def linear_factor(factor_id, block_ids, H, z, group_id, preprocess_jacobian=None):
-    """r(x) = z - H x over the stacked Euclidean blocks (Jacobian -H)."""
-    ids = (block_ids,) if isinstance(block_ids, (str, int)) else tuple(block_ids)
-    return MeasurementFactor(factor_id, LINEAR_GAUSSIAN, ids, z, group_id,
-                             H=H, preprocess_jacobian=preprocess_jacobian)
+def linear_set(blocks, H, z, group_id, preprocess_jacobian=None) -> FactorSet:
+    """Rows ``r_i(x) = z_i - H_i x`` over the stacked Euclidean ``blocks``
+    (one id or a tuple), with Jacobians ``-H_i``."""
+    return FactorSet(LINEAR_GAUSSIAN, blocks, z, group_id, H=H,
+                     preprocess_jacobian=preprocess_jacobian)
 
 
-def prior_factor(factor_id, block_id, z, group_id):
-    """r(x) = z - x_block (Jacobian -I)."""
-    return MeasurementFactor(factor_id, PRIOR_EUCLIDEAN, (block_id,), z, group_id)
+def prior_set(block, z, group_id) -> FactorSet:
+    """Rows ``r_i(x) = z_i - x_block``: a linear set with ``H_i = I``."""
+    z = _read_only(z, float)
+    return linear_set(block, np.broadcast_to(np.eye(z.shape[-1]), z.shape + z.shape[-1:]),
+                      z, group_id)
 
 
-def relative_se2_factor(factor_id, block_a, block_b, z, group_id,
-                        preprocess_jacobian=None):
-    """r(x) = log((a^-1 b)^-1 . z) for the measured relative pose z of b in
-    a; the two blocks must differ (a self-loop's residual ignores x)."""
-    if block_a == block_b:
-        raise ValueError(f"factor {factor_id}: relative pose of block {block_a!r} "
-                         "to itself")
-    return MeasurementFactor(factor_id, RELATIVE_SE2, (block_a, block_b), z,
-                             group_id, preprocess_jacobian=preprocess_jacobian)
+def relative_se2_set(a, b, z, group_id, preprocess_jacobian=None) -> FactorSet:
+    """Rows ``r_i(x) = log((a_i^-1 b_i)^-1 . z_i)`` for the measured pose
+    ``z_i`` of block ``b_i`` relative to block ``a_i``; no row may connect a
+    block to itself (its residual would ignore x)."""
+    return FactorSet(RELATIVE_SE2, (a, b), z, group_id,
+                     preprocess_jacobian=preprocess_jacobian)
 
 
-def custom_factor(factor_id, block_ids, z, group_id, residual_fn):
-    """User residual ``residual_fn(z, *block_values) -> (m,)``; FD Jacobians."""
-    return MeasurementFactor(factor_id, CUSTOM, tuple(block_ids), z, group_id,
-                             residual_fn=residual_fn)
+def custom_set(blocks, z, group_id, residual_fn, preprocess_jacobian=None) -> FactorSet:
+    """One row ``residual_fn(z, *block_values) -> (m,)`` for the measurement
+    ``z`` ``(m,)``, with an optional ``(m, m)`` preprocessing Jacobian and
+    central finite-difference Jacobians."""
+    J = preprocess_jacobian
+    return FactorSet(CUSTOM, blocks, np.asarray(z, dtype=float)[None], group_id,
+                     residual_fn=residual_fn,
+                     preprocess_jacobian=None if J is None else np.asarray(J, dtype=float)[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,93 +283,56 @@ class NoiseGroup:
 
 @dataclass(frozen=True, eq=False)
 class JointProblem:
-    """Factors + manifold + noise groups + gauge; what every solver consumes."""
+    """Factor sets + manifold + noise groups + gauge; what every solver consumes.
+
+    Construction checks each set against the manifold and its group and
+    compiles it into one batch.  ``batches`` maps a group id to its sets'
+    batches, in set order; ``group_sizes`` to its number of rows; and
+    ``preprocess_inverses`` to the (rows, stacked inverses) of its rows that
+    carry a preprocessing Jacobian, or None when none does.
+    """
 
     manifold: ManifoldSpec
-    factors: tuple[MeasurementFactor, ...]
+    factors: tuple[FactorSet, ...]
     groups: tuple[NoiseGroup, ...]
     gauge_fixed: frozenset = frozenset()
+    batches: dict = field(init=False, repr=False)
+    group_sizes: dict = field(init=False, repr=False)
+    preprocess_inverses: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "gauge_fixed", frozenset(self.gauge_fixed))
-        ids = [g.group_id for g in self.groups]
-        if len(set(ids)) != len(ids):
-            raise ValueError("group ids must be unique")
+        keep = object.__setattr__
+        keep(self, "factors", tuple(self.factors))
+        keep(self, "groups", tuple(self.groups))
+        keep(self, "gauge_fixed", frozenset(self.gauge_fixed))
         by_id = {g.group_id: g for g in self.groups}
-        counts = dict.fromkeys(by_id, 0)
-        known = self.manifold._by_id
-        for f in self.factors:
-            try:
-                blocks = [known[bid] for bid in f.block_ids]
-            except KeyError as err:
-                raise ValueError(f"factor {f.factor_id} references unknown block "
-                                 f"{err.args[0]!r}") from None
-            if f.kind == RELATIVE_SE2:
-                if any(b.kind != SE2 for b in blocks):
-                    raise ValueError(f"factor {f.factor_id} connects non-SE(2) blocks")
-            elif f.kind != CUSTOM:  # linear or prior: H (a prior's is I) fits x and z
-                if any(b.kind == SE2 for b in blocks):
-                    raise ValueError(f"factor {f.factor_id} connects an SE(2) block")
-                d = sum(b.dim for b in blocks)
-                H_shape = (f.dim, f.dim) if f.H is None else f.H.shape
-                if f.z.shape != (f.dim,) or H_shape != (f.dim, d):
-                    raise ValueError(
-                        f"factor {f.factor_id} does not fit its {d} state entries")
-            g = by_id.get(f.group_id)
-            if g is None:
-                raise ValueError(f"factor {f.factor_id} references unknown group {f.group_id!r}")
-            if f.dim != g.m:
-                raise ValueError(
-                    f"factor {f.factor_id} residual dimension {f.dim} != group m {g.m}")
-            if f.preprocess_jacobian is not None and f.preprocess_jacobian.shape != (g.m, g.m):
-                raise ValueError("preprocessing Jacobian must be m x m")
-            counts[f.group_id] += 1
-        for gid, n in counts.items():
-            if n == 0:
-                raise ValueError(f"group {gid!r} has no factors")
+        if len(by_id) != len(self.groups):
+            raise ValueError("group ids must be unique")
         for bid in self.gauge_fixed:
             if bid not in self.manifold._by_id:
                 raise ValueError(f"gauge-fixed block {bid!r} is not in the manifold")
-        self._check_finite()
-
-    def _check_finite(self):
-        """Reject non-finite measurements and observation matrices with one
-        vectorized test (a per-factor test would slow large graphs' set-up)."""
-        arrays = [f.z for f in self.factors] + [f.H for f in self.factors if f.H is not None]
-        if arrays and not np.isfinite(np.concatenate(arrays, axis=None)).all():
-            bad = next(f for f in self.factors
-                       if not all(np.all(np.isfinite(a)) for a in (f.z, f.H) if a is not None))
-            raise ValueError(f"factor {bad.factor_id} has non-finite values")
-
-    @cached_property
-    def factors_by_group(self) -> dict:
-        out: dict = {g.group_id: [] for g in self.groups}
-        for f in self.factors:
-            out[f.group_id].append(f)
-        return {gid: tuple(fs) for gid, fs in out.items()}
-
-    @cached_property
-    def batches(self) -> dict:
-        """Group id -> tuple of compiled batches, one per run of the group's
-        factors (see the module docstring and :func:`_run_key`)."""
-        spec, index = self.manifold, self.active_index
-        return {gid: tuple(_compile_run(spec, index, tuple(run))
-                           for _, run in groupby(fs, _run_key))
-                for gid, fs in self.factors_by_group.items()}
-
-    @cached_property
-    def preprocess_inverses(self) -> dict:
-        """Group id -> (rows, stacked inverses) of the group's factors that
-        carry a preprocessing Jacobian, or None when none does."""
-        out = {}
-        for gid, fs in self.factors_by_group.items():
-            rows = [i for i, f in enumerate(fs) if f.preprocess_jacobian_inv is not None]
-            out[gid] = (np.array(rows, dtype=np.intp),
-                        np.array([fs[i].preprocess_jacobian_inv for i in rows])
-                        ) if rows else None
-        return out
+        batches = {gid: [] for gid in by_id}
+        sizes = dict.fromkeys(by_id, 0)
+        inverses = {gid: [] for gid in by_id}
+        for s in self.factors:
+            g = by_id.get(s.group_id)
+            if g is None:
+                raise s._error(f"unknown group {s.group_id!r}")
+            if s.m != g.m:
+                raise s._error(f"residual dimension {s.m} != group m {g.m}")
+            batches[s.group_id].append(s.compile(self.manifold, self.active_index))
+            if s.preprocess_jacobian is not None:
+                inverses[s.group_id].append((sizes[s.group_id] + np.arange(len(s)),
+                                             np.linalg.inv(s.preprocess_jacobian)))
+            sizes[s.group_id] += len(s)
+        for gid, n in sizes.items():
+            if n == 0:
+                raise ValueError(f"group {gid!r} has no factors")
+        keep(self, "batches", {gid: tuple(bs) for gid, bs in batches.items()})
+        keep(self, "group_sizes", sizes)
+        keep(self, "preprocess_inverses", {
+            gid: tuple(np.concatenate(parts) for parts in zip(*inv)) if inv else None
+            for gid, inv in inverses.items()})
 
     @cached_property
     def active_index(self) -> ActiveIndex:
@@ -339,7 +350,8 @@ class JointProblem:
 
 @dataclass(frozen=True, eq=False)
 class Batch:
-    """Factors compiled for stacked linearization (see the module docstring).
+    """One factor set compiled for stacked linearization (see the module
+    docstring); each of its k rows is one factor.
 
     Slot s is the s-th connected block of every factor: ``dims[s]`` is its
     tangent dimension and ``offsets[s]`` ``(k,)`` each factor's
@@ -396,8 +408,8 @@ class Batch:
 
 @dataclass(frozen=True, eq=False)
 class Se2Batch(Batch):
-    """Relative-pose factors: ``ia`` and ``ib`` are the rows of the two
-    connected poses in :attr:`ManifoldPoint.poses`, ``z`` the stacked
+    """A relative-pose set: ``ia`` and ``ib`` are the rows of the two
+    connected poses in :attr:`ManifoldPoint.poses`, ``z`` the set's
     measurements ``(k, 3)``.  Its Jacobians are the kernel's eight entry
     arrays: :meth:`gradient_terms` forms ``u = W r``, the costs and ``J^T u``
     from them by whole-vector arithmetic, and :meth:`jacobian` expands them
@@ -408,12 +420,16 @@ class Se2Batch(Batch):
     z: np.ndarray
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "Se2Batch":
-        rows = spec.pose_rows
-        ia = np.array([rows[f.block_ids[0]] for f in factors], dtype=np.intp)
-        ib = np.array([rows[f.block_ids[1]] for f in factors], dtype=np.intp)
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "Se2Batch":
+        ia, ib = (spec.pose_rows_of(ids) for ids in fs.blocks)
+        bad = np.flatnonzero((ia < 0) | (ib < 0))
+        if len(bad):
+            r = int(bad[0])
+            bid = fs.blocks[0 if ia[r] < 0 else 1][r:r + 1].tolist()[0]
+            raise fs._error(f"references unknown block {bid!r}" if bid not in spec._by_id
+                            else f"connects the non-SE(2) block {bid!r}", r)
         return cls((index.pose_offsets[ia], index.pose_offsets[ib]), (3, 3), index.dim,
-                   ia, ib, np.array([f.z for f in factors], dtype=float).reshape(-1, 3))
+                   ia, ib, fs.z)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
         return _batch_relative_se2(x, self.ia, self.ib, self.z, with_jacobians=False)[0]
@@ -449,15 +465,15 @@ class Se2Batch(Batch):
 
 @dataclass(frozen=True, eq=False)
 class LinearBatch(Batch):
-    """Linear and prior factors on the same distinct Euclidean blocks.
+    """A linear set, on distinct Euclidean blocks.
 
     ``cols`` are the blocks' entries in :attr:`ManifoldPoint.vector`, in the
-    factors' block order; ``J`` ``(k, m, d)``, read-only, stacks the
-    Jacobians, the negated observation matrices (``-I`` for a prior), and
-    ``z`` ``(k, m)`` the measurements, so the residuals are ``z + J x``.
+    set's block order; ``J`` ``(k, m, d)``, read-only, holds the Jacobians,
+    the negated observation matrices (``-I`` for a prior), and ``z``
+    ``(k, m)`` the measurements, so the residuals are ``z + J x``.
 
-    Every factor sits on the same positions, so assembly sums the factors'
-    terms, in factor order, onto the accumulator's values at
+    Every row sits on the same positions, so assembly sums the rows'
+    terms, in row order, onto the accumulator's values at
     :attr:`shared_positions` and writes them back once.  A one-column batch
     has no shared row and is scattered: numpy sums a single column pairwise,
     not in order.
@@ -472,15 +488,19 @@ class LinearBatch(Batch):
         return self.positions[0] if sum(self.dims) > 1 else None
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "LinearBatch":
-        ids = factors[0].block_ids
-        slices = [spec._storage[spec.position(bid)][1] for bid in ids]
-        J = -np.array([f.H if f.kind == LINEAR_GAUSSIAN else np.eye(f.dim) for f in factors])
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "LinearBatch":
+        blocks = _blocks(spec, fs)
+        if any(b.kind == SE2 for b in blocks):
+            raise fs._error("connects an SE(2) block")
+        dims = tuple(b.dim for b in blocks)
+        if fs.H.shape[2] != sum(dims):
+            raise fs._error(f"does not fit its {sum(dims)} state entries")
+        slices = [spec._storage[spec.position(bid)][1] for bid in fs.blocks]
+        J = -fs.H
         J.setflags(write=False)
-        return cls(tuple(np.full(len(factors), index.offsets[bid]) for bid in ids),
-                   tuple(sl.stop - sl.start for sl in slices), index.dim,
-                   np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
-                   J, np.array([f.z for f in factors]))
+        return cls(tuple(np.full(len(fs), index.offsets[bid]) for bid in fs.blocks), dims,
+                   index.dim, np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+                   J, fs.z)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
         # z - H x, bit for bit: negation is exact
@@ -492,27 +512,28 @@ class LinearBatch(Batch):
 
 @dataclass(frozen=True, eq=False)
 class CustomBatch(Batch):
-    """One custom factor: ``residual_fn`` on its blocks' values, with
+    """A custom set's one row: ``residual_fn`` on its blocks' values, with
     central finite-difference Jacobians of step :data:`FD_STEP`."""
 
-    factor: MeasurementFactor
+    factor_set: FactorSet
 
     @classmethod
-    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, factors) -> "CustomBatch":
-        (f,) = factors
-        return cls(tuple(np.array([index.offsets[bid]]) for bid in f.block_ids),
-                   tuple(spec.block(bid).dim for bid in f.block_ids), index.dim, f)
+    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "CustomBatch":
+        blocks = _blocks(spec, fs)
+        return cls(tuple(np.array([index.offsets[bid]]) for bid in fs.blocks),
+                   tuple(b.dim for b in blocks), index.dim, fs)
 
     def _eval(self, values) -> np.ndarray:
-        return np.asarray(self.factor.residual_fn(self.factor.z, *values), dtype=float)
+        fs = self.factor_set
+        return np.asarray(fs.residual_fn(fs.z[0], *values), dtype=float)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
-        return self._eval([x.block(bid) for bid in self.factor.block_ids])[None]
+        return self._eval([x.block(bid) for bid in self.factor_set.blocks])[None]
 
     def linearize(self, x: ManifoldPoint):
-        """Each column retracts only the factor's own blocks, by their slice
+        """Each column retracts only the set's own blocks, by their slice
         of the local tangent step ``t``."""
-        ids = self.factor.block_ids
+        ids = self.factor_set.blocks
         values = [x.block(bid) for bid in ids]
         kinds = [x.spec.block(bid).kind for bid in ids]
         ends = np.cumsum(self.dims)
@@ -521,7 +542,7 @@ class CustomBatch(Batch):
             return [se2_compose(v, exp_se2(t[e - d:e])) if kind == SE2 else v + t[e - d:e]
                     for v, kind, d, e in zip(values, kinds, self.dims, ends)]
 
-        J = np.empty((self.factor.dim, ends[-1]))
+        J = np.empty((self.factor_set.m, ends[-1]))
         for j in range(ends[-1]):
             t = np.zeros(ends[-1])
             t[j] = FD_STEP
@@ -642,37 +663,17 @@ def fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.argsort(lu.perm_c).astype(np.int32)
 
 
-def _compile_run(spec: ManifoldSpec, index: ActiveIndex, factors) -> Batch:
-    """Compile a run of factors that share a :func:`_run_key`."""
-    cls = {RELATIVE_SE2: Se2Batch, CUSTOM: CustomBatch}.get(factors[0].kind, LinearBatch)
-    return cls.compile(spec, index, factors)
+def _blocks(spec: ManifoldSpec, fs: FactorSet) -> list:
+    """The blocks that every row of a linear or custom set connects."""
+    try:
+        return [spec.block(bid) for bid in fs.blocks]
+    except KeyError as err:
+        raise fs._error(f"references unknown block {err.args[0]!r}") from None
 
 
-def _run_key(f: MeasurementFactor):
-    """Consecutive factors with equal keys share a batch: relative-pose
-    factors on any poses, linear and prior factors on the same blocks.  A
-    custom factor's key is the factor itself, so it is batched alone."""
-    return {RELATIVE_SE2: RELATIVE_SE2, CUSTOM: f}.get(f.kind, f.block_ids)
-
-
-def _batch_of_one(f: MeasurementFactor, spec: ManifoldSpec) -> Batch:
-    return _compile_run(spec, spec.ungauged_index, (f,))
-
-
-def residual(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
-    """Residual r(x) = z [-] h(x) for one factor."""
-    return _batch_of_one(f, x.spec).residuals(x)[0]
-
-
-def residual_jacobian(f: MeasurementFactor, x: ManifoldPoint) -> np.ndarray:
-    """Jacobian of r with respect to the tangent of the connected blocks.
-
-    Columns are ordered by ``f.block_ids``.  Analytic for linear, prior, and
-    relative-pose factors; custom factors use central finite differences
-    with step ``1e-6``.
-    """
-    batch = _batch_of_one(f, x.spec)
-    return batch.jacobian(batch.linearize(x)[1])[0]
+def residual(fs: FactorSet, x: ManifoldPoint) -> np.ndarray:
+    """Residuals ``(k, m)`` of one factor set at x."""
+    return fs.compile(x.spec, x.spec.ungauged_index).residuals(x)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +761,7 @@ def group_residuals(problem: JointProblem, x: ManifoldPoint, group_id) -> np.nda
 def sample_covariance(problem: JointProblem, x: ManifoldPoint, group_id) -> np.ndarray:
     """Sample covariance (1/k) sum_i r_i r_i^T over the group's residuals.
 
-    Factors carrying a preprocessing Jacobian contribute
+    Rows carrying a preprocessing Jacobian contribute
     ``J^-1 r r^T J^-T`` instead, so the estimate lives in raw-measurement
     space.  The result is symmetric PSD but may be singular; singularity
     handling is the caller's concern.

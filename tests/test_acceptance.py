@@ -49,7 +49,7 @@ from jointcov.manifold import (
     se2_block,
 )
 from jointcov.nls import RIEMANNIAN_GD, NlsConfig
-from jointcov.problem import NoiseGroup, relative_se2_factor, residual, residual_jacobian
+from jointcov.problem import NoiseGroup, relative_se2_set, residual
 
 
 def _report(criterion, passed, detail=""):
@@ -353,13 +353,14 @@ def test_criterion_9_manifold_and_metric_properties():
     for _ in range(50):
         x = ManifoldPoint(spec, (rng.uniform(-2, 2, size=3),
                                  rng.uniform(-2, 2, size=3)))
-        f = relative_se2_factor(0, 0, 1, rng.uniform(-1, 1, size=3), "g")
-        J = residual_jacobian(f, x)
+        fs = relative_se2_set([0], [1], [rng.uniform(-1, 1, size=3)], "g")
+        batch = fs.compile(spec, spec.ungauged_index)
+        J = batch.jacobian(batch.linearize(x)[1])[0]
         h = 1e-6
         for col in range(6):
             e = np.zeros(6)
             e[col] = h
-            d = (residual(f, boxplus(x, e)) - residual(f, boxplus(x, -e))) / (2 * h)
+            d = (residual(fs, boxplus(x, e)) - residual(fs, boxplus(x, -e)))[0] / (2 * h)
             jac_err = max(jac_err, np.abs(J[:, col] - d).max())
 
     # W2 metric axioms

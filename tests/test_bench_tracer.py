@@ -15,7 +15,7 @@ import numpy as np
 from jointcov import io_pgo, joint, manifold
 from jointcov.manifold import ManifoldPoint, ManifoldSpec, boxplus, euclidean_block
 from jointcov.nls import SINGLE_ITERATION, NlsConfig
-from jointcov.problem import JointProblem, NoiseGroup, group_residuals, linear_factor
+from jointcov.problem import JointProblem, NoiseGroup, group_residuals, linear_set
 
 _TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -65,9 +65,8 @@ def test_linear_group_never_calls_the_per_factor_residual():
     rng = np.random.default_rng(4)
     n, m, k = 4, 3, 20
     spec = ManifoldSpec((euclidean_block("x", n),))
-    factors = [linear_factor(i, "x", rng.normal(size=(m, n)), rng.normal(size=m), "g")
-               for i in range(k)]
-    problem = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+    factors = (linear_set("x", rng.normal(size=(k, m, n)), rng.normal(size=(k, m)), "g"),)
+    problem = JointProblem(spec, factors, (NoiseGroup("g", m, "ml"),))
     x0 = ManifoldPoint(spec, (np.zeros(n),))
     calls = traced_calls(load_tracer(),
                          lambda: joint.run_block_exact_bcd(problem, x0), problem)

@@ -38,7 +38,8 @@ def small_graph_files(tmp_path):
     noisy = tmp_path / "graph.g2o"
     save_g2o(graph, noisy)
     gt = tmp_path / "gt.g2o"
-    save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
+    save_g2o(PoseGraph2D(truth.poses, graph.i, graph.j, graph.z, graph.information,
+                         graph.kind), gt)
     return noisy, gt
 
 
@@ -253,7 +254,8 @@ def noise_free_graph(tmp_path):
     noisy = tmp_path / "clean.g2o"
     save_g2o(graph, noisy)
     gt = tmp_path / "clean_gt.g2o"
-    save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
+    save_g2o(PoseGraph2D(truth.poses, graph.i, graph.j, graph.z, graph.information,
+                         graph.kind), gt)
     return noisy, gt
 
 

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from conftest import one_row_sets
 
 from jointcov import joint
 from jointcov.covariance import UnboundedProblem
@@ -216,7 +217,8 @@ class TestDeterminism:
         data = tmp_path / "data.g2o"
         save_g2o(graph, data)
         gt = tmp_path / "gt.g2o"
-        save_g2o(PoseGraph2D.from_edges(truth.poses, graph.edges), gt)
+        save_g2o(PoseGraph2D(truth.poses, graph.i, graph.j, graph.z, graph.information,
+                             graph.kind), gt)
         cfg = ExperimentConfig(experiment="pgo-ablation", trials=1,
                                noise_grid=(0.0,),
                                algorithms=("bcd", "fixed-true"),
@@ -247,7 +249,7 @@ class TestSharedLinearProblem:
     def test_one_problem_per_trial_matches_fresh_problems(self, monkeypatch):
         from jointcov import harness
         from jointcov.io_pgo import counter_rng
-        from jointcov.problem import JointProblem, NoiseGroup, linear_factor
+        from jointcov.problem import JointProblem, NoiseGroup, linear_set
 
         cfg = ExperimentConfig(experiment="linear-mc", trials=2, seed=3,
                                noise_grid=(0.01, 1.0), state_dim=6,
@@ -282,9 +284,9 @@ class TestSharedLinearProblem:
                         np.linalg.inv(sigma_true) if algorithm == "fixed-true"
                         else np.eye(m))) if algorithm.startswith("fixed")
                         else NoiseGroup("g", m, "ml"))
-                    problem = JointProblem(spec, tuple(
-                        linear_factor(i, "x", Hs[i], zs[i], "g") for i in range(k)),
-                        (group,))
+                    # its rows as one-row sets, which must solve bit for bit alike
+                    problem = JointProblem(
+                        spec, one_row_sets(linear_set("x", Hs, zs, "g")), (group,))
                     expected.append(harness._run_linear_algorithm(
                         cfg, algorithm, problem, ManifoldPoint(spec, (np.zeros(n),)),
                         sigma_true, np.ones(n), trial, sigma2))

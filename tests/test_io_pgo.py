@@ -1,3 +1,4 @@
+import gc
 import pathlib
 import subprocess
 import sys
@@ -13,9 +14,9 @@ import jointcov
 
 from jointcov.harness import wasserstein2
 from jointcov.io_pgo import (
+    EDGE_KINDS,
     LOOP,
     ODOMETRY,
-    Edge,
     GraphConnectivityError,
     GraphFormatError,
     PoseGraph2D,
@@ -48,18 +49,28 @@ def graphs_equal(a, b):
     return True
 
 
+def array_graph(poses, i, j, z, information=None, kind=()):
+    """A graph from edge lists: identity information and odometry edges
+    unless given (``kind`` holds edge classes)."""
+    k = len(i)
+    if information is None:
+        information = np.broadcast_to(np.eye(3), (k, 3, 3))
+    codes = [EDGE_KINDS.index(c) for c in kind] if len(kind) else np.zeros(k)
+    return PoseGraph2D(poses, i, j, np.reshape(z, (k, 3)), information, codes)
+
+
 def random_graph(rng, n=8, extra=3):
     poses = rng.uniform(-2, 2, size=(n, 3))
-    edges = []
+    edges = []  # (i, j, z, information, kind)
     for i in range(n - 1):
         q = rng.uniform(0.5, 3.0, size=3)
-        edges.append(Edge(i, i + 1, rng.uniform(-1, 1, size=3), np.diag(q), ODOMETRY))
+        edges.append((i, i + 1, rng.uniform(-1, 1, size=3), np.diag(q), ODOMETRY))
     for _ in range(extra):
         i, j = sorted(rng.choice(n, size=2, replace=False))
         if j - i == 1:
             continue
-        edges.append(Edge(int(i), int(j), rng.uniform(-1, 1, size=3), np.eye(3), LOOP))
-    return PoseGraph2D.from_edges(poses, edges)
+        edges.append((i, j, rng.uniform(-1, 1, size=3), np.eye(3), LOOP))
+    return array_graph(poses, *zip(*edges))
 
 
 class TestParser:
@@ -144,8 +155,7 @@ class TestParser:
 
 class TestWriter:
     def test_identity_graph_canonical(self):
-        g = PoseGraph2D.from_edges([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
-                                   [Edge(0, 1, np.array([1.0, 0.0, 0.0]), np.eye(3), ODOMETRY)])
+        g = array_graph([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], [0], [1], [1.0, 0.0, 0.0])
         text = write_g2o(g)
         lines = text.strip().split("\n")
         assert lines[0] == "VERTEX_SE2 0 0 0 0"
@@ -201,27 +211,23 @@ class TestGraph:
         assert len(loops) + len(g.edges_of_kind(ODOMETRY)) == len(g.edges)
         with pytest.raises(IndexError):
             g.edges[len(edges)]
-        with pytest.raises(ValueError, match="unknown edge class 'gps'"):
-            PoseGraph2D.from_edges(g.poses, [edges[0]._replace(kind="gps")])
 
 
 class TestSpanningTree:
     def test_translation_chain(self):
-        g = PoseGraph2D.from_edges(np.zeros((3, 3)), [
-            Edge(i, i + 1, np.array([1.0, 0.0, 0.0]), np.eye(3)) for i in range(2)])
+        g = array_graph(np.zeros((3, 3)), [0, 1], [1, 2], [[1.0, 0.0, 0.0]] * 2)
         x = spanning_tree_init(g)
         np.testing.assert_allclose(x.block(0), [0, 0, 0])
         np.testing.assert_allclose(x.block(1), [1, 0, 0])
         np.testing.assert_allclose(x.block(2), [2, 0, 0])
 
     def test_single_vertex(self):
-        g = PoseGraph2D.from_edges([[5.0, 5.0, 1.0]], [])
+        g = array_graph([[5.0, 5.0, 1.0]], [], [], [])
         x = spanning_tree_init(g)
         np.testing.assert_array_equal(x.block(0), np.zeros(3))
 
     def test_reversed_edge_inverted(self):
-        g = PoseGraph2D.from_edges(np.zeros((2, 3)),
-                                   [Edge(1, 0, np.array([1.0, 0.0, 0.0]), np.eye(3))])
+        g = array_graph(np.zeros((2, 3)), [1], [0], [1.0, 0.0, 0.0])
         x = spanning_tree_init(g)
         np.testing.assert_allclose(x.block(1), [-1.0, 0.0, 0.0], atol=1e-15)
 
@@ -236,13 +242,13 @@ class TestSpanningTree:
             adjacency_used.add((e.i, e.j))
 
     def test_disconnected_raises(self):
-        g = PoseGraph2D.from_edges(np.zeros((3, 3)), [Edge(0, 1, np.zeros(3), np.eye(3))])
+        g = array_graph(np.zeros((3, 3)), [0], [1], np.zeros(3))
         with pytest.raises(GraphConnectivityError, match="vertex 2"):
             spanning_tree_init(g)
 
     def test_empty_graph_raises(self):
         with pytest.raises(GraphConnectivityError, match="no vertices"):
-            spanning_tree_init(PoseGraph2D.from_edges(np.zeros((0, 3)), []))
+            spanning_tree_init(array_graph(np.zeros((0, 3)), [], [], []))
 
 
 def reference_spanning_tree(graph):
@@ -277,15 +283,16 @@ def multigraphs(draw):
     n = draw(st.integers(1, 12))
     vertex = st.integers(0, n - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
-    edges = []
+    edges = []  # (i, j, z)
     for i, j in pairs:
         z = np.array([draw(_coordinate), draw(_coordinate), draw(st.floats(-7.0, 7.0))])
-        edges.append(Edge(i, j, z, np.eye(3)))
+        edges.append((i, j, z))
     if pairs and draw(st.booleans()):  # repeat an edge, and write one the other way
         edges.append(edges[draw(st.integers(0, len(pairs) - 1))])
-        e = edges[draw(st.integers(0, len(pairs) - 1))]
-        edges.append(Edge(e.j, e.i, se2_inverse(e.z), np.eye(3)))
-    return PoseGraph2D.from_edges(np.zeros((n, 3)), edges)
+        i, j, z = edges[draw(st.integers(0, len(pairs) - 1))]
+        edges.append((j, i, se2_inverse(z)))
+    i, j, z = zip(*edges) if edges else ((), (), ())
+    return array_graph(np.zeros((n, 3)), i, j, z)
 
 
 class TestSpanningTreeOrder:
@@ -311,7 +318,7 @@ class TestSpanningTreeOrder:
                               reference_spanning_tree(graph).poses)
 
     def test_edge_to_a_missing_vertex_rejected(self):
-        g = PoseGraph2D.from_edges(np.zeros((2, 3)), [Edge(0, -1, np.zeros(3), np.eye(3))])
+        g = array_graph(np.zeros((2, 3)), [0], [-1], np.zeros(3))
         with pytest.raises(GraphFormatError, match="outside 0..1"):
             spanning_tree_init(g)
 
@@ -320,8 +327,9 @@ class TestGenerator:
     def test_zero_noise_residuals_vanish_at_truth(self):
         graph, truth = generate_manhattan_like(60, "nearby", None, trajectory_seed=1)
         problem = pose_graph_problem(graph, (NoiseGroup("all", 3, "ml"),))
-        for f in problem.factors:
-            np.testing.assert_allclose(residual(f, truth), np.zeros(3), atol=1e-10)
+        (fs,) = problem.factors
+        assert len(fs) == len(graph.edges)
+        np.testing.assert_allclose(residual(fs, truth), np.zeros((len(fs), 3)), atol=1e-10)
 
     def test_densified_adds_2n_minus_5_edges(self):
         n = 50
@@ -422,12 +430,13 @@ def reference_manhattan_like(num_poses, scheme="nearby", noise=None, trajectory_
 
     odo_i = np.arange(num_poses - 1)
     z_odo = measure(odo_i, odo_i + 1, ODOMETRY)
-    edges = [Edge(int(i), int(i) + 1, z_odo[i], np.eye(3), ODOMETRY) for i in odo_i]
+    i, j, z, kind = odo_i, odo_i + 1, z_odo, [ODOMETRY] * len(odo_i)
     if loops:
-        z_loop = measure(np.array([p[0] for p in loops]), np.array([p[1] for p in loops]), LOOP)
-        for n, (i, j) in enumerate(loops):
-            edges.append(Edge(i, j, z_loop[n], np.eye(3), LOOP))
-    graph = PoseGraph2D.from_edges(truth, edges)
+        loop_i, loop_j = np.array(loops).T
+        i, j = np.concatenate([i, loop_i]), np.concatenate([j, loop_j])
+        z = np.concatenate([z, measure(loop_i, loop_j, LOOP)])
+        kind += [LOOP] * len(loops)
+    graph = array_graph(truth, i, j, z, kind=kind)
     spec = pose_manifold(num_poses)
     return graph, ManifoldPoint(spec, tuple(truth[i] for i in range(num_poses)))
 
@@ -638,13 +647,41 @@ information loop 100 200 150
 
 
 class TestProblemBuild:
+    def test_problem_retains_no_object_per_edge(self):
+        # each group's edges stay arrays from the graph to the batch, so the
+        # gc-tracked objects a problem keeps alive do not grow with the edges
+        pose_graph_problem(*self.graph_and_group(20))  # one-time module state
+        retained = []
+        for n in (300, 3000):
+            graph, groups = self.graph_and_group(n)
+            gc.collect()
+            before = len(gc.get_objects())
+            problem = pose_graph_problem(graph, groups)
+            gc.collect()
+            retained.append(len(gc.get_objects()) - before)
+        assert retained[0] < 100
+        assert retained[1] <= retained[0] + 10
+        assert problem.group_sizes["all"] == len(graph.edges) > 3000
+
+    @staticmethod
+    def graph_and_group(n):
+        graph, _ = generate_manhattan_like(n, "nearby", None, trajectory_seed=1)
+        return graph, (NoiseGroup("all", 3, "ml"),)
+
     def test_heteroscedastic_group_assignment(self):
         graph, _ = generate_manhattan_like(150, "nearby", None, trajectory_seed=5)
         assert graph.edges_of_kind(LOOP)
         groups = (NoiseGroup(ODOMETRY, 3, "ml-eig", bounds=(1e-4, 1e4)),
                   NoiseGroup(LOOP, 3, "ml-eig", bounds=(1e-4, 1e4)))
         pb = pose_graph_problem(graph, groups)
-        by_group = pb.factors_by_group
-        assert len(by_group[ODOMETRY]) == 149
-        assert len(by_group[ODOMETRY]) + len(by_group[LOOP]) == len(graph.edges)
+        sizes = pb.group_sizes
+        assert sizes[ODOMETRY] == 149
+        assert sizes[ODOMETRY] + sizes[LOOP] == len(graph.edges)
+        odometry, loop = pb.factors
+        for fs, kind in ((odometry, ODOMETRY), (loop, LOOP)):
+            rows = graph.kind == EDGE_KINDS.index(kind)
+            assert fs.group_id == kind
+            np.testing.assert_array_equal(fs.blocks[0], graph.i[rows])
+            np.testing.assert_array_equal(fs.blocks[1], graph.j[rows])
+            np.testing.assert_array_equal(fs.z, graph.z[rows])
         assert pb.gauge_fixed == frozenset({0})

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import one_row_sets
 
 from jointcov import io_pgo, nls
 from jointcov import joint as joint_module
@@ -19,7 +20,7 @@ from jointcov.joint import (
 )
 from jointcov.manifold import ManifoldPoint, ManifoldSpec, boxplus, euclidean_block
 from jointcov.nls import RIEMANNIAN_GD, NlsConfig
-from jointcov.problem import JointProblem, NoiseGroup, linear_factor, sample_covariance
+from jointcov.problem import JointProblem, NoiseGroup, linear_set, sample_covariance
 
 
 def linear_joint_problem(rng, n=8, k=30, m=3, variant="ml", sigma_scale=0.3,
@@ -31,10 +32,8 @@ def linear_joint_problem(rng, n=8, k=30, m=3, variant="ml", sigma_scale=0.3,
     L = np.linalg.cholesky(sigma)
     Hs = [rng.normal(size=(m, n)) for _ in range(k)]
     zs = [H @ x_true + L @ rng.normal(size=m) for H in Hs]
-    factors = [linear_factor(i, "x", H, z, "g")
-               for i, (H, z) in enumerate(zip(Hs, zs))]
     group = NoiseGroup("g", m, variant, prior=prior, bounds=bounds)
-    pb = JointProblem(spec, tuple(factors), (group,))
+    pb = JointProblem(spec, (linear_set("x", Hs, zs, "g"),), (group,))
     x0 = ManifoldPoint(spec, (np.zeros(n),))
     return pb, x0, sigma, x_true
 
@@ -85,13 +84,11 @@ class TestBlockExactBcd:
         spec = ManifoldSpec((euclidean_block("x", n),))
         x_true = np.ones(n)
         Hs = [rng.normal(size=(m, n)) for _ in range(k)]
-        factors = [linear_factor(i, "x", H, H @ x_true, "g")
-                   for i, H in enumerate(Hs)]
+        factors = (linear_set("x", Hs, np.array(Hs) @ x_true, "g"),)
         sigma0 = np.diag([0.5, 1.0, 2.0])
         w = 0.25
         prior = mode_match_prior(sigma0, w, k)
-        pb = JointProblem(spec, tuple(factors),
-                          (NoiseGroup("g", m, "map", prior=prior),))
+        pb = JointProblem(spec, factors, (NoiseGroup("g", m, "map", prior=prior),))
         x0 = ManifoldPoint(spec, (np.zeros(n),))
         res = run_block_exact_bcd(pb, x0)
         np.testing.assert_allclose(res.x.block("x"), x_true, atol=1e-7)
@@ -114,9 +111,9 @@ class TestBlockExactBcd:
         rng = np.random.default_rng(5)
         n, m, k = 4, 5, 3  # k < m: singular sample covariance
         spec = ManifoldSpec((euclidean_block("x", n),))
-        factors = [linear_factor(i, "x", rng.normal(size=(m, n)),
-                                 rng.normal(size=m), "g") for i in range(k)]
-        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+        rows = [(rng.normal(size=(m, n)), rng.normal(size=m)) for _ in range(k)]
+        factors = (linear_set("x", *map(np.array, zip(*rows)), "g"),)
+        pb = JointProblem(spec, factors, (NoiseGroup("g", m, "ml"),))
         x0 = ManifoldPoint(spec, (np.zeros(n),))
         with pytest.raises(UnboundedProblem) as err:
             run_block_exact_bcd(pb, x0)
@@ -142,12 +139,11 @@ class TestInformationUpdate:
 
     @staticmethod
     def residual_group(z_rows, variant="ml", prior=None):
-        """One group of linear factors r_i = z_i at x = 0, so S = Z^T Z / k."""
-        n, m = 2, len(z_rows[0])
+        """One group of linear rows r_i = z_i at x = 0, so S = Z^T Z / k."""
+        k, m, n = len(z_rows), len(z_rows[0]), 2
         spec = ManifoldSpec((euclidean_block("x", n),))
-        factors = [linear_factor(i, "x", np.zeros((m, n)), z, "g")
-                   for i, z in enumerate(z_rows)]
-        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, variant, prior=prior),))
+        factors = (linear_set("x", np.zeros((k, m, n)), z_rows, "g"),)
+        pb = JointProblem(spec, factors, (NoiseGroup("g", m, variant, prior=prior),))
         return pb, ManifoldPoint(spec, (np.zeros(n),))
 
     def test_map_unconstrained_update_skips_the_eigensolve(self, monkeypatch):
@@ -214,13 +210,12 @@ class TestGroupScaling:
         spec = ManifoldSpec((euclidean_block("x", n),))
         x_true = rng.normal(size=n)
         factors = []
-        fid = 0
         for gid, m, k, noise in (("a", 2, 8, 0.1), ("b", 3, 40, 0.5)):
+            Hs, zs = [], []
             for _ in range(k):
-                H = rng.normal(size=(m, n))
-                z = H @ x_true + noise * rng.normal(size=m)
-                factors.append(linear_factor(fid, "x", H, z, gid))
-                fid += 1
+                Hs.append(H := rng.normal(size=(m, n)))
+                zs.append(H @ x_true + noise * rng.normal(size=m))
+            factors.append(linear_set("x", Hs, zs, gid))
         prior = mode_match_prior(np.eye(3), 0.5, 40)
         groups = (NoiseGroup("a", 2, "ml"), NoiseGroup("b", 3, "map", prior=prior))
         pb = JointProblem(spec, tuple(factors), groups)
@@ -282,8 +277,8 @@ class TestHybridBcd:
         assert set(dampings) == {0.0}
         # the first x-step is the GLS solution at the initial P
         P0 = information_update(pb, x0)[0]["g"]
-        Hs = [f.H for f in pb.factors]
-        zs = [f.z for f in pb.factors]
+        (fs,) = pb.factors
+        Hs, zs = fs.H, fs.z
         A = sum(H.T @ P0 @ H for H in Hs)
         b = sum(H.T @ P0 @ z for H, z in zip(Hs, zs))
         first = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD,
@@ -414,30 +409,35 @@ class TestElimination:
         # the reduced evaluation forms each S from the residuals of the
         # linearization it assembles the gradient from; both must equal the
         # separate evaluations bit for bit, also through preprocessing
-        # Jacobians and a group of several batches
+        # Jacobians and a group of several batches, and k-row sets must give
+        # the same bits as their rows as one-row sets
         from jointcov import joint
         from jointcov.joint import _reduced_value_and_grad, group_scale
         from jointcov.manifold import se2_block
         from jointcov.nls import build_system
-        from jointcov.problem import custom_factor, relative_se2_factor, residual_covariance
+        from jointcov.problem import custom_set, relative_se2_set, residual_covariance
 
         rng = np.random.default_rng(17)
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(5))
                             + (euclidean_block("w", 3),))
         J = np.array([[1.0, 0.4, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 0.5]])
-        factors = [relative_se2_factor(i, i, (i + 1) % 5, rng.uniform(-1, 1, 3), "a",
-                                       preprocess_jacobian=J if i % 2 else None)
-                   for i in range(5)]
-        factors.append(custom_factor(5, (4, "w"), rng.normal(size=3), "a",
-                                     lambda z, p, w: z - np.sin(p) * w))
-        factors += [relative_se2_factor(6 + i, i, (i + 2) % 5, rng.uniform(-1, 1, 3),
-                                        "a" if i < 2 else "b",
-                                        preprocess_jacobian=2.0 * J if i == 3 else None)
-                    for i in range(5)]
+        sets = (
+            relative_se2_set([0, 2, 4], [1, 3, 0], rng.uniform(-1, 1, (3, 3)), "a"),
+            relative_se2_set([1, 3], [2, 4], rng.uniform(-1, 1, (2, 3)), "a",
+                             preprocess_jacobian=[J, 2.0 * J]),
+            custom_set((4, "w"), rng.normal(size=3), "a", lambda z, p, w: z - np.sin(p) * w),
+            relative_se2_set([0, 1], [2, 3], rng.uniform(-1, 1, (2, 3)), "a"),
+            relative_se2_set([2, 3, 4], [4, 0, 1], rng.uniform(-1, 1, (3, 3)), "b",
+                             preprocess_jacobian=[np.eye(3), 2.0 * J, J.T]),
+        )
         groups = (NoiseGroup("a", 3, "ml-eig", bounds=(1e-4, 1e4)),
                   NoiseGroup("b", 3, "ml-eig", bounds=(1e-4, 1e4)))
-        pb = JointProblem(spec, tuple(factors), groups, frozenset({0}))
-        assert len(pb.batches["a"]) == 3
+        pb = JointProblem(spec, sets, groups, frozenset({0}))
+        rows = JointProblem(spec, [r for fs in sets for r in one_row_sets(fs)], groups,
+                            frozenset({0}))
+        assert [len(pb.batches[g]) for g in "ab"] == [4, 1]
+        assert [len(rows.batches[g]) for g in "ab"] == [8, 3] == [pb.group_sizes[g]
+                                                                  for g in "ab"]
         x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
 
         formed = {}
@@ -447,14 +447,19 @@ class TestElimination:
             return formed[group_id]
 
         monkeypatch.setattr(joint, "residual_covariance", spy)
-        _, gradient, P, _, _ = _reduced_value_and_grad(pb, x)
+        value, gradient, P, _, _ = _reduced_value_and_grad(pb, x)
         for g in groups:
             np.testing.assert_array_equal(formed[g.group_id],
                                           sample_covariance(pb, x, g.group_id))
-        weights = {g.group_id: 2.0 * (group_scale(g, len(pb.factors_by_group[g.group_id]))
+        weights = {g.group_id: 2.0 * (group_scale(g, pb.group_sizes[g.group_id])
                                       * P[g.group_id]) for g in groups}
         np.testing.assert_array_equal(
             gradient, build_system(pb, x, weights, with_hessian=False).gradient)
+        value_rows, gradient_rows, P_rows, _, _ = _reduced_value_and_grad(rows, x)
+        assert value == value_rows
+        np.testing.assert_array_equal(gradient, gradient_rows)
+        for g in groups:
+            np.testing.assert_array_equal(P[g.group_id], P_rows[g.group_id])
 
 
 class TestTrace:
@@ -508,9 +513,8 @@ class TestCalibrate:
         n, m, k = 4, 3, 10
         spec = ManifoldSpec((euclidean_block("x", n),))
         x_true = rng.normal(size=n)
-        factors = [linear_factor(i, "x", H := rng.normal(size=(m, n)),
-                                 H @ x_true, "g") for i in range(k)]
-        pb = JointProblem(spec, tuple(factors),
+        Hs = rng.normal(size=(k, m, n))
+        pb = JointProblem(spec, (linear_set("x", Hs, Hs @ x_true, "g"),),
                           (NoiseGroup("g", m, "ml-eig", bounds=(1e-4, 1e4)),))
         P = calibrate(pb, ManifoldPoint(spec, (x_true,)))
         np.testing.assert_allclose(P["g"], np.eye(m) / 1e-4, rtol=1e-9)
@@ -528,14 +532,13 @@ class TestCalibrate:
         sigma_raw = np.diag([0.5, 0.1, 0.9])
         L = np.linalg.cholesky(sigma_raw)
         J = np.array([[1.0, 0.4, 0.0], [0.0, 2.0, 0.1], [0.0, 0.0, 0.5]])
-        factors = []
+        Hs, zs = [], []
         for i in range(k):
-            H = rng.normal(size=(m, n))
+            Hs.append(H := rng.normal(size=(m, n)))
             eps = L @ rng.normal(size=m)
-            z = H @ x_true + J @ eps
-            factors.append(linear_factor(i, "x", H, z, "g",
-                                         preprocess_jacobian=J))
-        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+            zs.append(H @ x_true + J @ eps)
+        fs = linear_set("x", Hs, zs, "g", preprocess_jacobian=np.broadcast_to(J, (k, m, m)))
+        pb = JointProblem(spec, (fs,), (NoiseGroup("g", m, "ml"),))
         P = calibrate(pb, ManifoldPoint(spec, (x_true,)))
         sigma_est = np.linalg.inv(P["g"])
         assert wasserstein2(sigma_est, sigma_raw) <= 0.05 * np.trace(sigma_raw)

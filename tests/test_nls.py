@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+from conftest import one_row_sets
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,9 +31,9 @@ from jointcov.problem import (
     LinearBatch,
     NoiseGroup,
     group_residuals,
-    linear_factor,
-    prior_factor,
-    relative_se2_factor,
+    linear_set,
+    prior_set,
+    relative_se2_set,
 )
 
 
@@ -41,8 +42,7 @@ def linear_problem(rng, n=6, k=12, m=3):
     x_true = rng.normal(size=n)
     Hs = [rng.normal(size=(m, n)) for _ in range(k)]
     zs = [H @ x_true + 0.05 * rng.normal(size=m) for H in Hs]
-    factors = [linear_factor(i, "x", H, z, "g") for i, (H, z) in enumerate(zip(Hs, zs))]
-    pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
+    pb = JointProblem(spec, (linear_set("x", Hs, zs, "g"),), (NoiseGroup("g", m, "ml"),))
     return pb, spec, Hs, zs, x_true
 
 
@@ -60,8 +60,6 @@ def chain_problem(n=6, noise=None, gauge=True):
     for i in range(1, n):
         step = np.array([1.0, 0.0, 0.35 if i % 2 else -0.2])
         truth.append(se2_compose(truth[-1], step))
-    factors = []
-    fid = 0
     from jointcov.manifold import exp_se2, se2_inverse
 
     def measure(i, j):
@@ -70,11 +68,9 @@ def chain_problem(n=6, noise=None, gauge=True):
             z = se2_compose(z, exp_se2(noise * rng.normal(size=3)))
         return z
 
-    for i in range(n - 1):
-        factors.append(relative_se2_factor(fid, i, i + 1, measure(i, i + 1), "g"))
-        fid += 1
-    factors.append(relative_se2_factor(fid, 0, n - 1, measure(0, n - 1), "g"))
-    pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", 3, "ml"),),
+    a, b = [*range(n - 1), 0], [*range(1, n), n - 1]
+    fs = relative_se2_set(a, b, [measure(i, j) for i, j in zip(a, b)], "g")
+    pb = JointProblem(spec, (fs,), (NoiseGroup("g", 3, "ml"),),
                       frozenset({0} if gauge else ()))
     x_true = ManifoldPoint(spec, tuple(truth))
     return pb, x_true
@@ -96,22 +92,19 @@ class TestWeightedCost:
     def test_zero_residuals(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.array([1.0, 2.0]),))
-        f = prior_factor(0, "x", [1.0, 2.0], "g")
-        pb = JointProblem(spec, (f,), (NoiseGroup("g", 2, "ml"),))
+        pb = JointProblem(spec, (prior_set("x", [[1.0, 2.0]], "g"),), (NoiseGroup("g", 2, "ml"),))
         assert weighted_cost(pb, x, {"g": np.eye(2)}) == 0.0
 
     def test_unit_residual(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.zeros(2),))
-        f = prior_factor(0, "x", [1.0, 0.0], "g")
-        pb = JointProblem(spec, (f,), (NoiseGroup("g", 2, "ml"),))
+        pb = JointProblem(spec, (prior_set("x", [[1.0, 0.0]], "g"),), (NoiseGroup("g", 2, "ml"),))
         assert weighted_cost(pb, x, {"g": np.eye(2)}) == pytest.approx(0.5)
 
     def test_weighted(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.zeros(2),))
-        f = prior_factor(0, "x", [1.0, 1.0], "g")
-        pb = JointProblem(spec, (f,), (NoiseGroup("g", 2, "ml"),))
+        pb = JointProblem(spec, (prior_set("x", [[1.0, 1.0]], "g"),), (NoiseGroup("g", 2, "ml"),))
         assert weighted_cost(pb, x, {"g": np.diag([2.0, 4.0])}) == pytest.approx(3.0)
 
 
@@ -180,8 +173,7 @@ class TestSparsity:
             system = build_system(pb, x0, {"g": np.eye(3)})
         # expected block pairs: factor connectivity among active blocks
         expected = set()
-        for f in pb.factors:
-            u, v = f.block_ids
+        for u, v in zip(*(ids.tolist() for ids in pb.factors[0].blocks)):
             for b in (u, v):
                 if b not in pb.gauge_fixed:
                     expected.add((b, b))
@@ -232,26 +224,27 @@ class TestStepOnce:
 
 
 class TestLinearBatch:
-    """The compiled linear batch reproduces the same factors as batches of
-    one bit for bit."""
+    """A k-row linear set linearizes bit for bit like its rows as k one-row
+    sets."""
 
     @staticmethod
-    def assert_matches_batches_of_one(spec, factors, m, gauge_fixed, dense, rng):
+    def assert_matches_one_row_sets(spec, sets, m, gauge_fixed, dense, rng):
         A = rng.normal(size=(m, m))
         weights = {"g": A @ A.T + 0.1 * np.eye(m)}
 
-        def problem():
-            return JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),),
+        def problem(sets):
+            return JointProblem(spec, tuple(sets), (NoiseGroup("g", m, "ml"),),
                                 frozenset(gauge_fixed))
 
-        batched, per_factor = problem(), problem()
-        per_factor.__dict__["batches"] = {"g": tuple(
-            LinearBatch.compile(spec, per_factor.active_index, (f,)) for f in factors)}
+        batched = problem(sets)
+        per_row = problem([row for fs in sets for row in one_row_sets(fs)])
+        assert len(batched.batches["g"]) == len(sets)
+        assert len(per_row.batches["g"]) == sum(map(len, sets))
         assert all(isinstance(b, LinearBatch) for b in batched.batches["g"])
         x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
         with patch.object(nls, "DENSE_THRESHOLD", 200 if dense else 1):
             a = build_system(batched, x, weights)
-            b = build_system(per_factor, x, weights)
+            b = build_system(per_row, x, weights)
         assert a.cost == b.cost
         np.testing.assert_array_equal(a.gradient, b.gradient)
         if dense:
@@ -261,7 +254,7 @@ class TestLinearBatch:
                 np.testing.assert_array_equal(getattr(a.hessian, part),
                                               getattr(b.hessian, part))
         np.testing.assert_array_equal(group_residuals(batched, x, "g"),
-                                      group_residuals(per_factor, x, "g"))
+                                      group_residuals(per_row, x, "g"))
 
     @settings(max_examples=150, deadline=None)
     @given(dims=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -272,7 +265,7 @@ class TestLinearBatch:
     @example(dims=[1], k=16, gauge=None, dense=True, with_priors=False, m=1, seed=0)
     # the linear study's shape
     @example(dims=[20], k=50, gauge=None, dense=True, with_priors=False, m=5, seed=1)
-    def test_batch_matches_per_factor(self, dims, k, gauge, dense, with_priors, m, seed):
+    def test_set_matches_one_row_sets(self, dims, k, gauge, dense, with_priors, m, seed):
         rng = np.random.default_rng(seed)
         # interleave an unused pose and vector so the batch gathers real columns
         ids = [f"b{i}" for i in range(len(dims))]
@@ -280,44 +273,40 @@ class TestLinearBatch:
                              *(euclidean_block(b, d) for b, d in zip(ids, dims))))
         order = tuple(rng.permutation(ids))
         d = sum(dims)
+        sets = []
         if len(dims) == 1 and with_priors:
-            m = d  # a mix of priors and square linear factors on one block
-            factors = [prior_factor(i, ids[0], rng.normal(size=m), "g")
-                       if rng.random() < 0.5 else
-                       linear_factor(i, order, rng.normal(size=(m, d)),
-                                     rng.normal(size=m), "g")
-                       for i in range(k)]
-        else:
-            factors = [linear_factor(i, order, rng.normal(size=(m, d)),
-                                     rng.normal(size=m), "g") for i in range(k)]
+            m = d  # a prior set and a square linear set on one block
+            priors = int(rng.integers(1, k + 1))
+            sets.append(prior_set(ids[0], rng.normal(size=(priors, m)), "g"))
+            k -= priors
+        if k:
+            sets.append(linear_set(order, rng.normal(size=(k, m, d)),
+                                   rng.normal(size=(k, m)), "g"))
         gauge_fixed = () if gauge is None else (ids[gauge % len(dims)],)
-        self.assert_matches_batches_of_one(spec, factors, m, gauge_fixed, dense, rng)
+        self.assert_matches_one_row_sets(spec, sets, m, gauge_fixed, dense, rng)
 
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(st.integers(1, 12), min_size=2, max_size=6),
            dx=st.integers(1, 4), dy=st.integers(1, 4), m=st.integers(1, 4),
            gauge=st.sampled_from([(), ("y",)]), dense=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_overlapping_runs_match_per_factor(self, runs, dx, dy, m, gauge, dense, seed):
-        # runs of factors alternate between ("x",) and ("x", "y"): each run
-        # is a batch, and every batch adds onto x's accumulated terms
+    def test_overlapping_sets_match_one_row_sets(self, runs, dx, dy, m, gauge, dense, seed):
+        # sets alternate between ("x",) and ("x", "y"): each set is a batch,
+        # and every batch adds onto x's accumulated terms
         rng = np.random.default_rng(seed)
         spec = ManifoldSpec((euclidean_block("x", dx), euclidean_block("y", dy)))
-        factors = []
+        sets = []
         for r, size in enumerate(runs):
             ids = ("x",) if r % 2 == 0 else ("x", "y")
             d = dx if r % 2 == 0 else dx + dy
-            factors += [linear_factor(len(factors), ids, rng.normal(size=(m, d)),
-                                      rng.normal(size=m), "g") for _ in range(size)]
-        pb = JointProblem(spec, tuple(factors), (NoiseGroup("g", m, "ml"),))
-        assert len(pb.batches["g"]) == len(runs)
-        self.assert_matches_batches_of_one(spec, factors, m, gauge, dense, rng)
+            sets.append(linear_set(ids, rng.normal(size=(size, m, d)),
+                                   rng.normal(size=(size, m)), "g"))
+        self.assert_matches_one_row_sets(spec, sets, m, gauge, dense, rng)
 
-    def test_mixed_block_sets_compile_to_batches_of_one(self):
+    def test_sets_on_different_blocks(self):
         spec = ManifoldSpec((euclidean_block("x", 2), euclidean_block("y", 2)))
-        factors = (prior_factor(0, "x", np.zeros(2), "g"),
-                   prior_factor(1, "y", np.zeros(2), "g"))
-        pb = JointProblem(spec, factors, (NoiseGroup("g", 2, "ml"),))
+        sets = (prior_set("x", np.zeros((1, 2)), "g"), prior_set("y", np.zeros((1, 2)), "g"))
+        pb = JointProblem(spec, sets, (NoiseGroup("g", 2, "ml"),))
         assert [type(b) for b in pb.batches["g"]] == [LinearBatch, LinearBatch]
         x = ManifoldPoint(spec, (np.ones(2), 2.0 * np.ones(2)))
         system = build_system(pb, x, {"g": np.eye(2)})
@@ -376,13 +365,13 @@ def random_pose_graph(data):
     pairs = [(i, i + 1) for i in range(n - 1)]
     pairs += [tuple(sorted(rng.choice(n, size=2, replace=False)))
               for _ in range(rng.integers(0, n + 1))]
-    factors = [relative_se2_factor(
-        k, int(i), int(j), se2_compose(se2_inverse(truth[i]), truth[j])
-        + 0.05 * rng.normal(size=3), "odo" if j == i + 1 else "loop")
-        for k, (i, j) in enumerate(pairs)]
-    groups = [NoiseGroup(g, 3, "ml") for g in ("odo", "loop")
-              if any(f.group_id == g for f in factors)]
-    pb = JointProblem(spec, tuple(factors), tuple(groups),
+    zs = [se2_compose(se2_inverse(truth[i]), truth[j]) + 0.05 * rng.normal(size=3)
+          for i, j in pairs]
+    sets = [relative_se2_set(*np.array(pairs[start:stop]).T, zs[start:stop], g)
+            for g, start, stop in (("odo", 0, n - 1), ("loop", n - 1, len(pairs)))
+            if stop > start]
+    groups = [NoiseGroup(fs.group_id, 3, "ml") for fs in sets]
+    pb = JointProblem(spec, tuple(sets), tuple(groups),
                       frozenset({0} if gauge else ()))
     weights = {}
     for g in groups:

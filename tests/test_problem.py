@@ -2,6 +2,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
+from conftest import one_row_sets
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -20,23 +21,21 @@ from jointcov.manifold import (
     se2_inverse,
     wrap_angle,
 )
-from jointcov.nls import build_system
+from jointcov.nls import build_system, weighted_cost
 from jointcov.problem import (
     _DALPHA_SERIES_ANGLE,
-    CUSTOM,
+    RELATIVE_SE2,
     CustomBatch,
     JointProblem,
     LinearBatch,
-    MeasurementFactor,
     NoiseGroup,
     Se2Batch,
-    custom_factor,
+    custom_set,
     group_residuals,
-    linear_factor,
-    prior_factor,
-    relative_se2_factor,
+    linear_set,
+    prior_set,
+    relative_se2_set,
     residual,
-    residual_jacobian,
     sample_covariance,
     variant_parts,
 )
@@ -53,57 +52,67 @@ def two_pose_state(a, b):
     return ManifoldPoint(spec, (np.asarray(a, float), np.asarray(b, float)))
 
 
+def se2_set(a, b, z, group_id="g"):
+    """A one-row relative-pose set from pose a to pose b."""
+    return relative_se2_set([a], [b], [z], group_id)
+
+
 class TestResiduals:
     def test_linear_exact_fit(self):
         x = euclid_point([1.0, 2.0])
-        f = linear_factor(0, "x", np.eye(2), [1.0, 2.0], "g")
-        np.testing.assert_array_equal(residual(f, x), [0.0, 0.0])
+        fs = linear_set("x", [np.eye(2)], [[1.0, 2.0]], "g")
+        np.testing.assert_array_equal(residual(fs, x), [[0.0, 0.0]])
 
     def test_linear_general(self):
         x = euclid_point([1.0, -1.0])
         H = np.array([[1.0, 2.0], [0.0, 1.0]])
-        f = linear_factor(0, "x", H, [3.0, 0.5], "g")
-        np.testing.assert_allclose(residual(f, x), [3.0 - (-1.0), 0.5 - (-1.0)])
+        fs = linear_set("x", [H, 2.0 * H], [[3.0, 0.5], [0.0, 0.0]], "g")
+        np.testing.assert_allclose(residual(fs, x), [[3.0 - (-1.0), 0.5 - (-1.0)],
+                                                     [2.0, 2.0]])
 
     def test_prior(self):
         x = euclid_point([2.0, 2.0])
-        f = prior_factor(0, "x", [1.0, 1.0], "g")
-        np.testing.assert_allclose(residual(f, x), [-1.0, -1.0])
+        fs = prior_set("x", [[1.0, 1.0], [2.0, 3.0]], "g")
+        np.testing.assert_allclose(residual(fs, x), [[-1.0, -1.0], [0.0, 1.0]])
 
     def test_relative_se2_identical_poses(self):
         x = two_pose_state([0.4, -0.2, 0.9], [0.4, -0.2, 0.9])
-        f = relative_se2_factor(0, 0, 1, [0.0, 0.0, 0.0], "g")
-        np.testing.assert_allclose(residual(f, x), np.zeros(3), atol=1e-15)
+        fs = se2_set(0, 1, [0.0, 0.0, 0.0])
+        np.testing.assert_allclose(residual(fs, x), np.zeros((1, 3)), atol=1e-15)
 
     def test_relative_se2_hand_composition(self):
         x = two_pose_state([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        f = relative_se2_factor(0, 0, 1, [1.0, 0.0, 0.0], "g")
-        np.testing.assert_allclose(residual(f, x), np.zeros(3), atol=1e-15)
+        fs = se2_set(0, 1, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(residual(fs, x), np.zeros((1, 3)), atol=1e-15)
 
     def test_relative_se2_rotated_frame(self):
         # a at 90 degrees: b = (0, 1, pi/2) is exactly one unit ahead of a.
         x = two_pose_state([0.0, 0.0, np.pi / 2], [0.0, 1.0, np.pi / 2])
-        f = relative_se2_factor(0, 0, 1, [1.0, 0.0, 0.0], "g")
-        np.testing.assert_allclose(residual(f, x), np.zeros(3), atol=1e-14)
+        fs = se2_set(0, 1, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(residual(fs, x), np.zeros((1, 3)), atol=1e-14)
 
     def test_custom(self):
         x = euclid_point([2.0])
-        f = custom_factor(0, ("x",), np.array([5.0]),
-                          "g", lambda z, v: z - v ** 2)
-        np.testing.assert_allclose(residual(f, x), [1.0])
+        fs = custom_set(("x",), np.array([5.0]), "g", lambda z, v: z - v ** 2)
+        np.testing.assert_allclose(residual(fs, x), [[1.0]])
+
+
+def set_jacobians(fs, x):
+    """A set's dense Jacobians ``(k, m, D)`` at x, columns in block order."""
+    return dense_linearization(fs.compile(x.spec, x.spec.ungauged_index), x)[1]
 
 
 class TestJacobians:
     def test_linear_is_minus_H(self):
         H = np.arange(6.0).reshape(2, 3) + 1.0
-        f = linear_factor(0, "x", H, np.zeros(2), "g")
+        fs = linear_set("x", [H], np.zeros((1, 2)), "g")
         x = euclid_point([0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(residual_jacobian(f, x), -H)
+        np.testing.assert_array_equal(set_jacobians(fs, x), [-H])
 
     def test_prior_is_minus_identity(self):
-        f = prior_factor(0, "x", np.zeros(2), "g")
+        fs = prior_set("x", np.zeros((3, 2)), "g")
         x = euclid_point([3.0, 4.0])
-        np.testing.assert_array_equal(residual_jacobian(f, x), -np.eye(2))
+        np.testing.assert_array_equal(set_jacobians(fs, x), [-np.eye(2)] * 3)
 
     def test_relative_se2_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -112,9 +121,9 @@ class TestJacobians:
             x = ManifoldPoint(
                 spec, (rng.uniform(-2, 2, size=3), rng.uniform(-2, 2, size=3)))
             z = rng.uniform(-1, 1, size=3)
-            f = relative_se2_factor(0, 0, 1, z, "g")
-            J = residual_jacobian(f, x)
-            J_fd = _fd_oracle(f, x)
+            fs = se2_set(0, 1, z)
+            J = set_jacobians(fs, x)[0]
+            J_fd = _fd_oracle(fs, x)
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J - J_fd).max() / scale <= 1e-5
 
@@ -126,33 +135,34 @@ class TestJacobians:
         assume(abs(wrap_angle(a[2] + z[2] - b[2])) < np.pi - 0.1)
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
         x = ManifoldPoint(spec, (a, b))
-        f = relative_se2_factor(0, 0, 1, z, "g")
-        (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        fs = se2_set(0, 1, z)
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         _, J = dense_linearization(batch, x)
-        J_fd = _fd_oracle(f, x)
+        J_fd = _fd_oracle(fs, x)
         scale = max(1.0, np.abs(J_fd).max())
         assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
 
     def test_custom_uses_finite_differences(self):
-        f = custom_factor(0, ("x",), np.array([0.0]),
-                          "g", lambda z, v: z - v ** 3)
+        fs = custom_set(("x",), np.array([0.0]), "g", lambda z, v: z - v ** 3)
         x = euclid_point([2.0])
-        np.testing.assert_allclose(residual_jacobian(f, x), [[-12.0]], rtol=1e-6)
+        np.testing.assert_allclose(set_jacobians(fs, x), [[[-12.0]]], rtol=1e-6)
 
 
-def _fd_oracle(f, x, h=1e-6):
+def _fd_oracle(fs, x, h=1e-6):
+    """Central differences of a one-row set's residual, block by block."""
     spec = x.spec
-    cols = sum(spec.block(b).dim for b in f.block_ids)
-    J = np.empty((f.dim, cols))
+    ids = ([ids.tolist()[0] for ids in fs.blocks] if fs.kind == RELATIVE_SE2
+           else fs.blocks)
+    J = np.empty((fs.m, sum(spec.block(b).dim for b in ids)))
     col = 0
-    for bid in f.block_ids:
+    for bid in ids:
         sl = spec.tangent_slice(bid)
         for j in range(spec.block(bid).dim):
             v = np.zeros(spec.tangent_dim)
             v[sl.start + j] = h
-            rp = residual(f, boxplus(x, v))
+            rp = residual(fs, boxplus(x, v))[0]
             v[sl.start + j] = -h
-            rm = residual(f, boxplus(x, v))
+            rm = residual(fs, boxplus(x, v))[0]
             J[:, col] = (rp - rm) / (2 * h)
             col += 1
     return J
@@ -164,8 +174,8 @@ def dense_linearization(batch, x):
     return r, batch.jacobian(jac)
 
 
-def make_problem(factors, groups, spec, gauge=()):
-    return JointProblem(spec, tuple(factors), groups, frozenset(gauge))
+def make_problem(sets, groups, spec, gauge=()):
+    return JointProblem(spec, tuple(sets), groups, frozenset(gauge))
 
 
 class TestSampleCovariance:
@@ -173,28 +183,42 @@ class TestSampleCovariance:
         # residuals {(1,0), (0,1)} -> S = I/2
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.zeros(2),))
-        f1 = prior_factor(0, "x", [1.0, 0.0], "g")
-        f2 = prior_factor(1, "x", [0.0, 1.0], "g")
-        pb = make_problem([f1, f2], [NoiseGroup("g", 2, "ml")], spec)
+        fs = prior_set("x", [[1.0, 0.0], [0.0, 1.0]], "g")
+        pb = make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
         np.testing.assert_allclose(
             sample_covariance(pb, x, "g"), 0.5 * np.eye(2), atol=1e-15)
 
     def test_all_zero_residuals(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.array([1.0, 2.0]),))
-        fs = [prior_factor(i, "x", [1.0, 2.0], "g") for i in range(3)]
-        pb = make_problem(fs, [NoiseGroup("g", 2, "ml")], spec)
+        fs = prior_set("x", [[1.0, 2.0]] * 3, "g")
+        pb = make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
         np.testing.assert_array_equal(sample_covariance(pb, x, "g"), np.zeros((2, 2)))
 
     def test_preprocessing_jacobian(self):
         # single residual (2, 0) with J = 2I: S~ = J^-1 r r^T J^-T = diag(1, 0)
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.zeros(2),))
-        f = linear_factor(0, "x", np.eye(2), [2.0, 0.0], "g",
-                          preprocess_jacobian=2.0 * np.eye(2))
-        pb = make_problem([f], [NoiseGroup("g", 2, "ml")], spec)
+        fs = linear_set("x", [np.eye(2)], [[2.0, 0.0]], "g",
+                        preprocess_jacobian=[2.0 * np.eye(2)])
+        pb = make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
         np.testing.assert_allclose(
             sample_covariance(pb, x, "g"), np.diag([1.0, 0.0]), atol=1e-15)
+
+    def test_preprocessing_rows_follow_the_sets(self):
+        # only the middle set's two rows carry J = 2I; their rows in the
+        # group's stacked residuals are 1 and 2
+        spec = ManifoldSpec((euclidean_block("x", 2),))
+        x = ManifoldPoint(spec, (np.zeros(2),))
+        sets = [prior_set("x", [[1.0, 0.0]], "g"),
+                linear_set("x", [np.eye(2)] * 2, [[2.0, 0.0], [0.0, 4.0]], "g",
+                           preprocess_jacobian=[2.0 * np.eye(2)] * 2),
+                prior_set("x", [[0.0, 3.0]], "g")]
+        pb = make_problem(sets, [NoiseGroup("g", 2, "ml")], spec)
+        rows, _ = pb.preprocess_inverses["g"]
+        np.testing.assert_array_equal(rows, [1, 2])
+        R = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0], [0.0, 3.0]])
+        np.testing.assert_allclose(sample_covariance(pb, x, "g"), R.T @ R / 4, atol=1e-15)
 
     def test_preprocessing_leaves_residual_arrays_alone(self):
         # a custom residual may return an array it owns, and a lone batch's
@@ -202,10 +226,9 @@ class TestSampleCovariance:
         spec = ManifoldSpec((euclidean_block("x", 2),))
         x = ManifoldPoint(spec, (np.zeros(2),))
         owned = np.array([2.0, 0.0])
-        f = MeasurementFactor(0, CUSTOM, ("x",), np.zeros(2), "g",
-                              residual_fn=lambda z, v: owned,
-                              preprocess_jacobian=2.0 * np.eye(2))
-        pb = make_problem([f], [NoiseGroup("g", 2, "ml")], spec)
+        fs = custom_set(("x",), np.zeros(2), "g", lambda z, v: owned,
+                        preprocess_jacobian=2.0 * np.eye(2))
+        pb = make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
         np.testing.assert_allclose(
             sample_covariance(pb, x, "g"), np.diag([1.0, 0.0]), atol=1e-15)
         np.testing.assert_array_equal(owned, [2.0, 0.0])
@@ -215,8 +238,8 @@ class TestSampleCovariance:
         spec = ManifoldSpec((euclidean_block("x", 3),))
         x = ManifoldPoint(spec, (rng.normal(size=3),))
         k = 2  # k < m makes S singular
-        fs = [prior_factor(i, "x", rng.normal(size=3), "g") for i in range(k)]
-        pb = make_problem(fs, [NoiseGroup("g", 3, "ml")], spec)
+        fs = prior_set("x", rng.normal(size=(k, 3)), "g")
+        pb = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec)
         S = sample_covariance(pb, x, "g")
         eig = np.linalg.eigvalsh(S)
         assert eig.min() >= -1e-12
@@ -228,90 +251,122 @@ def reference_se2_residual(a, b, z):
     return log_se2(se2_compose(se2_inverse(se2_compose(se2_inverse(a), b)), z))
 
 
+def mixed_sets(rng):
+    """A spec of poses and vectors and one group's sets of every kind:
+    relative-pose (one with preprocessing), prior, linear on one and two
+    blocks (one with preprocessing), and custom."""
+    spec = ManifoldSpec((se2_block("p0"), euclidean_block("u", 3), se2_block("p1"),
+                         euclidean_block("w", 3), se2_block("p2")))
+
+    def jacobians(k):
+        return np.eye(3) + 0.3 * rng.normal(size=(k, 3, 3))
+    sets = [
+        relative_se2_set(["p0", "p1", "p2"], ["p1", "p2", "p1"],
+                         rng.uniform(-1, 1, (3, 3)), "g", preprocess_jacobian=jacobians(3)),
+        prior_set("u", rng.normal(size=(4, 3)), "g"),
+        linear_set("u", rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3)), "g"),
+        linear_set(("w", "u"), rng.normal(size=(6, 3, 6)), rng.normal(size=(6, 3)), "g",
+                   preprocess_jacobian=jacobians(6)),
+        custom_set(("p2", "w"), rng.normal(size=3), "g", lambda z, p, w: z - np.sin(p) * w),
+        relative_se2_set(["p2", "p1"], ["p0", "p0"], rng.uniform(-1, 1, (2, 3)), "g"),
+    ]
+    return spec, sets
+
+
 class TestBatchPath:
-    def test_batch_matches_scalar(self):
+    def test_batch_matches_reference(self):
         rng = np.random.default_rng(41)
         n = 12
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(n)))
         x = ManifoldPoint(spec, tuple(rng.uniform(-2, 2, size=3) for _ in range(n)))
-        factors = []
-        for k in range(20):
-            i, j = rng.choice(n, size=2, replace=False)
-            factors.append(relative_se2_factor(
-                k, int(i), int(j), rng.uniform(-1, 1, size=3), "g"))
-        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        a, b = np.array([rng.choice(n, size=2, replace=False) for _ in range(20)]).T
+        fs = relative_se2_set(a, b, rng.uniform(-1, 1, size=(20, 3)), "g")
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         assert isinstance(batch, Se2Batch)
         r, J = dense_linearization(batch, x)
-        for k, f in enumerate(factors):
-            a, b = (x.block(bid) for bid in f.block_ids)
-            np.testing.assert_allclose(r[k], reference_se2_residual(a, b, f.z), atol=1e-14)
-            np.testing.assert_array_equal(J[k], residual_jacobian(f, x))
+        for k, row in enumerate(one_row_sets(fs)):
+            np.testing.assert_allclose(
+                r[k], reference_se2_residual(x.block(a[k]), x.block(b[k]), fs.z[k]),
+                atol=1e-14)
+            np.testing.assert_array_equal(J[k], set_jacobians(row, x)[0])
 
-    def test_mixed_group_compiles_to_same_kind_runs(self):
+    @pytest.mark.parametrize("gauge", [(), ("p0",), ("u",)])
+    def test_k_row_sets_linearize_like_one_row_sets(self, gauge):
+        # every kind, with and without preprocessing: each set is one batch,
+        # and its residuals, sample covariance, cost, gradient and Hessian
+        # equal, bit for bit, those of its rows as one-row sets
         rng = np.random.default_rng(43)
-        spec = ManifoldSpec((se2_block("p0"), euclidean_block("u", 3), se2_block("p1"),
-                             euclidean_block("w", 3), se2_block("p2")))
-        factors = [
-            relative_se2_factor(0, "p0", "p1", rng.uniform(-1, 1, 3), "g"),
-            relative_se2_factor(1, "p1", "p2", rng.uniform(-1, 1, 3), "g"),
-            prior_factor(2, "u", rng.normal(size=3), "g"),
-            linear_factor(3, "u", rng.normal(size=(3, 3)), rng.normal(size=3), "g"),
-            linear_factor(4, ("u", "w"), rng.normal(size=(3, 6)), rng.normal(size=3), "g"),
-            linear_factor(5, ("u", "w"), rng.normal(size=(3, 6)), rng.normal(size=3), "g"),
-            custom_factor(6, ("p2", "w"), rng.normal(size=3), "g",
-                          lambda z, p, w: z - np.sin(p) * w),
-            relative_se2_factor(7, "p2", "p0", rng.uniform(-1, 1, 3), "g"),
-        ]
-        pb = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec, gauge=("p0",))
-        batches = pb.batches["g"]
-        assert [type(b) for b in batches] == [Se2Batch, LinearBatch, LinearBatch,
-                                              CustomBatch, Se2Batch]
+        spec, sets = mixed_sets(rng)
+        groups = [NoiseGroup("g", 3, "ml")]
+        pb = make_problem(sets, groups, spec, gauge)
+        rows = make_problem([r for fs in sets for r in one_row_sets(fs)], groups, spec, gauge)
+        assert [type(b) for b in pb.batches["g"]] == [Se2Batch, LinearBatch, LinearBatch,
+                                                      LinearBatch, CustomBatch, Se2Batch]
+        assert len(rows.batches["g"]) == pb.group_sizes["g"] == rows.group_sizes["g"] == 21
         x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
-        rows = [(r[i], J[i]) for r, J in (dense_linearization(b, x) for b in batches)
-                for i in range(len(r))]
-        assert len(rows) == len(factors)
-        for f, (r, J) in zip(factors, rows):
-            np.testing.assert_array_equal(residual(f, x), r)
-            np.testing.assert_array_equal(residual_jacobian(f, x), J)
-        np.testing.assert_array_equal(group_residuals(pb, x, "g"), [r for r, _ in rows])
+        A = rng.normal(size=(3, 3))
+        W = {"g": A @ A.T + 0.1 * np.eye(3)}
+        np.testing.assert_array_equal(group_residuals(pb, x, "g"),
+                                      group_residuals(rows, x, "g"))
+        np.testing.assert_array_equal(sample_covariance(pb, x, "g"),
+                                      sample_covariance(rows, x, "g"))
+        assert weighted_cost(pb, x, W) == weighted_cost(rows, x, W)
+        a, b = build_system(pb, x, W), build_system(rows, x, W)
+        assert a.cost == b.cost
+        np.testing.assert_array_equal(a.gradient, b.gradient)
+        np.testing.assert_array_equal(a.hessian, b.hessian)
+        for fs, batch in zip(sets, pb.batches["g"]):
+            r, J = dense_linearization(batch, x)
+            np.testing.assert_array_equal(r, residual(fs, x))
+            np.testing.assert_array_equal(
+                J, np.concatenate([set_jacobians(row, x) for row in one_row_sets(fs)]))
 
     def test_residual_builds_the_gauge_free_index_once(self):
         rng = np.random.default_rng(47)
         n = 30
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(n)))
         x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, 3) for _ in range(n)))
-        factors = [relative_se2_factor(i, i, i + 1, rng.uniform(-1, 1, 3), "g")
-                   for i in range(n - 1)]
-        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        fs = relative_se2_set(np.arange(n - 1), np.arange(1, n),
+                              rng.uniform(-1, 1, (n - 1, 3)), "g")
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         r, J = dense_linearization(batch, x)
         with patch.object(ActiveIndex, "build", wraps=ActiveIndex.build) as build:
             for _ in range(3):
-                for i, f in enumerate(factors):
-                    np.testing.assert_array_equal(residual(f, x), r[i])
-                    np.testing.assert_array_equal(residual_jacobian(f, x), J[i])
+                np.testing.assert_array_equal(residual(fs, x), r)
+                for i, row in enumerate(one_row_sets(fs)):
+                    np.testing.assert_array_equal(residual(row, x), r[i:i + 1])
+                    np.testing.assert_array_equal(set_jacobians(row, x), J[i:i + 1])
         assert build.call_count == 1
 
     def test_group_residuals_stacks(self):
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
         x = ManifoldPoint(spec, (np.zeros(3), np.array([1.0, 0.0, 0.0])))
-        fs = [relative_se2_factor(0, 0, 1, [1.0, 0.0, 0.0], "g"),
-              relative_se2_factor(1, 0, 1, [0.9, 0.1, 0.0], "g")]
-        pb = make_problem(fs, [NoiseGroup("g", 3, "ml")], spec)
+        sets = [se2_set(0, 1, [1.0, 0.0, 0.0]), se2_set(0, 1, [0.9, 0.1, 0.0])]
+        pb = make_problem(sets, [NoiseGroup("g", 3, "ml")], spec)
         R = group_residuals(pb, x, "g")
         assert R.shape == (2, 3)
         np.testing.assert_allclose(R[0], np.zeros(3), atol=1e-15)
 
+    def test_pose_ids_of_mixed_types(self):
+        # ids that share no array type are looked up one by one
+        spec = ManifoldSpec((se2_block(0), euclidean_block("u", 3), se2_block("p")))
+        fs = relative_se2_set(np.array([0, "p"], dtype=object),
+                              np.array(["p", 0], dtype=object), np.zeros((2, 3)), "g")
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        np.testing.assert_array_equal(batch.ia, [0, 1])
+        np.testing.assert_array_equal(batch.ib, [1, 0])
+
 
 def relative_rotation_factor(rotation, rng):
-    """Two poses and a factor between them whose relative rotation
+    """Two poses and a one-row set between them whose relative rotation
     ``th_a + th_z - th_b`` is ``rotation`` (exactly, for 0)."""
     a = np.array([*rng.uniform(-2, 2, 2), 0.25])
     b = np.array([*rng.uniform(-2, 2, 2), 0.75 - rotation])
     z = np.array([*rng.uniform(-1, 1, 2), 0.5])
     spec = ManifoldSpec((se2_block(0), se2_block(1)))
-    f = relative_se2_factor(0, 0, 1, z, "g")
-    (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
-    return ManifoldPoint(spec, (a, b)), f, batch
+    fs = se2_set(0, 1, z)
+    (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+    return ManifoldPoint(spec, (a, b)), fs, batch
 
 
 class TestFusedKernelEdgeCases:
@@ -328,7 +383,8 @@ class TestFusedKernelEdgeCases:
             np.testing.assert_array_equal(batch.residuals(x), r)
             assert r[0, 2] == pytest.approx(rotation, abs=1e-15)
             a, b = x.values
-            np.testing.assert_allclose(r[0], reference_se2_residual(a, b, f.z), atol=1e-14)
+            np.testing.assert_allclose(r[0], reference_se2_residual(a, b, f.z[0]),
+                                       atol=1e-14)
 
     @pytest.mark.parametrize("rotation", ROTATIONS)
     def test_jacobian_matches_finite_differences(self, rotation):
@@ -347,8 +403,8 @@ class TestFusedKernelEdgeCases:
         # series to th^9, exact to rounding on this grid
         spec = ManifoldSpec((se2_block(0), se2_block(1)))
         x = ManifoldPoint(spec, ([0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]))
-        f = relative_se2_factor(0, 0, 1, [0.0, 0.0, rotation], "g")
-        (batch,) = make_problem([f], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        fs = se2_set(0, 1, [0.0, 0.0, rotation])
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         _, J = dense_linearization(batch, x)
         th, t2 = rotation, rotation * rotation
         alpha = 1.0 - t2 * (1 / 12 + t2 * (1 / 720 + t2 * (1 / 30240 + t2 / 1209600)))
@@ -362,9 +418,9 @@ class TestFusedKernelEdgeCases:
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(3)))
         x = ManifoldPoint(spec, ([0.0, 0.0, 0.25], [1.0, 2.0, 0.75 - np.pi],
                                  [0.5, -1.0, 0.1]))
-        factors = [relative_se2_factor(0, 2, 1, rng.uniform(-1, 1, 3), "g"),
-                   relative_se2_factor(1, 0, 1, [0.3, -0.2, 0.5], "g")]  # at pi
-        (batch,) = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        fs = relative_se2_set([2, 0], [1, 1], [rng.uniform(-1, 1, 3),
+                                               [0.3, -0.2, 0.5]], "g")  # row 1 at pi
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         with pytest.raises(CutLocusError):
             batch.residuals(x)
         with pytest.raises(CutLocusError):
@@ -383,7 +439,7 @@ def relative_rotations():
 
 @st.composite
 def se2_chains(draw, max_factors=5):
-    """A gauge-fixed chain of poses whose factor i has the drawn relative
+    """A gauge-fixed chain of poses whose row i has the drawn relative
     rotation ``th_a + th_z - th_b`` (pose i to pose i + 1), with a random
     SPD weight."""
     k = draw(st.integers(1, max_factors))
@@ -398,8 +454,8 @@ def se2_chains(draw, max_factors=5):
                                poses[-1][2] + z[2] - rotation]))
         zs.append(z)
     spec = ManifoldSpec(tuple(se2_block(i) for i in range(k + 1)))
-    factors = [relative_se2_factor(i, i, i + 1, z, "g") for i, z in enumerate(zs)]
-    pb = make_problem(factors, [NoiseGroup("g", 3, "ml")], spec, gauge=(0,))
+    fs = relative_se2_set(np.arange(k), np.arange(1, k + 1), zs, "g")
+    pb = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec, gauge=(0,))
     A = np.reshape([draw(st.floats(-1.0, 1.0)) for _ in range(9)], (3, 3))
     return pb, ManifoldPoint(spec, tuple(poses)), A @ A.T + 0.1 * np.eye(3)
 
@@ -427,8 +483,8 @@ class TestSe2KernelProperties:
         pb, x, _ = case
         (batch,) = pb.batches["g"]
         _, J = dense_linearization(batch, x)
-        for f, J_f in zip(pb.factors, J):
-            J_fd = _fd_oracle(f, x)
+        for row, J_f in zip(one_row_sets(pb.factors[0]), J):
+            J_fd = _fd_oracle(row, x)
             scale = max(1.0, np.abs(J_fd).max())
             assert np.abs(J_f - J_fd).max() / scale <= 1e-5
 
@@ -474,8 +530,9 @@ class TestSe2KernelProperties:
 
 class TestValidation:
     def test_relative_pose_to_itself_rejected(self):
-        with pytest.raises(ValueError, match="relative pose of block 3 to itself"):
-            relative_se2_factor(0, 3, 3, [1.0, 0.0, 0.0], "g")
+        with pytest.raises(ValueError, match="relative_se2 set of group 'g', row 1: "
+                                             "relative pose of block 3 to itself"):
+            relative_se2_set([1, 3, 3], [2, 3, 3], np.zeros((3, 3)), "g")
 
     def test_variant_parts(self):
         assert variant_parts("map-diag-eig") == ("map", "diag-eig")
@@ -497,64 +554,87 @@ class TestValidation:
 
     def test_group_dimension_mismatch_rejected(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
-        f = prior_factor(0, "x", [0.0, 0.0], "g")
-        with pytest.raises(ValueError, match="dimension"):
-            make_problem([f], [NoiseGroup("g", 3, "ml")], spec)
+        fs = prior_set("x", [[0.0, 0.0]], "g")
+        with pytest.raises(ValueError, match="linear_gaussian set of group 'g': "
+                                             "residual dimension 2 != group m 3"):
+            make_problem([fs], [NoiseGroup("g", 3, "ml")], spec)
+
+    def test_unknown_group_rejected(self):
+        spec = ManifoldSpec((euclidean_block("x", 2),))
+        fs = prior_set("x", [[0.0, 0.0]], "h")
+        with pytest.raises(ValueError, match="set of group 'h': unknown group 'h'"):
+            make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
 
     def test_empty_group_rejected(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
-        f = prior_factor(0, "x", [0.0, 0.0], "a")
-        with pytest.raises(ValueError, match="no factors"):
-            make_problem([f], [NoiseGroup("a", 2, "ml"), NoiseGroup("b", 2, "ml")], spec)
+        fs = prior_set("x", [[0.0, 0.0]], "a")
+        with pytest.raises(ValueError, match="group 'b' has no factors"):
+            make_problem([fs], [NoiseGroup("a", 2, "ml"), NoiseGroup("b", 2, "ml")], spec)
 
-    def test_unknown_block_rejected(self):
-        spec = ManifoldSpec((euclidean_block("x", 2),))
-        f = prior_factor(0, "y", [0.0, 0.0], "g")
-        with pytest.raises(ValueError, match="unknown block"):
-            make_problem([f], [NoiseGroup("g", 2, "ml")], spec)
+    @pytest.mark.parametrize("make_set, message", [
+        (lambda: prior_set("y", [[0.0, 0.0]], "g"),
+         "linear_gaussian set of group 'g': references unknown block 'y'"),
+        (lambda: custom_set(("x", "y"), [0.0, 0.0], "g", lambda z, x, y: z),
+         "custom set of group 'g': references unknown block 'y'"),
+        (lambda: relative_se2_set(["p", "p", "p"], ["q", "r", "q"], np.zeros((3, 3)), "g"),
+         "relative_se2 set of group 'g', row 1: references unknown block 'r'"),
+    ], ids=["linear", "custom", "se2"])
+    def test_unknown_block_rejected(self, make_set, message):
+        spec = ManifoldSpec((euclidean_block("x", 2), se2_block("p"), se2_block("q")))
+        fs = make_set()
+        with pytest.raises(ValueError, match=message):
+            make_problem([fs], [NoiseGroup("g", fs.m, "ml")], spec)
 
     def test_rank_deficient_preprocess_jacobian_rejected(self):
-        with pytest.raises(ValueError, match="rank deficient"):
-            linear_factor(0, "x", np.eye(2), np.zeros(2), "g",
-                          preprocess_jacobian=np.array([[1.0, 1.0], [1.0, 1.0]]))
+        J = [np.eye(2), np.eye(2), [[1.0, 1.0], [1.0, 1.0]]]
+        with pytest.raises(ValueError, match="linear_gaussian set of group 'g', row 2: "
+                                             "preprocessing Jacobian is numerically rank"):
+            linear_set("x", [np.eye(2)] * 3, np.zeros((3, 2)), "g", preprocess_jacobian=J)
 
-    @pytest.mark.parametrize("make_factor", [
-        lambda: prior_factor(0, "p", np.zeros(3), "g"),
-        lambda: linear_factor(0, ("x", "p"), np.ones((3, 6)), np.zeros(3), "g"),
+    @pytest.mark.parametrize("make_set", [
+        lambda: prior_set("p", np.zeros((1, 3)), "g"),
+        lambda: linear_set(("x", "p"), np.ones((1, 3, 6)), np.zeros((1, 3)), "g"),
     ], ids=["prior", "linear"])
-    def test_linear_on_pose_block_rejected(self, make_factor):
+    def test_linear_on_pose_block_rejected(self, make_set):
         spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p")))
-        with pytest.raises(ValueError, match="factor 0 connects an SE"):
-            make_problem([make_factor()], [NoiseGroup("g", 3, "ml")], spec)
+        with pytest.raises(ValueError, match="linear_gaussian set of group 'g': "
+                                             r"connects an SE\(2\) block"):
+            make_problem([make_set()], [NoiseGroup("g", 3, "ml")], spec)
 
     def test_relative_se2_needs_pose_blocks(self):
-        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p")))
-        f = relative_se2_factor(0, "x", "p", np.zeros(3), "g")
-        with pytest.raises(ValueError, match="non-SE"):
-            make_problem([f], [NoiseGroup("g", 3, "ml")], spec)
+        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("p"), se2_block("q")))
+        fs = relative_se2_set(["p", "q"], ["q", "x"], np.zeros((2, 3)), "g")
+        with pytest.raises(ValueError, match="relative_se2 set of group 'g', row 1: "
+                                             r"connects the non-SE\(2\) block 'x'"):
+            make_problem([fs], [NoiseGroup("g", 3, "ml")], spec)
 
     def test_gauge_block_must_exist(self):
         spec = ManifoldSpec((euclidean_block("x", 2),))
-        f = prior_factor(0, "x", [0.0, 0.0], "g")
+        fs = prior_set("x", [[0.0, 0.0]], "g")
         with pytest.raises(ValueError, match="gauge"):
-            make_problem([f], [NoiseGroup("g", 2, "ml")], spec, gauge=("z",))
+            make_problem([fs], [NoiseGroup("g", 2, "ml")], spec, gauge=("z",))
 
-    @pytest.mark.parametrize("make_factor", [
-        lambda: relative_se2_factor(7, "a", "b", [np.nan, 0.0, 0.0], "g"),
-        lambda: linear_factor(7, "x", np.full((3, 3), np.inf), np.zeros(3), "g"),
-        lambda: linear_factor(7, "x", np.eye(3), [0.0, -np.inf, 0.0], "g"),
-        lambda: prior_factor(7, "x", [0.0, 0.0, np.nan], "g"),
-    ], ids=["se2-z", "linear-H", "linear-z", "prior-z"])
-    def test_non_finite_factor_rejected(self, make_factor):
-        spec = ManifoldSpec((euclidean_block("x", 3), se2_block("a"), se2_block("b")))
-        good = prior_factor(0, "x", np.zeros(3), "g")
-        with pytest.raises(ValueError, match="factor 7 has non-finite"):
-            make_problem([good, make_factor()], [NoiseGroup("g", 3, "ml")], spec)
+    @pytest.mark.parametrize("make_set, kind", [
+        (lambda z: relative_se2_set(["a"] * 4, ["b"] * 4, z, "g"), "relative_se2"),
+        (lambda z: linear_set("x", [np.eye(3)] * 3 + [np.full((3, 3), np.inf)],
+                              np.zeros((4, 3)), "g"), "linear_gaussian"),
+        (lambda z: linear_set("x", [np.eye(3)] * 4, z, "g"), "linear_gaussian"),
+        (lambda z: prior_set("x", z, "g"), "linear_gaussian"),
+        (lambda z: custom_set("x", z[3], "g", lambda z, x: z), "custom"),
+    ], ids=["se2", "linear-H", "linear-z", "prior", "custom"])
+    def test_non_finite_row_rejected(self, make_set, kind):
+        z = np.zeros((4, 3))
+        z[3, 1] = np.nan
+        row = 0 if kind == "custom" else 3
+        with pytest.raises(ValueError, match=f"{kind} set of group 'g', row {row}: "
+                                             "non-finite values"):
+            make_set(z)
 
     def test_non_finite_preprocess_jacobian_rejected(self):
-        with pytest.raises(ValueError, match="factor 7: preprocessing Jacobian has non-finite"):
-            linear_factor(7, "x", np.eye(3), np.zeros(3), "g",
-                          preprocess_jacobian=np.diag([1.0, np.nan, 1.0]))
+        J = [np.eye(3), np.diag([1.0, np.nan, 1.0])]
+        with pytest.raises(ValueError, match="linear_gaussian set of group 'g', row 1: "
+                                             "preprocessing Jacobian has non-finite"):
+            linear_set("x", [np.eye(3)] * 2, np.zeros((2, 3)), "g", preprocess_jacobian=J)
 
     @pytest.mark.parametrize("kwargs", [
         {"information": np.diag([1.0, np.nan, 1.0])},
@@ -567,13 +647,25 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             NoiseGroup("g", 3, variant, **kwargs)
 
-    @pytest.mark.parametrize("make_factor", [
-        lambda: linear_factor(0, "x", np.ones((3, 2)), np.zeros(3), "g"),
-        lambda: linear_factor(0, "x", np.ones((3, 3)), np.zeros(2), "g"),
-        lambda: prior_factor(0, "x", np.zeros(2), "g"),
-    ], ids=["H-columns", "z-length", "prior-length"])
-    def test_linear_shape_mismatch_rejected(self, make_factor):
+    @pytest.mark.parametrize("make_set, message", [
+        (lambda: linear_set("x", np.ones((1, 3, 2)), np.zeros((1, 3)), "g"),
+         "linear_gaussian set of group 'g': does not fit its 3 state entries"),
+        (lambda: prior_set("x", np.zeros((1, 2)), "g"),
+         "linear_gaussian set of group 'g': does not fit its 3 state entries"),
+        (lambda: linear_set("x", np.ones((1, 3, 3)), np.zeros((1, 2)), "g"),
+         r"observation matrices of shape \(1, 3, 3\), not \(k, m, d\)"),
+        (lambda: linear_set("x", np.ones((3, 3)), np.zeros((1, 3)), "g"),
+         r"observation matrices of shape \(3, 3\), not \(k, m, d\)"),
+        (lambda: prior_set("x", np.zeros(3), "g"),
+         r"measurements of shape \(3,\), not \(k, m\)"),
+        (lambda: relative_se2_set([0, 1], [1, 2], np.zeros((2, 2)), "g"),
+         r"needs pose ids \(k,\) and measurements \(k, 3\)"),
+        (lambda: linear_set("x", [np.eye(3)], np.zeros((1, 3)), "g",
+                            preprocess_jacobian=np.eye(3)),
+         r"preprocessing Jacobians of shape \(3, 3\), not \(1, 3, 3\)"),
+    ], ids=["H-columns", "prior-length", "z-length", "H-2d", "z-1d", "se2-z", "preprocess"])
+    def test_shape_mismatch_rejected(self, make_set, message):
         spec = ManifoldSpec((euclidean_block("x", 3),))
-        f = make_factor()
-        with pytest.raises(ValueError, match="does not fit its 3 state entries"):
-            make_problem([f], [NoiseGroup("g", f.dim, "ml")], spec)
+        with pytest.raises(ValueError, match=message):
+            fs = make_set()
+            make_problem([fs], [NoiseGroup("g", fs.m, "ml")], spec)
