@@ -228,24 +228,6 @@ class ManifoldSpec:
         return {bid: row for row, bid in enumerate(se2_ids)}
 
     @cached_property
-    def _pose_keys(self) -> tuple:
-        """The SE(2) block ids as an array in pose-row order and the rows
-        that sort it; None and None when the ids share no array type."""
-        keys = np.array(list(self.pose_rows))
-        if keys.dtype == object or keys.tolist() != list(self.pose_rows):
-            return None, None
-        return keys, np.argsort(keys, kind="stable")
-
-    def pose_rows_of(self, ids: np.ndarray) -> np.ndarray:
-        """Each id's row of :attr:`ManifoldPoint.poses`, -1 where the id
-        names no SE(2) block: one sorted search for ids of one array type."""
-        keys, order = self._pose_keys
-        if keys is None or not len(keys):
-            return np.array([self.pose_rows.get(i, -1) for i in ids.tolist()], dtype=np.intp)
-        at = order[np.searchsorted(keys, ids, sorter=order).clip(max=len(keys) - 1)]
-        return np.where(keys[at] == ids, at, -1)
-
-    @cached_property
     def pose_tangent_index(self) -> np.ndarray:
         """``(n_se2, 3)`` tangent indices of each pose's ``(vx, vy, w)``."""
         idx = [range(self._offsets[bid], self._offsets[bid] + 3) for bid in self.pose_rows]

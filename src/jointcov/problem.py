@@ -96,6 +96,16 @@ def _read_only(values, dtype, shape=None) -> np.ndarray:
     return out
 
 
+def _id_array(ids) -> np.ndarray:
+    """Block ids as a read-only array.  A sequence that numpy would change
+    (mixed types become strings, tuple ids a second axis) is kept as objects."""
+    out = np.asarray(ids)
+    if (out.ndim and not isinstance(ids, np.ndarray)
+            and (out.ndim != 1 or out.tolist() != list(ids))):
+        out = np.fromiter(ids, dtype=object, count=len(ids))
+    return _read_only(out, None)
+
+
 @dataclass(frozen=True, eq=False)
 class FactorSet:
     """k measurements of one residual kind in one noise group.
@@ -132,7 +142,7 @@ class FactorSet:
         k, m = z.shape
         bad = ~np.isfinite(z).all(axis=1)
         if self.kind == RELATIVE_SE2:
-            a, b = self._keep("blocks", tuple(_read_only(ids, None) for ids in self.blocks))
+            a, b = self._keep("blocks", tuple(_id_array(ids) for ids in self.blocks))
             if m != 3 or a.shape != (k,) or b.shape != (k,):
                 raise self._error("needs pose ids (k,) and measurements (k, 3)")
             loops = np.flatnonzero(a == b)
@@ -421,7 +431,8 @@ class Se2Batch(Batch):
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "Se2Batch":
-        ia, ib = (spec.pose_rows_of(ids) for ids in fs.blocks)
+        ia, ib = (np.array([spec.pose_rows.get(i, -1) for i in ids.tolist()], dtype=np.intp)
+                  for ids in fs.blocks)
         bad = np.flatnonzero((ia < 0) | (ib < 0))
         if len(bad):
             r = int(bad[0])

@@ -347,14 +347,26 @@ class TestBatchPath:
         assert R.shape == (2, 3)
         np.testing.assert_allclose(R[0], np.zeros(3), atol=1e-15)
 
-    def test_pose_ids_of_mixed_types(self):
-        # ids that share no array type are looked up one by one
+    @pytest.mark.parametrize("a, b", [
+        ([0, "p"], ["p", 0]),  # numpy would turn these into strings
+        (np.array([0, "p"], dtype=object), np.array(["p", 0], dtype=object)),
+    ])
+    def test_pose_ids_of_mixed_types(self, a, b):
         spec = ManifoldSpec((se2_block(0), euclidean_block("u", 3), se2_block("p")))
-        fs = relative_se2_set(np.array([0, "p"], dtype=object),
-                              np.array(["p", 0], dtype=object), np.zeros((2, 3)), "g")
+        fs = relative_se2_set(a, b, np.zeros((2, 3)), "g")
         (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
         np.testing.assert_array_equal(batch.ia, [0, 1])
         np.testing.assert_array_equal(batch.ib, [1, 0])
+
+    def test_tuple_pose_ids(self):
+        # numpy would stack these into a second axis
+        spec = ManifoldSpec((se2_block(("r", 0)), se2_block(("r", 1)), se2_block(("s", 0))))
+        fs = relative_se2_set([("r", 0), ("r", 1)], [("r", 1), ("s", 0)], np.zeros((2, 3)), "g")
+        (batch,) = make_problem([fs], [NoiseGroup("g", 3, "ml")], spec).batches["g"]
+        np.testing.assert_array_equal(batch.ia, [0, 1])
+        np.testing.assert_array_equal(batch.ib, [1, 2])
+        with pytest.raises(ValueError, match=r"row 0: relative pose of block \('r', 0\) to itself"):
+            relative_se2_set([("r", 0)], [("r", 0)], np.zeros((1, 3)), "g")
 
 
 def relative_rotation_factor(rotation, rng):
