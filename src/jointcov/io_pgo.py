@@ -7,8 +7,8 @@ per edge field.  The generator and the parser build those arrays, and
 :func:`spanning_tree_init`, :func:`pose_graph_problem` and the writer read them;
 :attr:`PoseGraph2D.edges` makes an :class:`Edge` record only when one is
 asked for.  The graphs of ``n`` vertices share one :func:`pose_manifold`
-spec.  Loop-closure candidates come from a grid hash (:func:`_near_pairs`),
-not a k-d tree.
+spec, built from its columns without a per-pose object.  Loop-closure
+candidates come from a grid hash (:func:`_near_pairs`), not a k-d tree.
 
 Supported tags: ``VERTEX_SE2 id x y theta`` and
 ``EDGE_SE2 i j dx dy dtheta q11 q12 q13 q22 q23 q33`` (upper-triangular
@@ -29,10 +29,10 @@ from typing import Iterable, Mapping, NamedTuple, TextIO
 import numpy as np
 
 from .manifold import (
+    SE2,
     ManifoldPoint,
     ManifoldSpec,
     exp_se2,
-    se2_block,
     se2_compose,
     se2_inverse,
 )
@@ -263,10 +263,10 @@ def save_g2o(graph: PoseGraph2D, path) -> None:
 
 @lru_cache(maxsize=4)
 def pose_manifold(num_poses: int) -> ManifoldSpec:
-    """The spec of poses 0..num_poses-1.  A spec is immutable, so every
-    graph, problem and point of one size shares one; the specs of the four
-    most recently used sizes are kept."""
-    return ManifoldSpec(tuple(se2_block(i) for i in range(num_poses)))
+    """The spec of poses 0..num_poses-1, built from its columns; every graph,
+    problem and point of one size shares it (the four last sizes are kept)."""
+    return ManifoldSpec.from_arrays(range(num_poses), np.full(num_poses, SE2),
+                                    np.full(num_poses, 3))
 
 
 def graph_poses_point(graph: PoseGraph2D) -> ManifoldPoint:

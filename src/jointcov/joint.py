@@ -220,7 +220,7 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
             flags.add(FLAG_BOUND_HIT)
         return M, P
 
-    x = x_init
+    x = problem.check_start(x_init)
     M, P = p_step(x)
     f = joint_objective(problem, x, P, M)
     last = clock()
@@ -326,7 +326,7 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     clock = time.perf_counter
     start = clock()
     config = config or JointConfig(algorithm=ELIMINATION)
-    x = x_init
+    x = problem.check_start(x_init)
     f, g, P, bound_hit, index = _reduced_value_and_grad(problem, x)
     flags = {FLAG_BOUND_HIT} if bound_hit else set()
     gnorm = nls.vector_norm(g)

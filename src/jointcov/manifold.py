@@ -6,8 +6,8 @@ interval unchanged; homogeneous 3x3 matrices are never materialized.  The
 SE(2) functions broadcast over leading axes, so a single pose has shape
 ``(3,)`` and a batch of ``n`` poses has shape ``(n, 3)``.
 
-Tangent vectors are plain flat float arrays whose block layout is given by a
-:class:`ManifoldSpec`.  A :class:`ManifoldPoint` stores its poses as one
+Tangent vectors are plain flat float arrays whose block layout is given by
+the columns of a :class:`ManifoldSpec`.  A :class:`ManifoldPoint` stores its poses as one
 ``(n, 3)`` array and its Euclidean blocks as one vector, so ``boxplus`` (the
 retraction: Euclidean addition / right composition with the SE(2)
 exponential) and ``boxminus`` (its local inverse) are a few array
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Hashable, Sequence
+from typing import Hashable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -157,150 +157,144 @@ def log_se2(g):
     return out
 
 
-@dataclass(frozen=True)
-class Block:
-    """One state block: either Euclidean of a given dimension or one SE(2) pose."""
+class Block(NamedTuple):
+    """One declared state block: Euclidean of a given dimension or one SE(2) pose."""
 
     block_id: Hashable
     kind: str
     dim: int
 
-    def __post_init__(self):
-        if self.kind not in (EUCLIDEAN, SE2):
-            raise ValueError(f"unknown block kind {self.kind!r}")
-        if self.kind == SE2 and self.dim != 3:
-            raise ValueError("SE2 blocks have tangent dimension 3")
-        if self.dim < 1:
-            raise ValueError("block dimension must be >= 1")
-
 
 def euclidean_block(block_id: Hashable, dim: int) -> Block:
-    return Block(block_id, EUCLIDEAN, int(dim))
+    return Block(block_id, EUCLIDEAN, dim)
 
 
 def se2_block(block_id: Hashable) -> Block:
     return Block(block_id, SE2, 3)
 
 
-@dataclass(frozen=True)
 class ManifoldSpec:
-    """Ordered declaration of the product manifold's blocks.
+    """Ordered declaration of the product manifold's blocks, held as columns.
 
-    The tangent dimension is the sum of Euclidean dimensions plus 3 per
-    SE(2) block; block ids must be unique.  Tangent vectors follow the
-    declared (interleaved) block order, while a :class:`ManifoldPoint`
-    stores all poses in one array and all Euclidean entries in another; the
-    spec holds the index maps between the two layouts.
+    ``ids`` is the tuple of unique block ids; ``dims``, ``is_se2`` (SE(2) or
+    Euclidean) and ``offsets`` (in the tangent of dimension ``tangent_dim``)
+    are arrays by block position (:meth:`position`).  Tangent vectors follow
+    the declared (interleaved) block order, while a :class:`ManifoldPoint`
+    stores all poses in one array and all Euclidean entries in another;
+    ``slots`` and the tangent index arrays map between the two layouts.
+    ``ManifoldSpec(blocks)`` takes :func:`euclidean_block` and
+    :func:`se2_block` declarations, :meth:`from_arrays` the columns.  Specs
+    are equal when their ids, kinds and dimensions are.
     """
 
-    blocks: tuple[Block, ...]
+    def __init__(self, blocks: Iterable[Block]):
+        self._set(*(tuple(zip(*blocks)) or ((), (), ())))
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        ids = [b.block_id for b in self.blocks]
+    @classmethod
+    def from_arrays(cls, ids, kinds, dims) -> "ManifoldSpec":
+        """The spec of blocks ``ids[i]`` of kind ``kinds[i]`` and tangent
+        dimension ``dims[i]``, checked in one vectorized pass."""
+        spec = cls.__new__(cls)
+        spec._set(ids, kinds, dims)
+        return spec
+
+    def _set(self, ids, kinds, dims):
+        ids, kinds, given, dims = tuple(ids), np.asarray(kinds), dims, np.asarray(dims)
+        if not len(ids) == len(kinds) == len(dims) or kinds.ndim != 1 or dims.ndim != 1:
+            raise ValueError("ids, kinds and dims must be sequences of one length")
+        is_se2 = kinds == SE2
+        unknown = np.flatnonzero(~is_se2 & (kinds != EUCLIDEAN))
+        if len(unknown):
+            raise ValueError(f"unknown block kind {kinds[unknown[:1]].tolist()[0]!r}")
+        if len(dims) and (dims.dtype.kind not in "iu" or not isinstance(given, np.ndarray)
+                          and {bool, np.bool_} & set(map(type, given))):
+            raise ValueError("block dimension must be an integer")
+        if np.any(is_se2 & (dims != 3)):
+            raise ValueError("SE2 blocks have tangent dimension 3")
+        if np.any(dims < 1):
+            raise ValueError("block dimension must be >= 1")
         if len(set(ids)) != len(ids):
             raise ValueError("block ids must be unique")
+        dims = dims.astype(np.intp)
+        offsets = np.cumsum(dims) - dims
+        for column in (dims, is_se2, offsets):
+            column.setflags(write=False)
+        self.__dict__.update(ids=ids, dims=dims, is_se2=is_se2, offsets=offsets,
+                             tangent_dim=int(dims.sum()))
 
-    @cached_property
-    def tangent_dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
+    def __setattr__(self, name, value):
+        raise AttributeError("ManifoldSpec is immutable")
 
-    @cached_property
-    def _offsets(self) -> dict:
-        offsets, pos = {}, 0
-        for b in self.blocks:
-            offsets[b.block_id] = pos
-            pos += b.dim
-        return offsets
-
-    @cached_property
-    def _by_id(self) -> dict:
-        return {b.block_id: b for b in self.blocks}
+    def __eq__(self, other):
+        if not isinstance(other, ManifoldSpec):
+            return NotImplemented
+        return self is other or (self.ids == other.ids
+                                 and np.array_equal(self.dims, other.dims)
+                                 and np.array_equal(self.is_se2, other.is_se2))
 
     @cached_property
     def _positions(self) -> dict:
-        return {b.block_id: i for i, b in enumerate(self.blocks)}
+        return dict(zip(self.ids, range(len(self.ids))))
+
+    def position(self, block_id: Hashable) -> int:
+        """A block's position in declaration order, from a map built on the
+        first lookup; KeyError if the spec does not declare it."""
+        return self._positions[block_id]
+
+    def positions(self, block_ids: Iterable[Hashable]) -> np.ndarray:
+        """The positions of ``block_ids``, one lookup per id (so any hashable
+        id works), with ``-1`` for an id the spec does not declare."""
+        lookup = self._positions
+        return np.fromiter((lookup.get(bid, -1) for bid in block_ids), np.intp)
 
     @cached_property
-    def pose_rows(self) -> dict:
-        """SE(2) block id -> its row of :attr:`ManifoldPoint.poses`."""
-        se2_ids = [b.block_id for b in self.blocks if b.kind == SE2]
-        return {bid: row for row, bid in enumerate(se2_ids)}
+    def slots(self) -> np.ndarray:
+        """Each block's row of :attr:`ManifoldPoint.poses` (SE(2)) or first
+        entry in :attr:`ManifoldPoint.vector` (Euclidean)."""
+        vector_dims = np.where(self.is_se2, 0, self.dims)
+        return np.where(self.is_se2, np.cumsum(self.is_se2) - 1,
+                        np.cumsum(vector_dims) - vector_dims)
 
     @cached_property
     def pose_tangent_index(self) -> np.ndarray:
         """``(n_se2, 3)`` tangent indices of each pose's ``(vx, vy, w)``."""
-        idx = [range(self._offsets[bid], self._offsets[bid] + 3) for bid in self.pose_rows]
-        return np.array(idx, dtype=np.intp).reshape(-1, 3)
+        return np.flatnonzero(np.repeat(self.is_se2, self.dims)).reshape(-1, 3)
 
     @cached_property
     def vector_tangent_index(self) -> np.ndarray:
         """Tangent indices of :attr:`ManifoldPoint.vector`, entry by entry."""
-        slices = [self.tangent_slice(b.block_id) for b in self.blocks if b.kind == EUCLIDEAN]
-        return np.array([i for sl in slices for i in range(sl.start, sl.stop)], dtype=np.intp)
-
-    @cached_property
-    def _storage(self) -> tuple:
-        """Per block: True and its pose row, or False and its vector slice."""
-        out, pos = [], 0
-        for b in self.blocks:
-            if b.kind == SE2:
-                out.append((True, self.pose_rows[b.block_id]))
-            else:
-                out.append((False, slice(pos, pos + b.dim)))
-                pos += b.dim
-        return tuple(out)
+        return np.flatnonzero(np.repeat(~self.is_se2, self.dims))
 
     @cached_property
     def ungauged_index(self) -> "ActiveIndex":
         """Tangent indexing of every block (no gauge), built once per spec."""
         return ActiveIndex.build(self, frozenset())
 
-    def block(self, block_id: Hashable) -> Block:
-        return self._by_id[block_id]
-
-    def position(self, block_id: Hashable) -> int:
-        return self._positions[block_id]
-
-    def tangent_slice(self, block_id: Hashable) -> slice:
-        off = self._offsets[block_id]
-        return slice(off, off + self._by_id[block_id].dim)
-
-    def identity(self) -> "ManifoldPoint":
-        """The origin: zero vectors and identity poses."""
-        return ManifoldPoint._from_arrays(
-            self, np.zeros((len(self.pose_rows), 3)),
-            np.zeros(len(self.vector_tangent_index)))
-
 
 @dataclass(frozen=True, eq=False)
 class ActiveIndex:
     """Tangent indexing with gauge-fixed blocks removed.
 
-    ``offsets`` maps a block id, and ``pose_offsets`` a pose row, to its
-    offset in the active tangent of dimension ``dim``; a gauge-fixed block's
-    offset is ``dim``, so its coordinates fall past the active tangent (and
-    below ``full_dim``).  ``full_index`` holds each active coordinate's index
-    in the full tangent.
+    ``offsets`` holds, by block position, each block's offset in the active
+    tangent of dimension ``dim``; a gauge-fixed block's offset is ``dim``, so
+    its coordinates fall past the active tangent (and below ``full_dim``).
+    ``full_index`` holds each active coordinate's index in the full tangent.
     """
 
-    offsets: dict
-    pose_offsets: np.ndarray
+    offsets: np.ndarray
     full_index: np.ndarray
     full_dim: int
 
     @classmethod
     def build(cls, spec: ManifoldSpec, gauge_fixed: frozenset) -> "ActiveIndex":
-        """Index the blocks of ``spec`` that are not in ``gauge_fixed``."""
-        offsets, full = {}, []
-        for b in spec.blocks:
-            if b.block_id not in gauge_fixed:
-                offsets[b.block_id] = len(full)
-                sl = spec.tangent_slice(b.block_id)
-                full.extend(range(sl.start, sl.stop))
-        offsets = {b.block_id: offsets.get(b.block_id, len(full)) for b in spec.blocks}
-        pose_offsets = np.array([offsets[bid] for bid in spec.pose_rows], dtype=np.intp)
-        return cls(offsets, pose_offsets, np.array(full, dtype=np.intp), spec.tangent_dim)
+        """Index the blocks of ``spec`` that are not in ``gauge_fixed``;
+        KeyError for a gauge-fixed id that ``spec`` does not declare."""
+        fixed = np.zeros(len(spec.ids), dtype=bool)
+        fixed[[spec.position(bid) for bid in gauge_fixed]] = True
+        active_dims = np.where(fixed, 0, spec.dims)
+        full = np.flatnonzero(np.repeat(~fixed, spec.dims))
+        return cls(np.where(fixed, len(full), np.cumsum(active_dims) - active_dims),
+                   full, spec.tangent_dim)
 
     @property
     def dim(self) -> int:
@@ -313,7 +307,6 @@ class ActiveIndex:
         return v
 
 
-
 class ManifoldPoint:
     """Immutable point on a :class:`ManifoldSpec`.
 
@@ -323,31 +316,22 @@ class ManifoldPoint:
     entries concatenated in declaration order.
 
     ``ManifoldPoint(spec, values)`` is the validating constructor for
-    outside input: one array per block, in block order.  ``values`` gives
-    them back as read-only views.  :meth:`from_arrays` validates the stored
-    layout instead, in one vectorized pass.
+    outside input: one array per block, in block order.  :meth:`block`
+    gives one back as a read-only view.  :meth:`from_arrays` validates the
+    stored layout instead, in one vectorized pass.
     """
 
     def __init__(self, spec: ManifoldSpec, values: Sequence):
         values = tuple(values)
-        if len(values) != len(spec.blocks):
+        if len(values) != len(spec.ids):
             raise ValueError("value count does not match block count")
-        poses = np.empty((len(spec.pose_rows), 3))
-        vector = np.empty(len(spec.vector_tangent_index))
-        for blk, (is_pose, where), val in zip(spec.blocks, spec._storage, values):
+        flat = [np.zeros(0)]
+        for bid, dim, val in zip(spec.ids, spec.dims.tolist(), values):
             v = np.asarray(val, dtype=float).reshape(-1)
-            if v.shape != (blk.dim,):
-                raise ValueError(
-                    f"block {blk.block_id!r} expects shape ({blk.dim},), got {v.shape}"
-                )
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"block {blk.block_id!r} has non-finite values {v}")
-            if is_pose:
-                poses[where] = v
-            else:
-                vector[where] = v
-        poses[:, 2] = wrap_angle(poses[:, 2])
-        self._set(spec, poses, vector)
+            if v.shape != (dim,):
+                raise ValueError(f"block {bid!r} expects shape ({dim},), got {v.shape}")
+            flat.append(v)
+        self._set(spec, *_split(spec, np.concatenate(flat)))
 
     @classmethod
     def from_arrays(cls, spec: ManifoldSpec, poses, vector=()) -> "ManifoldPoint":
@@ -356,19 +340,16 @@ class ManifoldPoint:
         wrapped as ``ManifoldPoint(spec, values)`` wraps them.  A non-finite
         entry raises the per-block constructor's error for the first bad block.
         """
-        poses = np.array(poses, dtype=float)
-        vector = np.array(vector, dtype=float)
-        for name, arr, shape in (("poses", poses, (len(spec.pose_rows), 3)),
+        poses = np.asarray(poses, dtype=float)
+        vector = np.asarray(vector, dtype=float)
+        for name, arr, shape in (("poses", poses, (len(spec.pose_tangent_index), 3)),
                                  ("vector", vector, (len(spec.vector_tangent_index),))):
             if arr.shape != shape:
                 raise ValueError(f"{name} expects shape {shape}, got {arr.shape}")
-        if not (np.isfinite(poses).all() and np.isfinite(vector).all()):
-            for blk, (is_pose, where) in zip(spec.blocks, spec._storage):
-                v = poses[where] if is_pose else vector[where]
-                if not np.all(np.isfinite(v)):
-                    raise ValueError(f"block {blk.block_id!r} has non-finite values {v}")
-        poses[:, 2] = wrap_angle(poses[:, 2])
-        return cls._from_arrays(spec, poses, vector)
+        flat = np.empty(spec.tangent_dim)
+        flat[spec.pose_tangent_index] = poses
+        flat[spec.vector_tangent_index] = vector
+        return cls._from_arrays(spec, *_split(spec, flat))
 
     @classmethod
     def _from_arrays(cls, spec: ManifoldSpec, poses: np.ndarray,
@@ -397,15 +378,26 @@ class ManifoldPoint:
             t.setflags(write=False)
         return trig
 
-    @cached_property
-    def values(self) -> tuple[np.ndarray, ...]:
-        """Read-only view of each block, in block order."""
-        return tuple(self.poses[i] if is_pose else self.vector[i]
-                     for is_pose, i in self.spec._storage)
-
     def block(self, block_id: Hashable) -> np.ndarray:
         """Read-only view of one block's value."""
-        return self.values[self.spec.position(block_id)]
+        spec = self.spec
+        p = spec.position(block_id)
+        slot = spec.slots[p]
+        return self.poses[slot] if spec.is_se2[p] else self.vector[slot:slot + spec.dims[p]]
+
+
+def _split(spec: ManifoldSpec, flat: np.ndarray):
+    """A point's ``(poses, vector)`` from its values in tangent layout, the
+    angles wrapped; raises for the first block with a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if len(bad):
+        p = np.searchsorted(spec.offsets, bad[0], side="right") - 1
+        off = spec.offsets[p]
+        raise ValueError(f"block {spec.ids[p]!r} has non-finite values "
+                         f"{flat[off:off + spec.dims[p]]}")
+    poses = flat[spec.pose_tangent_index]
+    poses[:, 2] = wrap_angle(poses[:, 2])
+    return poses, flat[spec.vector_tangent_index]
 
 
 def boxplus(x: ManifoldPoint, v: Sequence[float]) -> ManifoldPoint:
@@ -430,7 +422,7 @@ def boxminus(z: ManifoldPoint, y: ManifoldPoint) -> TangentVector:
     locus.
     """
     spec = z.spec
-    if spec is not y.spec and spec != y.spec:
+    if spec != y.spec:
         raise ValueError("points live on different manifold specs")
     out = np.empty(spec.tangent_dim)
     out[spec.pose_tangent_index] = log_se2(se2_compose(se2_inverse(y.poses), z.poses))

@@ -291,7 +291,7 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
     iterate so far is returned with ``lm_failure`` set.
     """
     config = config or NlsConfig()
-    x = x_init
+    x = problem.check_start(x_init)
     damping = config.damping_init
     converged = lm_failure = False
     iterations = 0

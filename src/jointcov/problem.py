@@ -44,7 +44,6 @@ from .covariance import (
 )
 from .manifold import (
     _CUT_LOCUS_TOL,
-    SE2,
     SMALL_ANGLE,
     ActiveIndex,
     CutLocusError,
@@ -319,7 +318,7 @@ class JointProblem:
         if len(by_id) != len(self.groups):
             raise ValueError("group ids must be unique")
         for bid in self.gauge_fixed:
-            if bid not in self.manifold._by_id:
+            if bid not in self.manifold.ids:
                 raise ValueError(f"gauge-fixed block {bid!r} is not in the manifold")
         batches = {gid: [] for gid in by_id}
         sizes = dict.fromkeys(by_id, 0)
@@ -343,6 +342,12 @@ class JointProblem:
         keep(self, "preprocess_inverses", {
             gid: tuple(np.concatenate(parts) for parts in zip(*inv)) if inv else None
             for gid, inv in inverses.items()})
+
+    def check_start(self, x: ManifoldPoint) -> ManifoldPoint:
+        """``x``, if it lies on this problem's manifold; else a ValueError."""
+        if x.spec != self.manifold:
+            raise ValueError("the initial point lives on a different manifold spec")
+        return x
 
     @cached_property
     def active_index(self) -> ActiveIndex:
@@ -431,16 +436,18 @@ class Se2Batch(Batch):
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "Se2Batch":
-        ia, ib = (np.array([spec.pose_rows.get(i, -1) for i in ids.tolist()], dtype=np.intp)
-                  for ids in fs.blocks)
-        bad = np.flatnonzero((ia < 0) | (ib < 0))
+        # one lookup per id keeps mixed and tuple ids intact
+        pa, pb = (spec.positions(ids.tolist()) for ids in fs.blocks)
+        pose = np.append(spec.is_se2, False)  # position -1: unknown
+        bad = np.flatnonzero(~pose[pa] | ~pose[pb])
         if len(bad):
             r = int(bad[0])
-            bid = fs.blocks[0 if ia[r] < 0 else 1][r:r + 1].tolist()[0]
-            raise fs._error(f"references unknown block {bid!r}" if bid not in spec._by_id
+            side = int(pose[pa[r]])  # the first bad one
+            bid = fs.blocks[side][r:r + 1].tolist()[0]
+            raise fs._error(f"references unknown block {bid!r}" if (pa, pb)[side][r] < 0
                             else f"connects the non-SE(2) block {bid!r}", r)
-        return cls((index.pose_offsets[ia], index.pose_offsets[ib]), (3, 3), index.dim,
-                   ia, ib, fs.z)
+        return cls((index.offsets[pa], index.offsets[pb]), (3, 3), index.dim,
+                   spec.slots[pa], spec.slots[pb], fs.z)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
         return _batch_relative_se2(x, self.ia, self.ib, self.z, with_jacobians=False)[0]
@@ -500,17 +507,16 @@ class LinearBatch(Batch):
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "LinearBatch":
-        blocks = _blocks(spec, fs)
-        if any(b.kind == SE2 for b in blocks):
+        p = _positions(spec, fs)
+        if spec.is_se2[p].any():
             raise fs._error("connects an SE(2) block")
-        dims = tuple(b.dim for b in blocks)
+        dims = tuple(spec.dims[p].tolist())
         if fs.H.shape[2] != sum(dims):
             raise fs._error(f"does not fit its {sum(dims)} state entries")
-        slices = [spec._storage[spec.position(bid)][1] for bid in fs.blocks]
         J = -fs.H
         J.setflags(write=False)
-        return cls(tuple(np.full(len(fs), index.offsets[bid]) for bid in fs.blocks), dims,
-                   index.dim, np.concatenate([np.arange(sl.start, sl.stop) for sl in slices]),
+        return cls(tuple(np.full(len(fs), off) for off in index.offsets[p]), dims, index.dim,
+                   np.concatenate([np.arange(s, s + d) for s, d in zip(spec.slots[p], dims)]),
                    J, fs.z)
 
     def residuals(self, x: ManifoldPoint) -> np.ndarray:
@@ -530,9 +536,8 @@ class CustomBatch(Batch):
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "CustomBatch":
-        blocks = _blocks(spec, fs)
-        return cls(tuple(np.array([index.offsets[bid]]) for bid in fs.blocks),
-                   tuple(b.dim for b in blocks), index.dim, fs)
+        p = _positions(spec, fs)
+        return cls(tuple(index.offsets[p, None]), tuple(spec.dims[p].tolist()), index.dim, fs)
 
     def _eval(self, values) -> np.ndarray:
         fs = self.factor_set
@@ -546,12 +551,12 @@ class CustomBatch(Batch):
         of the local tangent step ``t``."""
         ids = self.factor_set.blocks
         values = [x.block(bid) for bid in ids]
-        kinds = [x.spec.block(bid).kind for bid in ids]
+        is_se2 = x.spec.is_se2[[x.spec.position(bid) for bid in ids]]
         ends = np.cumsum(self.dims)
 
         def moved(t):
-            return [se2_compose(v, exp_se2(t[e - d:e])) if kind == SE2 else v + t[e - d:e]
-                    for v, kind, d, e in zip(values, kinds, self.dims, ends)]
+            return [se2_compose(v, exp_se2(t[e - d:e])) if pose else v + t[e - d:e]
+                    for v, pose, d, e in zip(values, is_se2, self.dims, ends)]
 
         J = np.empty((self.factor_set.m, ends[-1]))
         for j in range(ends[-1]):
@@ -608,7 +613,7 @@ class HessianPattern:
     @classmethod
     def compile(cls, batches, index: ActiveIndex) -> "HessianPattern":
         n = index.dim
-        starts = np.unique([off for off in index.offsets.values() if off < n])
+        starts = index.offsets[index.offsets < n]
         firsts = [np.stack(b.offsets, axis=1) for b in batches]  # (k, S)
 
         # order the blocks, then expand each block to its coordinates
@@ -674,10 +679,10 @@ def fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return np.argsort(lu.perm_c).astype(np.int32)
 
 
-def _blocks(spec: ManifoldSpec, fs: FactorSet) -> list:
-    """The blocks that every row of a linear or custom set connects."""
+def _positions(spec: ManifoldSpec, fs: FactorSet) -> np.ndarray:
+    """Positions of the blocks that every row of a linear or custom set connects."""
     try:
-        return [spec.block(bid) for bid in fs.blocks]
+        return np.array([spec.position(bid) for bid in fs.blocks], dtype=np.intp)
     except KeyError as err:
         raise fs._error(f"references unknown block {err.args[0]!r}") from None
 

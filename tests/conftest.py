@@ -1,9 +1,18 @@
 import pathlib
 import sys
 
+import numpy as np
+
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+
+def origin(spec):
+    """The point of ``spec`` at zero vectors and identity poses."""
+    from jointcov.manifold import ManifoldPoint
+
+    return ManifoldPoint(spec, [np.zeros(d) for d in spec.dims])
 
 
 def one_row_sets(fs):

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import one_row_sets
+from conftest import one_row_sets, origin
 
 from jointcov import joint
 from jointcov.covariance import UnboundedProblem
@@ -66,8 +66,8 @@ class TestRmse:
     def test_spec_mismatch_rejected(self):
         s1 = ManifoldSpec((euclidean_block("a", 2),))
         s2 = ManifoldSpec((euclidean_block("a", 3),))
-        with pytest.raises(ValueError):
-            rmse(s1.identity(), s2.identity())
+        with pytest.raises(ValueError, match="^points live on different manifold specs$"):
+            rmse(origin(s1), origin(s2))
 
 
 class TestWasserstein:

@@ -32,7 +32,13 @@ from jointcov.io_pgo import (
     spanning_tree_init,
     write_g2o,
 )
-from jointcov.manifold import ManifoldPoint, exp_se2, se2_compose, se2_inverse
+from jointcov.manifold import (
+    ActiveIndex,
+    ManifoldPoint,
+    exp_se2,
+    se2_compose,
+    se2_inverse,
+)
 from jointcov.problem import NoiseGroup, residual
 
 
@@ -349,7 +355,7 @@ class TestGenerator:
         idx_i = np.array([e.i for e in graph.edges])
         idx_j = np.array([e.j for e in graph.edges])
         z = np.stack([e.z for e in graph.edges])
-        poses = np.stack(truth.values)
+        poses = truth.poses
         h = se2_compose(se2_inverse(poses[idx_i]), poses[idx_j])
         R = log_se2(se2_compose(se2_inverse(h), z))
         k = R.shape[0]
@@ -597,6 +603,20 @@ def test_benchmark_setup_retains_under_4_mb():
     assert len(graph.edges) == 5598
     assert problem.manifold is x_init.spec
     assert retained < 4e6
+
+
+def test_pose_spec_retains_under_0_8_mb():
+    # a pose spec holds columns and one id map, not an object per pose
+    pose_manifold.cache_clear()
+    tracemalloc.start()
+    try:
+        spec = pose_manifold(3500)
+        index = ActiveIndex.build(spec, frozenset({0}))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert index.dim == 3 * 3499
+    assert retained < 0.8e6
 
 
 class TestGeneratorConfig:

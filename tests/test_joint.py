@@ -438,7 +438,7 @@ class TestElimination:
         assert [len(pb.batches[g]) for g in "ab"] == [4, 1]
         assert [len(rows.batches[g]) for g in "ab"] == [8, 3] == [pb.group_sizes[g]
                                                                   for g in "ab"]
-        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
+        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, d) for d in spec.dims))
 
         formed = {}
 
@@ -556,3 +556,25 @@ class TestCalibrate:
             P = calibrate(pb, x_true)
             errors.append(wasserstein2(np.linalg.inv(P["g"]), sigma))
         assert errors[2] < errors[0]
+
+
+class TestInitialPointSpec:
+    """Every solver rejects a start on another spec before evaluating."""
+
+    SOLVERS = {
+        "hybrid-bcd": run_hybrid_bcd,
+        "block-exact-bcd": run_block_exact_bcd,
+        "elimination": run_elimination,
+        "fixed-P": lambda pb, x: nls.solve_fixed_P(pb, x, {"all": np.eye(3)}),
+    }
+
+    @pytest.mark.parametrize("num_poses", [20, 40])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_start_on_another_spec_rejected(self, solver, num_poses):
+        graph, _ = io_pgo.generate_manhattan_like(30, "nearby", None, trajectory_seed=1)
+        pb = io_pgo.pose_graph_problem(graph, (NoiseGroup("all", 3, "ml"),))
+        x0 = ManifoldPoint.from_arrays(io_pgo.pose_manifold(num_poses),
+                                       np.zeros((num_poses, 3)))
+        with pytest.raises(ValueError, match="^the initial point lives on a different "
+                                             "manifold spec$"):
+            self.SOLVERS[solver](pb, x0)

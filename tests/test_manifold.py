@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import origin
+
 from jointcov.manifold import (
+    EUCLIDEAN,
+    SE2,
+    Block,
     CutLocusError,
     ManifoldPoint,
     ManifoldSpec,
@@ -129,7 +134,7 @@ class TestBoxOps:
 
     def test_identity_pose_plus_translation(self):
         spec = ManifoldSpec((se2_block("p"),))
-        x = spec.identity()
+        x = origin(spec)
         y = boxplus(x, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(y.block("p"), [1.0, 0.0, 0.0])
 
@@ -180,7 +185,7 @@ class TestBoxOps:
     def test_dimension_mismatch(self):
         spec = make_spec()
         with pytest.raises(ValueError):
-            boxplus(spec.identity(), np.zeros(4))
+            boxplus(origin(spec), np.zeros(4))
 
     def test_retraction_first_order(self):
         # d/dt boxplus(x, t v) at t = 0 equals v, measured in the chart at x.
@@ -196,17 +201,13 @@ class TestBoxOps:
         spec = make_spec()
         x = ManifoldPoint(spec, (np.array([1.0, 2.0]), np.array([0.1, 0.2, 0.3])))
         y = boxplus(x, np.zeros(5))
-        for a, b in zip(x.values, y.values):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(x.poses, y.poses)
+        np.testing.assert_array_equal(x.vector, y.vector)
 
 
 class TestTypes:
     def test_tangent_dim(self):
         assert make_spec().tangent_dim == 5
-
-    def test_duplicate_ids_rejected(self):
-        with pytest.raises(ValueError):
-            ManifoldSpec((euclidean_block("a", 2), se2_block("a")))
 
     def test_point_angle_wrapped(self):
         spec = ManifoldSpec((se2_block("p"),))
@@ -223,7 +224,7 @@ class TestTypes:
     def test_block_views_read_only(self):
         spec = make_spec()
         x = boxplus(ManifoldPoint(spec, ([1.0, 2.0], [0.1, 0.2, 0.3])), np.ones(5))
-        for view in (x.block("v"), x.block("p"), *x.values, x.poses, x.vector):
+        for view in (x.block("v"), x.block("p"), x.poses, x.vector):
             with pytest.raises(ValueError):
                 view[0] = 9.0
         with pytest.raises(AttributeError):
@@ -245,10 +246,82 @@ class TestTypes:
         with pytest.raises(ValueError, match="non-finite"):
             ManifoldPoint(spec, ([bad, 0.0], [0.0, 1.0, 0.0]))
 
-    def test_tangent_slices(self):
+    def test_tangent_offsets(self):
         spec = make_spec()
-        assert spec.tangent_slice("v") == slice(0, 2)
-        assert spec.tangent_slice("p") == slice(2, 5)
+        np.testing.assert_array_equal(spec.offsets, [0, 2])
+        np.testing.assert_array_equal(spec.dims, [2, 3])
+
+    def test_positions_of_ids(self):
+        spec = ManifoldSpec((se2_block(0), euclidean_block("v", 2), se2_block((0, 1))))
+        assert spec.position((0, 1)) == 2
+        np.testing.assert_array_equal(spec.positions([(0, 1), "v", 0, "w", 1]),
+                                      [2, 1, 0, -1, -1])
+        assert spec.positions([]).dtype == np.intp
+        with pytest.raises(KeyError):
+            spec.position("w")
+
+
+def _columns(blocks):
+    return tuple(zip(*blocks))
+
+
+class TestSpecDeclaration:
+    """Both constructors run the same checks and give equal specs."""
+
+    BLOCKS = (se2_block("a"), euclidean_block("v", 2), euclidean_block(("b", 1), 3))
+
+    @pytest.mark.parametrize("block, message", [
+        (euclidean_block("x", 0), "^block dimension must be >= 1$"),
+        (euclidean_block("x", -1), "^block dimension must be >= 1$"),
+        (euclidean_block("x", 2.5), "^block dimension must be an integer$"),
+        (euclidean_block("x", True), "^block dimension must be an integer$"),
+        (Block("x", "so3", 3), "^unknown block kind 'so3'$"),
+        (Block("x", SE2, 2), "^SE2 blocks have tangent dimension 3$"),
+    ])
+    @pytest.mark.parametrize("from_arrays", [False, True])
+    def test_bad_declarations_rejected(self, block, message, from_arrays):
+        blocks = (se2_block("p"), block)
+        with pytest.raises(ValueError, match=message):
+            ManifoldSpec.from_arrays(*_columns(blocks)) if from_arrays else ManifoldSpec(blocks)
+
+    @pytest.mark.parametrize("from_arrays", [False, True])
+    def test_duplicate_ids_rejected(self, from_arrays):
+        blocks = (euclidean_block("a", 2), se2_block("a"))
+        with pytest.raises(ValueError, match="^block ids must be unique$"):
+            ManifoldSpec.from_arrays(*_columns(blocks)) if from_arrays else ManifoldSpec(blocks)
+
+    def test_numpy_integer_dimensions_accepted(self):
+        spec = ManifoldSpec((euclidean_block("v", np.int64(2)),))
+        assert spec == ManifoldSpec.from_arrays(["v"], [EUCLIDEAN], np.array([2]))
+        assert spec.tangent_dim == 2
+
+    def test_specs_built_separately_are_equal(self):
+        a, b = ManifoldSpec(self.BLOCKS), ManifoldSpec(list(self.BLOCKS))
+        c = ManifoldSpec.from_arrays(*_columns(self.BLOCKS))
+        assert a is not b and a == b == c
+
+    @pytest.mark.parametrize("change", ["id", "order", "kind", "dim"])
+    def test_specs_differing_in_one_declaration_are_unequal(self, change):
+        blocks = list(self.BLOCKS)
+        if change == "id":
+            blocks[0] = se2_block("z")
+        elif change == "order":
+            blocks[1], blocks[2] = blocks[2], blocks[1]
+        elif change == "kind":
+            blocks[2] = se2_block(("b", 1))
+        else:
+            blocks[1] = euclidean_block("v", 3)
+        for spec in (ManifoldSpec(self.BLOCKS), ManifoldSpec.from_arrays(*_columns(self.BLOCKS))):
+            assert spec != ManifoldSpec(blocks)
+            assert spec != ManifoldSpec.from_arrays(*_columns(blocks))
+
+    def test_boxminus_needs_equal_specs(self):
+        same = ManifoldSpec(self.BLOCKS)
+        x = origin(ManifoldSpec(self.BLOCKS))
+        np.testing.assert_array_equal(boxminus(origin(same), x), np.zeros(8))
+        other = ManifoldSpec(self.BLOCKS[:2] + (se2_block(("b", 1)),))
+        with pytest.raises(ValueError, match="^points live on different manifold specs$"):
+            boxminus(origin(other), x)
 
 
 class TestFromArrays:

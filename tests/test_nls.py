@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from conftest import one_row_sets
+from conftest import one_row_sets, origin
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -121,7 +121,7 @@ class TestSolveFixedP:
 
     def test_zero_noise_chain_recovers_truth(self):
         pb, x_true = chain_problem(noise=None)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         res = solve_fixed_P(pb, x0, {"g": np.eye(3)})
         assert res.cost <= 1e-16
         for i in range(6):
@@ -129,7 +129,7 @@ class TestSolveFixedP:
 
     def test_cost_monotone_over_accepted_steps(self):
         pb, _ = chain_problem(noise=0.05)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         W = {"g": np.diag([5.0, 5.0, 8.0])}
         res = solve_fixed_P(pb, x0, W)
         assert res.converged and res.iterations > 2
@@ -141,13 +141,13 @@ class TestSolveFixedP:
 
     def test_gauge_block_never_moves(self):
         pb, _ = chain_problem(noise=0.05)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         res = solve_fixed_P(pb, x0, {"g": np.eye(3)})
         np.testing.assert_array_equal(res.x.block(0), np.zeros(3))
 
     def test_missing_gauge_detected_as_singular(self):
         pb, _ = chain_problem(noise=0.05, gauge=False)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         eigs = np.linalg.eigvalsh(build_system(pb, x0, {"g": np.eye(3)}).hessian)
         assert eigs[0] <= 1e-10 * eigs[-1]
         pb2, _ = chain_problem(noise=0.05, gauge=True)
@@ -156,7 +156,7 @@ class TestSolveFixedP:
 
     def test_sparse_path_matches_dense(self):
         pb, _ = chain_problem(noise=0.03)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         with patch.object(nls, "DENSE_THRESHOLD", 10_000):
             rd = solve_fixed_P(pb, x0, {"g": np.eye(3)})
         with patch.object(nls, "DENSE_THRESHOLD", 1):
@@ -168,7 +168,7 @@ class TestSolveFixedP:
 class TestSparsity:
     def test_hessian_fill_matches_adjacency(self):
         pb, _ = chain_problem(noise=0.02)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         with patch.object(nls, "DENSE_THRESHOLD", 1):  # force sparse
             system = build_system(pb, x0, {"g": np.eye(3)})
         # expected block pairs: factor connectivity among active blocks
@@ -217,7 +217,7 @@ class TestStepOnce:
 
     def test_descent_on_pose_graph(self):
         pb, _ = chain_problem(noise=0.1)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         W = {"g": np.eye(3)}
         for x1 in (lm_step(pb, x0, W), step_once(pb, x0, W)[0]):
             assert weighted_cost(pb, x1, W) <= weighted_cost(pb, x0, W)
@@ -241,7 +241,7 @@ class TestLinearBatch:
         assert len(batched.batches["g"]) == len(sets)
         assert len(per_row.batches["g"]) == sum(map(len, sets))
         assert all(isinstance(b, LinearBatch) for b in batched.batches["g"])
-        x = ManifoldPoint(spec, tuple(rng.normal(size=b.dim) for b in spec.blocks))
+        x = ManifoldPoint(spec, tuple(rng.normal(size=d) for d in spec.dims))
         with patch.object(nls, "DENSE_THRESHOLD", 200 if dense else 1):
             a = build_system(batched, x, weights)
             b = build_system(per_row, x, weights)
@@ -450,7 +450,7 @@ class TestCompiledSparseSolve:
 
     def test_analysis_runs_once_per_problem(self):
         pb, _ = chain_problem(n=30, noise=0.05)
-        x0 = pb.manifold.identity()
+        x0 = origin(pb.manifold)
         W = {"g": np.diag([5.0, 5.0, 8.0])}
         with patch.object(nls, "DENSE_THRESHOLD", 1), \
                 patch.object(HessianPattern, "compile", wraps=HessianPattern.compile) as compile_, \

@@ -153,15 +153,15 @@ def _fd_oracle(fs, x, h=1e-6):
     spec = x.spec
     ids = ([ids.tolist()[0] for ids in fs.blocks] if fs.kind == RELATIVE_SE2
            else fs.blocks)
-    J = np.empty((fs.m, sum(spec.block(b).dim for b in ids)))
+    blocks = [spec.position(b) for b in ids]
+    J = np.empty((fs.m, spec.dims[blocks].sum()))
     col = 0
-    for bid in ids:
-        sl = spec.tangent_slice(bid)
-        for j in range(spec.block(bid).dim):
+    for p in blocks:
+        for j in range(spec.dims[p]):
             v = np.zeros(spec.tangent_dim)
-            v[sl.start + j] = h
+            v[spec.offsets[p] + j] = h
             rp = residual(fs, boxplus(x, v))[0]
-            v[sl.start + j] = -h
+            v[spec.offsets[p] + j] = -h
             rm = residual(fs, boxplus(x, v))[0]
             J[:, col] = (rp - rm) / (2 * h)
             col += 1
@@ -303,7 +303,7 @@ class TestBatchPath:
         assert [type(b) for b in pb.batches["g"]] == [Se2Batch, LinearBatch, LinearBatch,
                                                       LinearBatch, CustomBatch, Se2Batch]
         assert len(rows.batches["g"]) == pb.group_sizes["g"] == rows.group_sizes["g"] == 21
-        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, b.dim) for b in spec.blocks))
+        x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, d) for d in spec.dims))
         A = rng.normal(size=(3, 3))
         W = {"g": A @ A.T + 0.1 * np.eye(3)}
         np.testing.assert_array_equal(group_residuals(pb, x, "g"),
@@ -394,7 +394,7 @@ class TestFusedKernelEdgeCases:
             r, _ = batch.linearize(x)
             np.testing.assert_array_equal(batch.residuals(x), r)
             assert r[0, 2] == pytest.approx(rotation, abs=1e-15)
-            a, b = x.values
+            a, b = x.poses
             np.testing.assert_allclose(r[0], reference_se2_residual(a, b, f.z[0]),
                                        atol=1e-14)
 
