@@ -30,7 +30,7 @@ info_true = {
     ODOMETRY: np.diag([1000.0, 1000.0, 800.0]),
     LOOP: 10.0 * np.diag([20.0, 40.0, 30.0]),
 }
-noise = SyntheticNoiseSpec(info_true, seed=11, alpha=10.0)
+noise = SyntheticNoiseSpec(info_true, seed=11)
 graph, truth = generate_manhattan_like(400, "nearby", noise, trajectory_seed=2)
 print(f"graph: {graph.num_poses} poses, {len(graph.edges)} edges "
       f"({len(graph.edges_of_kind(LOOP))} loop closures)")

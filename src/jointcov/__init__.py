@@ -38,7 +38,6 @@ from .problem import (
     FactorSet,
     JointProblem,
     NoiseGroup,
-    custom_set,
     linear_set,
     prior_set,
     relative_se2_set,

@@ -115,30 +115,33 @@ def jacobi_eigh(a: np.ndarray):
 class WishartPrior:
     """Wishart prior W(P; V, nu) on a noise information matrix.
 
-    ``scale_inv`` caches ``V^-1`` (exact by construction when mode matched);
-    ``provenance`` records ``(sigma0, w_prior, k)`` when the prior was built
-    by mode matching, else None.
+    The scale ``V`` must be a finite square positive definite matrix and the
+    degrees of freedom ``m + 1 <= nu < inf``.  ``scale_inv`` caches ``V^-1``
+    (exact by construction when mode matched); it is computed from ``V``
+    when not given.
     """
 
     scale: np.ndarray
     dof: float
-    scale_inv: np.ndarray
-    provenance: tuple | None = None
+    scale_inv: np.ndarray | None = None
 
     def __post_init__(self):
-        v = symmetrize(self.scale)
+        v = np.asarray(self.scale, dtype=float)
+        if v.ndim != 2 or v.shape[0] != v.shape[1] or not np.isfinite(v).all():
+            raise ValueError(f"scale must be a finite square matrix, got shape {v.shape}")
+        v = symmetrize(v)
         if cholesky_or_none(v) is None:
             raise NotPositiveDefiniteError("Wishart scale matrix must be PD")
         m = v.shape[0]
-        if self.dof < m + 1:
-            raise ValueError(f"degrees of freedom must be >= m + 1 = {m + 1}")
+        if not m + 1 <= self.dof < np.inf:  # also rejects NaN
+            raise ValueError(f"dof must be finite and >= m + 1 = {m + 1}, got {self.dof!r}")
         object.__setattr__(self, "scale", v)
-        object.__setattr__(self, "scale_inv", symmetrize(self.scale_inv))
+        object.__setattr__(self, "scale_inv", spd_inverse(v) if self.scale_inv is None
+                           else symmetrize(self.scale_inv))
 
     @classmethod
     def from_scale(cls, scale: np.ndarray, dof: float) -> "WishartPrior":
-        return cls(scale=np.asarray(scale, dtype=float), dof=float(dof),
-                   scale_inv=spd_inverse(scale))
+        return cls(scale=scale, dof=float(dof))
 
     @property
     def m(self) -> int:
@@ -158,8 +161,8 @@ def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
         m = sigma0.shape[0]
     elif sigma0.shape != (m, m):
         raise ValueError("sigma0 shape does not match m")
-    if w_prior <= 0.0:
-        raise ValueError("w_prior must be positive")
+    if not 0.0 < w_prior < np.inf:  # also rejects NaN
+        raise ValueError(f"w_prior must be finite and > 0, got {w_prior!r}")
     if k < 1:
         raise ValueError("k must be >= 1")
     if cholesky_or_none(sigma0) is None:
@@ -169,7 +172,6 @@ def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
         scale=spd_inverse(scale_inv),
         dof=w_prior * k + m + 1,
         scale_inv=scale_inv,
-        provenance=(sigma0, float(w_prior), int(k)),
     )
 
 

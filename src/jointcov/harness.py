@@ -268,15 +268,6 @@ def wasserstein2(sigma_a: np.ndarray, sigma_b: np.ndarray) -> float:
 # Linear Monte-Carlo study
 # ---------------------------------------------------------------------------
 
-def _linear_problem(Hs, zs) -> tuple[JointProblem, ManifoldPoint]:
-    """One trial's problem, with one likelihood noise group ``"g"``, and the
-    zero start."""
-    _, m, n = Hs.shape
-    spec = ManifoldSpec((euclidean_block("x", n),))
-    problem = JointProblem(spec, (linear_set("x", Hs, zs, "g"),), (NoiseGroup("g", m, "ml"),))
-    return problem, ManifoldPoint(spec, (np.zeros(n),))
-
-
 def base_covariance(seed: int, m: int) -> np.ndarray:
     """The experiment's fixed random covariance component (A^T A / m)."""
     rng = counter_rng(seed, 101)
@@ -288,15 +279,19 @@ def run_linear_mc(config: ExperimentConfig) -> list[TrialRecord]:
     """Monte-Carlo study on the linear measurement model.
 
     Per trial and noise level, runs the selected algorithms on one noise
-    realization, one problem shared by all of them, and records RMSE of the
-    state, 2-Wasserstein error of the covariance estimate, final objective,
-    iterations, and the wall time of each algorithm's solve and metrics.
-    Failures are recorded per trial and the run continues.
+    realization, one problem shared by all of them (one likelihood noise
+    group ``"g"``, the zero start, and the study's one manifold spec), and
+    records RMSE of the state, 2-Wasserstein error of the covariance
+    estimate, final objective, iterations, and the wall time of each
+    algorithm's solve and metrics.  Failures are recorded per trial and the
+    run continues.
     """
     n, k, m = config.state_dim, config.num_measurements, config.residual_dim
     algorithms = _selected_algorithms(config, LINEAR_ALGORITHMS)
     sigma_base = base_covariance(config.seed, m)
     x_true_vec = np.ones(n)
+    spec = ManifoldSpec((euclidean_block("x", n),))
+    x0 = ManifoldPoint(spec, (np.zeros(n),))
     records = []
     for level_idx, sigma2 in enumerate(config.noise_grid):
         sigma_true = sigma_base + sigma2 * np.eye(m)
@@ -306,7 +301,8 @@ def run_linear_mc(config: ExperimentConfig) -> list[TrialRecord]:
             Hs = rng.standard_normal((k, m, n))
             eps = rng.standard_normal((k, m)) @ L.T
             zs = Hs @ x_true_vec + eps
-            problem, x0 = _linear_problem(Hs, zs)
+            problem = JointProblem(spec, (linear_set("x", Hs, zs, "g"),),
+                                   (NoiseGroup("g", m, "ml"),))
             for algorithm in algorithms:
                 records.append(_run_linear_algorithm(
                     config, algorithm, problem, x0, sigma_true, x_true_vec,
@@ -356,7 +352,7 @@ def _pgo_noise_spec(config: ExperimentConfig, alpha: float, seed: int,
                 LOOP: alpha * base.get(LOOP, np.diag([20.0, 40.0, 30.0]))}
     else:
         info = {"all": alpha * base.get("all", np.diag([20.0, 40.0, 30.0]))}
-    return SyntheticNoiseSpec(info, seed=seed, alpha=alpha)
+    return SyntheticNoiseSpec(info, seed=seed)
 
 
 def pose_graph_setup(graph, config: ExperimentConfig, variant: str,

@@ -340,13 +340,11 @@ class SyntheticNoiseSpec:
     """True noise model for synthetic graphs.
 
     ``information`` maps an edge class (``"odometry"``/``"loop"``, or the
-    single key ``"all"``) to a 3x3 information matrix; ``alpha`` records the
-    information level that produced it (metadata only).
+    single key ``"all"``) to a 3x3 information matrix.
     """
 
     information: dict
     seed: int
-    alpha: float | None = None
 
     def __post_init__(self):
         info = {k: np.asarray(v, dtype=float) for k, v in self.information.items()}

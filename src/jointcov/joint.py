@@ -65,18 +65,20 @@ FLAG_BOUND_HIT = "eigenvalue_bound_hit"
 FLAG_LM_FAILURE = "lm_failure"
 FLAG_LINE_SEARCH_FAILURE = "line_search_failure"
 
+LBFGS_MEMORY = 10  # curvature pairs elimination's L-BFGS keeps
+
 
 @dataclass
 class JointConfig:
     algorithm: str = BLOCK_EXACT_BCD
     max_outer_iterations: int = 25
     nls: NlsConfig = field(default_factory=NlsConfig)
-    lbfgs_memory: int = 10
     f_tol: float = 1e-9  # relative change of F, two consecutive iterations
 
     def __post_init__(self):
-        if self.max_outer_iterations < 1:
-            raise ValueError("iteration cap must be >= 1")
+        nls.check_cap("max_outer_iterations", self.max_outer_iterations)
+        if not 0 <= self.f_tol < np.inf:  # also rejects NaN
+            raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
 
@@ -242,9 +244,8 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
         elif config.nls.step_mode == nls.RIEMANNIAN_GD:
             x, grad_proxy = nls.step_once(problem, x, weights)
         else:
-            x, grad_proxy, accepted, residuals = nls._lm_step(
-                problem, x, weights, damping, config.nls)
-            damping = 0.0 if accepted == 0.0 else config.nls.damping_init
+            x, grad_proxy, accepted, residuals = nls._lm_step(problem, x, weights, damping)
+            damping = 0.0 if accepted == 0.0 else nls.DAMPING_INIT
 
         x_done = clock()
         M, P_new = p_step(x, residuals)
@@ -283,7 +284,7 @@ def run_hybrid_bcd(problem: JointProblem, x_init: ManifoldPoint,
     The x half-step is ``config.nls.step_mode``: one Levenberg-Marquardt
     iteration (the default) or a backtracking Riemannian gradient step.  An
     LM x-step tries the undamped step first only if the previous one accepted
-    it (the first always does), else starts at ``config.nls.damping_init``.
+    it (the first always does), else starts at :data:`nls.DAMPING_INIT`.
     """
     config = config or JointConfig(algorithm=HYBRID_BCD)
     return _run_bcd(problem, x_init, config, exact=False)
@@ -332,13 +333,13 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     gnorm = nls.vector_norm(g)
     last = clock()
     trace = [TracePoint(0, "init", f, gnorm, (last - start) * 1e3)]
-    memory: deque = deque(maxlen=config.lbfgs_memory)
+    memory: deque = deque(maxlen=LBFGS_MEMORY)
     conv = _Convergence(config.f_tol)
     conv.update(f)
     converged = False
     iterations = 0
     for iterations in range(1, config.max_outer_iterations + 1):
-        if gnorm <= config.nls.grad_tol:
+        if gnorm <= nls.GRAD_TOL:
             converged = True
             iterations -= 1
             break

@@ -9,8 +9,8 @@ either a damped Gauss-Newton iteration from a given damping
 Riemannian gradient-descent step (:func:`step_once`).
 
 Assembly is one loop over batches.  Each batch gives its costs and gradient
-terms ``J^T W r`` per factor (:meth:`Batch.gradient_terms`): a linear or
-custom batch by stacked matmuls per factor, a relative-pose batch from its
+terms ``J^T W r`` per factor (:meth:`Batch.gradient_terms`): a linear
+batch by stacked matmuls per factor, a relative-pose batch from its
 Jacobians' eight closed-form entries by whole-vector arithmetic.  Hessian
 terms ``J^T W J`` are stacked matmuls on the dense Jacobians
 (:meth:`Batch.jacobian`), which a relative-pose batch expands only for a
@@ -60,6 +60,15 @@ _ARMIJO_SHRINK = 0.5
 
 DENSE_THRESHOLD = 200  # dense Cholesky below this active tangent dimension
 
+# Levenberg-Marquardt damping: a full solve's first trial, the multiplicative
+# up/down factor, and the cap past which a step stalls.
+DAMPING_INIT = 1e-4
+DAMPING_FACTOR = 10.0
+DAMPING_MAX = 1e12
+# A full solve converges on a relative cost change or a gradient norm below these.
+COST_TOL = 1e-9
+GRAD_TOL = 1e-8
+
 # SuperLU panel width and relaxed-supernode size for the damping trials.  A
 # pose graph's supernodes are a few 3-column blocks wide; narrow panels and no
 # relaxed supernodes factorized 3500-pose graphs (nearby and densified loop
@@ -75,24 +84,22 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(v @ v)
 
 
+def check_cap(name: str, value) -> None:
+    """Reject an iteration cap that is not an int >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 @dataclass
 class NlsConfig:
-    """Solver settings; all tolerances must be positive and the iteration
-    cap at least 1."""
+    """Solver settings: the full solve's iteration cap and the hybrid BCD
+    x-step's mode."""
 
     max_iterations: int = 100
-    damping_init: float = 1e-4
-    damping_factor: float = 10.0      # multiplicative up/down factor
-    damping_max: float = 1e12
-    cost_tol: float = 1e-9            # relative cost change
-    grad_tol: float = 1e-8
     step_mode: str = SINGLE_ITERATION
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.cost_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        check_cap("max_iterations", self.max_iterations)
         if self.step_mode not in (SINGLE_ITERATION, RIEMANNIAN_GD):
             raise ValueError(f"unknown step mode {self.step_mode!r}")
 
@@ -124,6 +131,8 @@ class LinearizedSystem:
         is symmetric positive semi-definite, and definite for damping > 0.
         """
         n = self.index.dim
+        if n == 0:  # every block is gauge-fixed: nothing moves
+            return np.zeros(0)
         p = self.pattern
         if p is not None:
             H = self.hessian
@@ -257,19 +266,19 @@ def _try_cost(problem, x, weights, residuals=None):
 
 
 def _damped_step(problem: JointProblem, system: LinearizedSystem,
-                 x: ManifoldPoint, weights: Mapping, damping: float,
-                 config: NlsConfig):
-    """Levenberg-Marquardt trials at ``damping``, then ``damping_init`` if
-    that was 0, else ``damping * damping_factor``, up to ``damping_max``.
+                 x: ManifoldPoint, weights: Mapping, damping: float):
+    """Levenberg-Marquardt trials at ``damping``, then :data:`DAMPING_INIT`
+    if that was 0, else ``damping * DAMPING_FACTOR``, up to
+    :data:`DAMPING_MAX`.
 
     The caller picks the first: :func:`solve_fixed_P` a damping that shrinks
     on acceptance, hybrid BCD 0 only while its previous x-step accepted 0,
-    else ``damping_init``.
+    else :data:`DAMPING_INIT`.
 
     Returns (trial, its cost, damping, its residuals per group id) for the
     first trial whose cost does not exceed ``system.cost``, or None on stall.
     """
-    while damping <= config.damping_max:
+    while damping <= DAMPING_MAX:
         delta = system.solve_damped(damping)
         if delta is not None:
             x_trial = boxplus(x, system.index.scatter(delta))
@@ -277,7 +286,7 @@ def _damped_step(problem: JointProblem, system: LinearizedSystem,
             cost_trial = _try_cost(problem, x_trial, weights, residuals)
             if cost_trial <= system.cost:
                 return x_trial, cost_trial, damping, residuals
-        damping = config.damping_init if damping == 0.0 else damping * config.damping_factor
+        damping = DAMPING_INIT if damping == 0.0 else damping * DAMPING_FACTOR
     return None
 
 
@@ -287,27 +296,28 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
 
     Steps are accepted only when the cost does not increase, so the cost
     never rises from one iteration to the next; damping grows
-    multiplicatively on rejection and shrinks on acceptance.  If damping exceeds ``damping_max`` the best
-    iterate so far is returned with ``lm_failure`` set.
+    multiplicatively on rejection and shrinks on acceptance.  If damping
+    exceeds :data:`DAMPING_MAX` the best iterate so far is returned with
+    ``lm_failure`` set.
     """
     config = config or NlsConfig()
     x = problem.check_start(x_init)
-    damping = config.damping_init
+    damping = DAMPING_INIT
     converged = lm_failure = False
     iterations = 0
     for iterations in range(1, config.max_iterations + 1):
         system = build_system(problem, x, weights)
         cost, grad_norm = system.cost, system.gradient_norm
-        if grad_norm <= config.grad_tol:
+        if grad_norm <= GRAD_TOL:
             converged = True
             break
-        step = _damped_step(problem, system, x, weights, damping, config)
+        step = _damped_step(problem, system, x, weights, damping)
         if step is None:
             lm_failure = True
             break
         x, cost_trial, damping, _ = step
-        damping = max(damping / config.damping_factor, 1e-15)
-        if abs(cost - cost_trial) <= config.cost_tol * (1.0 + abs(cost_trial)):
+        damping = max(damping / DAMPING_FACTOR, 1e-15)
+        if abs(cost - cost_trial) <= COST_TOL * (1.0 + abs(cost_trial)):
             converged = True
             break
     final = build_system(problem, x, weights, with_hessian=False)
@@ -337,12 +347,11 @@ def step_once(problem: JointProblem, x: ManifoldPoint,
     return x, system.gradient_norm
 
 
-def _lm_step(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
-             damping: float, config: NlsConfig):
+def _lm_step(problem: JointProblem, x: ManifoldPoint, weights: Mapping, damping: float):
     """One Levenberg-Marquardt iteration with trials from ``damping``: the
     new point (x on stall), the gradient norm at x, and the accepted damping
     and trial's residuals per group id (None on stall)."""
     system = build_system(problem, x, weights)
-    step = _damped_step(problem, system, x, weights, damping, config)
+    step = _damped_step(problem, system, x, weights, damping)
     x_new, _, damping, residuals = step or (x, None, None, None)
     return x_new, system.gradient_norm, damping, residuals

@@ -6,20 +6,20 @@ Residual and Jacobian evaluation is stateless and reentrant.
 
 A :class:`FactorSet` holds k measurements of one residual kind in one noise
 group as arrays (:func:`relative_se2_set`, :func:`linear_set`,
-:func:`prior_set`, :func:`custom_set`).  The problem compiles each set into
-exactly one batch (:attr:`JointProblem.batches`), a :class:`Se2Batch`,
-:class:`LinearBatch` or :class:`CustomBatch`, in the group's set order and
-the set's row order.  Each kind has this one residual and Jacobian
-formula; :func:`residual` evaluates one set.  A batch of k rows gives
-residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D connected tangent
-coordinates (:meth:`Batch.jacobian`), its costs and gradient terms at a
-weight (:meth:`Batch.gradient_terms`), and each coordinate's position in
-the active tangent (:attr:`Batch.positions`, compiled once).  Positions
-are laid out row-major (all of row i's before row i+1's) because assembly adds
-terms in that order: summed in row order, a k-row set linearizes bit for
-bit like the same rows as k one-row sets.  From the positions,
-:attr:`JointProblem.hessian_pattern` compiles once per problem one CSC
-structure of the sparse Hessian, in a fill-reducing order of the blocks.
+:func:`prior_set`).  The problem compiles each set into exactly one batch
+(:attr:`JointProblem.batches`), a :class:`Se2Batch` or :class:`LinearBatch`,
+in the group's set order and the set's row order.  Each kind has this one
+residual and Jacobian formula; :func:`residual` evaluates one set.  A batch
+of k rows gives residuals ``(k, m)``, Jacobians ``(k, m, D)`` over its D
+connected tangent coordinates (:meth:`Batch.jacobian`), its costs and
+gradient terms at a weight (:meth:`Batch.gradient_terms`), and each
+coordinate's position in the active tangent (:attr:`Batch.positions`,
+compiled once).  Positions are laid out row-major (all of row i's before row
+i+1's) because assembly adds terms in that order: summed in row order, a
+k-row set linearizes bit for bit like the same rows as k one-row sets.  From
+the positions, :attr:`JointProblem.hessian_pattern` compiles once per
+problem one CSC structure of the sparse Hessian, in a fill-reducing order of
+the blocks.
 
 The relative-pose kernel (:func:`_batch_relative_se2`) is one fused pass:
 it forms ``b^-1 . a . z`` in closed form from the point's cached pose trig
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
@@ -49,15 +49,12 @@ from .manifold import (
     CutLocusError,
     ManifoldPoint,
     ManifoldSpec,
-    exp_se2,
-    se2_compose,
     wrap_angle,
 )
 
 # Residual kinds.
 LINEAR_GAUSSIAN = "linear_gaussian"
 RELATIVE_SE2 = "relative_se2"
-CUSTOM = "custom"
 
 # Noise-group variants: estimator (map / ml / fixed) x constraint set.
 VARIANTS = (
@@ -65,8 +62,6 @@ VARIANTS = (
     "ml", "ml-diag", "ml-eig", "ml-diag-eig",
     "fixed",
 )
-
-FD_STEP = 1e-6  # central finite-difference step for custom-set Jacobians
 
 _MAX_PREPROCESS_COND = 1e12
 
@@ -112,16 +107,15 @@ class FactorSet:
     ``blocks`` names the connected blocks: a relative-pose set's id arrays
     ``(a, b)``, ``(k,)`` each (row i measures block ``b[i]`` relative to
     block ``a[i]``), or the one tuple of block ids that every row of a
-    linear or custom set connects.  ``z`` ``(k, m)`` holds the measurements,
-    ``H`` ``(k, m, d)`` a linear set's observation matrices over its stacked
-    blocks, and ``residual_fn`` a custom set's callable.  The optional
-    ``preprocess_jacobian`` ``(k, m, m)`` is each row's (state-independent)
-    Jacobian of a measurement-space transformation applied upstream; its
-    inverse maps the row's residual back to raw-measurement space before the
-    sample covariance is formed.  Arrays are kept read-only (writable input
-    is copied).  A set checks its shapes, finiteness, preprocessing
-    condition numbers and self-loops once, vectorized, and an error names
-    the set and the first bad row.
+    linear set connects.  ``z`` ``(k, m)`` holds the measurements and ``H``
+    ``(k, m, d)`` a linear set's observation matrices over its stacked
+    blocks.  The optional ``preprocess_jacobian`` ``(k, m, m)`` is each
+    row's (state-independent) Jacobian of a measurement-space transformation
+    applied upstream; its inverse maps the row's residual back to
+    raw-measurement space before the sample covariance is formed.  Arrays
+    are kept read-only (writable input is copied).  A set checks its shapes,
+    finiteness, preprocessing condition numbers and self-loops once,
+    vectorized, and an error names the set and the first bad row.
     """
 
     kind: str
@@ -129,11 +123,10 @@ class FactorSet:
     z: np.ndarray
     group_id: Hashable
     H: np.ndarray | None = None
-    residual_fn: Callable | None = None
     preprocess_jacobian: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in (LINEAR_GAUSSIAN, RELATIVE_SE2, CUSTOM):
+        if self.kind not in (LINEAR_GAUSSIAN, RELATIVE_SE2):
             raise ValueError(f"unknown residual kind {self.kind!r}")
         z = self._keep("z", _read_only(self.z, float))
         if z.ndim != 2 or not len(z):
@@ -152,14 +145,11 @@ class FactorSet:
         else:
             blocks = self.blocks
             self._keep("blocks", (blocks,) if isinstance(blocks, (str, int)) else tuple(blocks))
-        if self.kind == LINEAR_GAUSSIAN:
             H = self._keep("H", _read_only(self.H, float))
             if H.ndim != 3 or H.shape[:2] != (k, m):
                 raise self._error(f"observation matrices of shape {H.shape}, not "
                                   f"(k, m, d) with (k, m) = {(k, m)}")
             bad |= ~np.isfinite(H).all(axis=(1, 2))
-        if self.kind == CUSTOM and (k != 1 or not callable(self.residual_fn)):
-            raise self._error("a custom set has one row and a residual callable")
         self._check(bad, "non-finite values")
         if self.preprocess_jacobian is not None:
             J = self._keep("preprocess_jacobian", _read_only(self.preprocess_jacobian, float))
@@ -194,7 +184,7 @@ class FactorSet:
 
     def compile(self, spec: ManifoldSpec, index: ActiveIndex) -> "Batch":
         """This set's one batch, positioned in the active tangent ``index``."""
-        cls = {RELATIVE_SE2: Se2Batch, CUSTOM: CustomBatch}.get(self.kind, LinearBatch)
+        cls = Se2Batch if self.kind == RELATIVE_SE2 else LinearBatch
         return cls.compile(spec, index, self)
 
 
@@ -218,16 +208,6 @@ def relative_se2_set(a, b, z, group_id, preprocess_jacobian=None) -> FactorSet:
     block to itself (its residual would ignore x)."""
     return FactorSet(RELATIVE_SE2, (a, b), z, group_id,
                      preprocess_jacobian=preprocess_jacobian)
-
-
-def custom_set(blocks, z, group_id, residual_fn, preprocess_jacobian=None) -> FactorSet:
-    """One row ``residual_fn(z, *block_values) -> (m,)`` for the measurement
-    ``z`` ``(m,)``, with an optional ``(m, m)`` preprocessing Jacobian and
-    central finite-difference Jacobians."""
-    J = preprocess_jacobian
-    return FactorSet(CUSTOM, blocks, np.asarray(z, dtype=float)[None], group_id,
-                     residual_fn=residual_fn,
-                     preprocess_jacobian=None if J is None else np.asarray(J, dtype=float)[None])
 
 
 @dataclass(frozen=True, eq=False)
@@ -507,7 +487,10 @@ class LinearBatch(Batch):
 
     @classmethod
     def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "LinearBatch":
-        p = _positions(spec, fs)
+        try:
+            p = np.array([spec.position(bid) for bid in fs.blocks], dtype=np.intp)
+        except KeyError as err:
+            raise fs._error(f"references unknown block {err.args[0]!r}") from None
         if spec.is_se2[p].any():
             raise fs._error("connects an SE(2) block")
         dims = tuple(spec.dims[p].tolist())
@@ -525,47 +508,6 @@ class LinearBatch(Batch):
 
     def linearize(self, x: ManifoldPoint):
         return self.residuals(x), self.J
-
-
-@dataclass(frozen=True, eq=False)
-class CustomBatch(Batch):
-    """A custom set's one row: ``residual_fn`` on its blocks' values, with
-    central finite-difference Jacobians of step :data:`FD_STEP`."""
-
-    factor_set: FactorSet
-
-    @classmethod
-    def compile(cls, spec: ManifoldSpec, index: ActiveIndex, fs: FactorSet) -> "CustomBatch":
-        p = _positions(spec, fs)
-        return cls(tuple(index.offsets[p, None]), tuple(spec.dims[p].tolist()), index.dim, fs)
-
-    def _eval(self, values) -> np.ndarray:
-        fs = self.factor_set
-        return np.asarray(fs.residual_fn(fs.z[0], *values), dtype=float)
-
-    def residuals(self, x: ManifoldPoint) -> np.ndarray:
-        return self._eval([x.block(bid) for bid in self.factor_set.blocks])[None]
-
-    def linearize(self, x: ManifoldPoint):
-        """Each column retracts only the set's own blocks, by their slice
-        of the local tangent step ``t``."""
-        ids = self.factor_set.blocks
-        values = [x.block(bid) for bid in ids]
-        is_se2 = x.spec.is_se2[[x.spec.position(bid) for bid in ids]]
-        ends = np.cumsum(self.dims)
-
-        def moved(t):
-            return [se2_compose(v, exp_se2(t[e - d:e])) if pose else v + t[e - d:e]
-                    for v, pose, d, e in zip(values, is_se2, self.dims, ends)]
-
-        J = np.empty((self.factor_set.m, ends[-1]))
-        for j in range(ends[-1]):
-            t = np.zeros(ends[-1])
-            t[j] = FD_STEP
-            r_plus = self._eval(moved(t))
-            t[j] = -FD_STEP
-            J[:, j] = (r_plus - self._eval(moved(t))) / (2.0 * FD_STEP)
-        return self._eval(values)[None], J[None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -677,14 +619,6 @@ def fill_reducing_order(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
         options={"SymmetricMode": True})
     return np.argsort(lu.perm_c).astype(np.int32)
-
-
-def _positions(spec: ManifoldSpec, fs: FactorSet) -> np.ndarray:
-    """Positions of the blocks that every row of a linear or custom set connects."""
-    try:
-        return np.array([spec.position(bid) for bid in fs.blocks], dtype=np.intp)
-    except KeyError as err:
-        raise fs._error(f"references unknown block {err.args[0]!r}") from None
 
 
 def residual(fs: FactorSet, x: ManifoldPoint) -> np.ndarray:

@@ -26,6 +26,6 @@ def one_row_sets(fs):
             return None if a is None else a[i:i + 1]
         out.append(FactorSet(
             fs.kind, tuple(map(row, fs.blocks)) if fs.kind == RELATIVE_SE2 else fs.blocks,
-            row(fs.z), fs.group_id, H=row(fs.H), residual_fn=fs.residual_fn,
+            row(fs.z), fs.group_id, H=row(fs.H),
             preprocess_jacobian=row(fs.preprocess_jacobian)))
     return out

@@ -96,6 +96,32 @@ class TestModeMatching:
         with pytest.raises(NotPositiveDefiniteError):
             mode_match_prior(np.diag([1.0, -1.0]), 0.1, 10)
 
+    @pytest.mark.parametrize("w_prior", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_w_prior(self, w_prior):
+        with pytest.raises(ValueError, match="^w_prior must be finite and > 0"):
+            mode_match_prior(np.eye(3), w_prior, 10)
+
+
+class TestWishartPrior:
+    @pytest.mark.parametrize("scale, dof, message", [
+        (np.eye(3), np.nan, "^dof must be finite and >= m"),
+        (np.eye(3), np.inf, "^dof must be finite and >= m"),
+        (np.eye(3), 3.5, "^dof must be finite and >= m"),
+        (np.ones((2, 3)), 5.0, "^scale must be a finite square matrix"),
+        (np.ones(3), 5.0, "^scale must be a finite square matrix"),
+        (np.diag([1.0, np.nan, 1.0]), 5.0, "^scale must be a finite square matrix"),
+    ], ids=["dof-nan", "dof-inf", "dof-small", "non-square", "vector", "scale-nan"])
+    def test_bad_prior_fails_at_construction(self, scale, dof, message):
+        with pytest.raises(ValueError, match=message):
+            WishartPrior.from_scale(scale, dof)
+        with pytest.raises(ValueError, match=message):
+            WishartPrior(scale, dof)
+
+    def test_scale_inverse_computed_when_not_given(self):
+        scale = np.array([[2.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_allclose(WishartPrior(scale, 3.0).scale_inv @ scale, np.eye(2),
+                                   atol=1e-15)
+
 
 class TestAssembleM:
     def test_hand_example(self):

@@ -252,7 +252,7 @@ def count_dampings(monkeypatch):
 class TestHybridBcd:
     def test_damping_carries_over_after_a_rejected_undamped_step(self, monkeypatch):
         # a spanning-tree start moved by a large random step: the first
-        # undamped step raises the cost, damping_init is accepted, and the
+        # undamped step raises the cost, DAMPING_INIT is accepted, and the
         # later x-steps start there instead of factorizing for 0 again
         noise = io_pgo.SyntheticNoiseSpec({"all": np.diag([100.0, 100.0, 200.0])}, seed=3)
         graph, _ = io_pgo.generate_manhattan_like(30, "nearby", noise, trajectory_seed=1)
@@ -265,7 +265,7 @@ class TestHybridBcd:
         res = run_hybrid_bcd(pb, x0, cfg)
         assert res.iterations == 5
         assert len(dampings) == res.iterations + 1
-        assert dampings == [0.0] + [cfg.nls.damping_init] * res.iterations
+        assert dampings == [0.0] + [nls.DAMPING_INIT] * res.iterations
 
     def test_linear_x_steps_stay_undamped(self, monkeypatch):
         rng = np.random.default_rng(32)
@@ -415,7 +415,7 @@ class TestElimination:
         from jointcov.joint import _reduced_value_and_grad, group_scale
         from jointcov.manifold import se2_block
         from jointcov.nls import build_system
-        from jointcov.problem import custom_set, relative_se2_set, residual_covariance
+        from jointcov.problem import relative_se2_set, residual_covariance
 
         rng = np.random.default_rng(17)
         spec = ManifoldSpec(tuple(se2_block(i) for i in range(5))
@@ -425,7 +425,7 @@ class TestElimination:
             relative_se2_set([0, 2, 4], [1, 3, 0], rng.uniform(-1, 1, (3, 3)), "a"),
             relative_se2_set([1, 3], [2, 4], rng.uniform(-1, 1, (2, 3)), "a",
                              preprocess_jacobian=[J, 2.0 * J]),
-            custom_set((4, "w"), rng.normal(size=3), "a", lambda z, p, w: z - np.sin(p) * w),
+            linear_set("w", rng.normal(size=(1, 3, 3)), rng.normal(size=(1, 3)), "a"),
             relative_se2_set([0, 1], [2, 3], rng.uniform(-1, 1, (2, 3)), "a"),
             relative_se2_set([2, 3, 4], [4, 0, 1], rng.uniform(-1, 1, (3, 3)), "b",
                              preprocess_jacobian=[np.eye(3), 2.0 * J, J.T]),
@@ -460,6 +460,52 @@ class TestElimination:
         np.testing.assert_array_equal(gradient, gradient_rows)
         for g in groups:
             np.testing.assert_array_equal(P[g.group_id], P_rows[g.group_id])
+
+
+class TestSettings:
+    @pytest.mark.parametrize("make, kwargs", [
+        (JointConfig, {"max_outer_iterations": 2.5}),
+        (JointConfig, {"max_outer_iterations": 0}),
+        (JointConfig, {"max_outer_iterations": True}),
+        (JointConfig, {"f_tol": np.nan}),
+        (JointConfig, {"f_tol": np.inf}),
+        (JointConfig, {"f_tol": -1.0}),
+        (NlsConfig, {"max_iterations": 2.5}),
+        (NlsConfig, {"max_iterations": 0}),
+        (NlsConfig, {"max_iterations": True}),
+    ], ids=["outer-float", "outer-0", "outer-bool", "f_tol-nan", "f_tol-inf",
+            "f_tol-negative", "nls-float", "nls-0", "nls-bool"])
+    def test_bad_setting_fails_at_construction(self, make, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            make(**kwargs)
+
+    def test_edge_settings_accepted(self):
+        JointConfig(max_outer_iterations=np.int64(1), f_tol=0.0)
+        NlsConfig(max_iterations=1)
+
+
+class TestNothingFree:
+    def test_every_driver_keeps_the_start_when_every_block_is_gauge_fixed(self):
+        rng = np.random.default_rng(5)
+        spec = ManifoldSpec((euclidean_block("x", 3),))
+        fs = linear_set("x", rng.normal(size=(10, 2, 3)), rng.normal(size=(10, 2)), "g")
+        pb = JointProblem(spec, (fs,), (NoiseGroup("g", 2, "ml"),), frozenset({"x"}))
+        x0 = ManifoldPoint(spec, (np.ones(3),))
+        P0 = information_update(pb, x0)[0]["g"]
+        runs = [(run_block_exact_bcd, JointConfig(), 2),
+                (run_hybrid_bcd, JointConfig(algorithm=HYBRID_BCD), 2),
+                (run_hybrid_bcd, JointConfig(algorithm=HYBRID_BCD,
+                                             nls=NlsConfig(step_mode=RIEMANNIAN_GD)), 2),
+                (run_elimination, JointConfig(algorithm=ELIMINATION), 0)]
+        for run, cfg, iterations in runs:
+            res = run(pb, x0, cfg)
+            np.testing.assert_array_equal(res.x.vector, x0.vector)
+            np.testing.assert_allclose(res.information["g"], P0, rtol=1e-12)
+            assert res.converged and res.iterations == iterations
+        fixed = nls.solve_fixed_P(pb, x0, {"g": np.eye(2)})
+        np.testing.assert_array_equal(fixed.x.vector, x0.vector)
+        assert fixed.converged and not fixed.lm_failure and fixed.gradient_norm == 0.0
 
 
 class TestTrace:

@@ -25,17 +25,16 @@ from jointcov.nls import build_system, weighted_cost
 from jointcov.problem import (
     _DALPHA_SERIES_ANGLE,
     RELATIVE_SE2,
-    CustomBatch,
     JointProblem,
     LinearBatch,
     NoiseGroup,
     Se2Batch,
-    custom_set,
     group_residuals,
     linear_set,
     prior_set,
     relative_se2_set,
     residual,
+    residual_covariance,
     sample_covariance,
     variant_parts,
 )
@@ -91,11 +90,6 @@ class TestResiduals:
         fs = se2_set(0, 1, [1.0, 0.0, 0.0])
         np.testing.assert_allclose(residual(fs, x), np.zeros((1, 3)), atol=1e-14)
 
-    def test_custom(self):
-        x = euclid_point([2.0])
-        fs = custom_set(("x",), np.array([5.0]), "g", lambda z, v: z - v ** 2)
-        np.testing.assert_allclose(residual(fs, x), [[1.0]])
-
 
 def set_jacobians(fs, x):
     """A set's dense Jacobians ``(k, m, D)`` at x, columns in block order."""
@@ -141,11 +135,6 @@ class TestJacobians:
         J_fd = _fd_oracle(fs, x)
         scale = max(1.0, np.abs(J_fd).max())
         assert np.abs(J[0] - J_fd).max() / scale <= 1e-5
-
-    def test_custom_uses_finite_differences(self):
-        fs = custom_set(("x",), np.array([0.0]), "g", lambda z, v: z - v ** 3)
-        x = euclid_point([2.0])
-        np.testing.assert_allclose(set_jacobians(fs, x), [[[-12.0]]], rtol=1e-6)
 
 
 def _fd_oracle(fs, x, h=1e-6):
@@ -221,17 +210,16 @@ class TestSampleCovariance:
         np.testing.assert_allclose(sample_covariance(pb, x, "g"), R.T @ R / 4, atol=1e-15)
 
     def test_preprocessing_leaves_residual_arrays_alone(self):
-        # a custom residual may return an array it owns, and a lone batch's
-        # residuals reach sample_covariance without a copy
+        # the residuals handed in may be a batch's own array (a lone batch's
+        # reach the covariance without a copy): they are read, not written
         spec = ManifoldSpec((euclidean_block("x", 2),))
-        x = ManifoldPoint(spec, (np.zeros(2),))
-        owned = np.array([2.0, 0.0])
-        fs = custom_set(("x",), np.zeros(2), "g", lambda z, v: owned,
-                        preprocess_jacobian=2.0 * np.eye(2))
+        fs = linear_set("x", [np.eye(2)], [[0.0, 0.0]], "g",
+                        preprocess_jacobian=[2.0 * np.eye(2)])
         pb = make_problem([fs], [NoiseGroup("g", 2, "ml")], spec)
+        R = np.array([[2.0, 0.0]])
         np.testing.assert_allclose(
-            sample_covariance(pb, x, "g"), np.diag([1.0, 0.0]), atol=1e-15)
-        np.testing.assert_array_equal(owned, [2.0, 0.0])
+            residual_covariance(pb, "g", R), np.diag([1.0, 0.0]), atol=1e-15)
+        np.testing.assert_array_equal(R, [[2.0, 0.0]])
 
     def test_psd_and_rank(self):
         rng = np.random.default_rng(31)
@@ -253,8 +241,8 @@ def reference_se2_residual(a, b, z):
 
 def mixed_sets(rng):
     """A spec of poses and vectors and one group's sets of every kind:
-    relative-pose (one with preprocessing), prior, linear on one and two
-    blocks (one with preprocessing), and custom."""
+    relative-pose (one with preprocessing), prior, and linear on one and two
+    blocks (one with preprocessing)."""
     spec = ManifoldSpec((se2_block("p0"), euclidean_block("u", 3), se2_block("p1"),
                          euclidean_block("w", 3), se2_block("p2")))
 
@@ -267,7 +255,6 @@ def mixed_sets(rng):
         linear_set("u", rng.normal(size=(5, 3, 3)), rng.normal(size=(5, 3)), "g"),
         linear_set(("w", "u"), rng.normal(size=(6, 3, 6)), rng.normal(size=(6, 3)), "g",
                    preprocess_jacobian=jacobians(6)),
-        custom_set(("p2", "w"), rng.normal(size=3), "g", lambda z, p, w: z - np.sin(p) * w),
         relative_se2_set(["p2", "p1"], ["p0", "p0"], rng.uniform(-1, 1, (2, 3)), "g"),
     ]
     return spec, sets
@@ -301,8 +288,8 @@ class TestBatchPath:
         pb = make_problem(sets, groups, spec, gauge)
         rows = make_problem([r for fs in sets for r in one_row_sets(fs)], groups, spec, gauge)
         assert [type(b) for b in pb.batches["g"]] == [Se2Batch, LinearBatch, LinearBatch,
-                                                      LinearBatch, CustomBatch, Se2Batch]
-        assert len(rows.batches["g"]) == pb.group_sizes["g"] == rows.group_sizes["g"] == 21
+                                                      LinearBatch, Se2Batch]
+        assert len(rows.batches["g"]) == pb.group_sizes["g"] == rows.group_sizes["g"] == 20
         x = ManifoldPoint(spec, tuple(rng.uniform(-1, 1, d) for d in spec.dims))
         A = rng.normal(size=(3, 3))
         W = {"g": A @ A.T + 0.1 * np.eye(3)}
@@ -586,11 +573,9 @@ class TestValidation:
     @pytest.mark.parametrize("make_set, message", [
         (lambda: prior_set("y", [[0.0, 0.0]], "g"),
          "linear_gaussian set of group 'g': references unknown block 'y'"),
-        (lambda: custom_set(("x", "y"), [0.0, 0.0], "g", lambda z, x, y: z),
-         "custom set of group 'g': references unknown block 'y'"),
         (lambda: relative_se2_set(["p", "p", "p"], ["q", "r", "q"], np.zeros((3, 3)), "g"),
          "relative_se2 set of group 'g', row 1: references unknown block 'r'"),
-    ], ids=["linear", "custom", "se2"])
+    ], ids=["linear", "se2"])
     def test_unknown_block_rejected(self, make_set, message):
         spec = ManifoldSpec((euclidean_block("x", 2), se2_block("p"), se2_block("q")))
         fs = make_set()
@@ -632,13 +617,11 @@ class TestValidation:
                               np.zeros((4, 3)), "g"), "linear_gaussian"),
         (lambda z: linear_set("x", [np.eye(3)] * 4, z, "g"), "linear_gaussian"),
         (lambda z: prior_set("x", z, "g"), "linear_gaussian"),
-        (lambda z: custom_set("x", z[3], "g", lambda z, x: z), "custom"),
-    ], ids=["se2", "linear-H", "linear-z", "prior", "custom"])
+    ], ids=["se2", "linear-H", "linear-z", "prior"])
     def test_non_finite_row_rejected(self, make_set, kind):
         z = np.zeros((4, 3))
         z[3, 1] = np.nan
-        row = 0 if kind == "custom" else 3
-        with pytest.raises(ValueError, match=f"{kind} set of group 'g', row {row}: "
+        with pytest.raises(ValueError, match=f"{kind} set of group 'g', row 3: "
                                              "non-finite values"):
             make_set(z)
 
