@@ -22,14 +22,19 @@ problem is unbounded below whenever ``S`` is singular (adding ``c u u^T`` to
 A slow projected-gradient oracle (:func:`numeric_inner_oracle`) solves the
 same convex problems numerically and exists purely to validate the closed
 forms.
+
+Only the unconstrained update and :func:`spd_inverse` need scipy (LAPACK
+``dpotrs`` on a Cholesky factor), and they import ``scipy.linalg`` on their
+first call.  The diagonal and eigenvalue-bounded updates, and a mode-matched
+prior, which stores ``V^-1`` as formed, run on numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 # Constraint variants of the inner problem.
 UNCONSTRAINED = "unconstrained"
@@ -80,6 +85,8 @@ def _cho_inverse(chol: np.ndarray) -> np.ndarray:
     """``A^-1`` from the lower Cholesky factor of ``A``: LAPACK ``dpotrs`` as
     ``scipy.linalg.cho_solve`` calls it, with its finiteness check but
     without the rest of its per-call overhead."""
+    import scipy.linalg  # loaded by the first inverse, not by `import jointcov`
+
     if not np.isfinite(chol).all():
         raise ValueError("array must not contain infs or NaNs")
     return symmetrize(scipy.linalg.lapack.dpotrs(chol, np.eye(chol.shape[0]), lower=True)[0])
@@ -111,41 +118,55 @@ def jacobi_eigh(a: np.ndarray):
     return eigvals, np.where(pivots < 0.0, -v, v)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WishartPrior:
     """Wishart prior W(P; V, nu) on a noise information matrix.
 
     The scale ``V`` must be a finite square positive definite matrix and the
-    degrees of freedom ``m + 1 <= nu < inf``.  ``scale_inv`` caches ``V^-1``
-    (exact by construction when mode matched); it is computed from ``V``
-    when not given.
+    degrees of freedom ``m + 1 <= nu < inf``.  The prior stores ``V^-1``
+    (``scale_inv``), the only form the P update reads: ``WishartPrior(V,
+    nu)`` inverts ``V`` once, and :func:`mode_match_prior` forms ``V^-1``
+    directly.  ``scale`` is ``V`` as given, or for a mode-matched prior
+    ``V^-1`` inverted on first access.
     """
 
-    scale: np.ndarray
+    scale_inv: np.ndarray
     dof: float
-    scale_inv: np.ndarray | None = None
 
-    def __post_init__(self):
-        v = np.asarray(self.scale, dtype=float)
+    def __init__(self, scale: np.ndarray, dof: float):
+        v = np.asarray(scale, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1] or not np.isfinite(v).all():
             raise ValueError(f"scale must be a finite square matrix, got shape {v.shape}")
         v = symmetrize(v)
         if cholesky_or_none(v) is None:
             raise NotPositiveDefiniteError("Wishart scale matrix must be PD")
-        m = v.shape[0]
-        if not m + 1 <= self.dof < np.inf:  # also rejects NaN
-            raise ValueError(f"dof must be finite and >= m + 1 = {m + 1}, got {self.dof!r}")
-        object.__setattr__(self, "scale", v)
-        object.__setattr__(self, "scale_inv", spd_inverse(v) if self.scale_inv is None
-                           else symmetrize(self.scale_inv))
+        self._store(spd_inverse(v), dof)
+        self.__dict__["scale"] = v  # as given: inverting V^-1 back would round
 
     @classmethod
     def from_scale(cls, scale: np.ndarray, dof: float) -> "WishartPrior":
         return cls(scale=scale, dof=float(dof))
 
+    @classmethod
+    def _from_scale_inv(cls, scale_inv: np.ndarray, dof: float) -> "WishartPrior":
+        prior = cls.__new__(cls)
+        prior._store(scale_inv, dof)
+        return prior
+
+    def _store(self, scale_inv: np.ndarray, dof: float) -> None:
+        m = scale_inv.shape[0]
+        if not m + 1 <= dof < np.inf:  # also rejects NaN
+            raise ValueError(f"dof must be finite and >= m + 1 = {m + 1}, got {dof!r}")
+        object.__setattr__(self, "scale_inv", scale_inv)
+        object.__setattr__(self, "dof", dof)
+
+    @cached_property
+    def scale(self) -> np.ndarray:
+        return spd_inverse(self.scale_inv)
+
     @property
     def m(self) -> int:
-        return self.scale.shape[0]
+        return self.scale_inv.shape[0]
 
 
 def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
@@ -154,7 +175,8 @@ def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
 
     ``V = (w_prior * k * sigma0)^-1`` and ``nu = w_prior * k + m + 1``; the
     resulting unconstrained optimum blends prior and sample covariance as
-    ``sigma* = w/(w+1) * sigma0 + 1/(w+1) * S``.
+    ``sigma* = w/(w+1) * sigma0 + 1/(w+1) * S``.  ``V^-1`` is exact and
+    nothing is inverted.
     """
     sigma0 = symmetrize(sigma0)
     if m is None:
@@ -168,11 +190,9 @@ def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
     if cholesky_or_none(sigma0) is None:
         raise NotPositiveDefiniteError("sigma0 must be positive definite")
     scale_inv = w_prior * k * sigma0
-    return WishartPrior(
-        scale=spd_inverse(scale_inv),
-        dof=w_prior * k + m + 1,
-        scale_inv=scale_inv,
-    )
+    if not np.isfinite(scale_inv).all():  # a NaN sigma0 can pass the Cholesky
+        raise ValueError("w_prior * k * sigma0 must be finite")
+    return WishartPrior._from_scale_inv(scale_inv, w_prior * k + m + 1)
 
 
 def assemble_M(S: np.ndarray, k: int, prior: WishartPrior | None,

@@ -115,8 +115,7 @@ class ExperimentConfig:
         for name in ("trials", "state_dim", "num_measurements", "residual_dim",
                      "outer_iterations", "baseline_iterations", "bcd_iterations",
                      "elimination_iterations"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+            nls.check_cap(name, getattr(self, name))
         self.noise_grid = tuple(self.noise_grid)
         if not self.noise_grid:
             raise ValueError("noise grid must be non-empty")

@@ -33,6 +33,11 @@ straight into that CSC.  Each damping trial adds the damping on the
 diagonal of a copy of the values and runs a numeric LU without pivoting,
 which suits ``H + damping I``, symmetric positive (semi-)definite.
 
+scipy is loaded by the first factorization, not by this module:
+``scipy.linalg`` for the dense Cholesky (LAPACK ``dpotrf``/``dpotrs``),
+``scipy.sparse.linalg`` for the sparse LU.  A gradient-only run, such as
+elimination, never loads it here.
+
 The weighted cost is ``1/2 sum_i r_i(x)^T W_{g(i)} r_i(x)`` with one weight
 matrix per noise group; any group-level scale factors are the caller's
 responsibility.
@@ -45,8 +50,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
 
 from .manifold import ActiveIndex, CutLocusError, ManifoldPoint, boxplus
 from .problem import HessianPattern, JointProblem, group_residuals
@@ -135,6 +138,8 @@ class LinearizedSystem:
             return np.zeros(0)
         p = self.pattern
         if p is not None:
+            import scipy.sparse.linalg  # loaded by the first sparse solve
+
             H = self.hessian
             data = H.data.copy()
             data[p.diagonal] += damping
@@ -154,6 +159,8 @@ class LinearizedSystem:
             return delta
         # LAPACK as scipy.linalg.cho_factor / cho_solve call it, and their
         # finiteness checks, without the rest of their per-call overhead
+        import scipy.linalg  # loaded by the first dense solve
+
         H = self.hessian + damping * np.eye(n)
         _check_finite(H)
         factor, info = scipy.linalg.lapack.dpotrf(H, lower=False, clean=False)
@@ -200,7 +207,7 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
     grad = np.zeros(index.full_dim)
     H = np.zeros(n * n + 1) if dense else None
     costs = [np.zeros(1)]
-    terms = [np.zeros(0)]
+    terms = []
     for g in problem.groups:
         Wg = np.asarray(weights[g.group_id], dtype=float)
         batches = problem.batches[g.group_id]
@@ -228,7 +235,7 @@ def build_system(problem: JointProblem, x: ManifoldPoint, weights: Mapping,
         hessian = H[:-1].reshape(n, n)
     elif with_hessian:
         pattern = problem.hessian_pattern
-        hessian = pattern.matrix(np.concatenate(terms))
+        hessian = pattern.matrix(terms)
     return LinearizedSystem(hessian, grad[:n], cost, index, pattern)
 
 

@@ -437,15 +437,15 @@ class Se2Batch(Batch):
 
     def jacobian(self, jac) -> np.ndarray:
         alpha, beta, j00, j10, j02, j12, j05, j15 = jac
-        J = np.zeros((3, 6, len(alpha)))  # entry by entry in contiguous rows
-        J[0, 0], J[1, 0] = j00, j10
-        J[0, 1], J[1, 1] = -j10, j00
-        J[0, 2], J[1, 2] = j02, j12
-        J[0, 3], J[1, 3] = -alpha, beta
-        J[0, 4], J[1, 4] = -beta, -alpha
-        J[0, 5], J[1, 5] = j05, j15
-        J[2, 2], J[2, 5] = 1.0, -1.0
-        return np.ascontiguousarray(J.transpose(2, 0, 1))
+        J = np.zeros((len(alpha), 3, 6))
+        J[:, 0, 0], J[:, 1, 0] = j00, j10
+        J[:, 0, 1], J[:, 1, 1] = -j10, j00
+        J[:, 0, 2], J[:, 1, 2] = j02, j12
+        J[:, 0, 3], J[:, 1, 3] = -alpha, beta
+        J[:, 0, 4], J[:, 1, 4] = -beta, -alpha
+        J[:, 0, 5], J[:, 1, 5] = j05, j15
+        J[:, 2, 2], J[:, 2, 5] = 1.0, -1.0
+        return J
 
     def gradient_terms(self, r: np.ndarray, jac, W: np.ndarray):
         alpha, beta, j00, j10, j02, j12, j05, j15 = jac
@@ -538,16 +538,21 @@ class HessianPattern:
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
-    def matrix(self, terms: np.ndarray):
-        """``H[q][:, q]``, CSC, from every batch's ``(D, D)`` block terms,
-        raveled in assembly order (batches in turn, each factor-major) and
-        summed in that order; terms of gauge-fixed blocks are dropped."""
+    def matrix(self, terms: list):
+        """``H[q][:, q]``, CSC, from each batch's ``(D, D)`` block terms,
+        raveled factor-major, in assembly order (batches in turn) and summed
+        in that order; terms of gauge-fixed blocks are dropped."""
         import scipy.sparse  # here, not at module level: it slows `import jointcov`
 
         n, nnz = len(self.indptr) - 1, len(self.indices)
-        scatter = np.concatenate([np.zeros(0, np.intp)] + [
-            (first[:, row_slot, :] + row_step[:, None]).ravel()
-            for first, row_slot, row_step in self.heads])
+        # one index buffer in bincount's own type, so it casts no copy
+        scatter = np.empty(sum(t.size for t in terms), dtype=np.intp)
+        at = 0
+        for (first, row_slot, row_step), t in zip(self.heads, terms):
+            np.add(first[:, row_slot, :], row_step[:, None],
+                   out=scatter[at:at + t.size].reshape(len(first), len(row_step), -1))
+            at += t.size
+        terms = terms[0] if len(terms) == 1 else np.concatenate([np.zeros(0)] + terms)
         data = np.bincount(scatter, terms, minlength=nnz)[:nnz]
         return scipy.sparse.csc_matrix((data, self.indices, self.indptr),
                                        shape=(n, n), dtype=float)
@@ -561,7 +566,7 @@ class HessianPattern:
         # order the blocks, then expand each block to its coordinates
         nb = len(starts)
         blocks = [np.searchsorted(starts, f) for f in firsts]  # gauge-fixed: nb
-        block_keys = np.unique(np.concatenate(
+        block_keys = _sorted_unique(np.concatenate(
             [_pair_keys(b, b, nb).ravel() for b in blocks] + [np.arange(nb) * (nb + 1)]))
         block_order = fill_reducing_order(*_csc_arrays(block_keys[block_keys < nb * nb], nb))
         sizes = np.diff(starts, append=n)[block_order]
@@ -572,15 +577,26 @@ class HessianPattern:
         rank[order] = np.arange(n)
         firsts = [rank[np.minimum(f, n)] for f in firsts]
         pos = [rank[np.minimum(b.positions, n)] for b in batches]
-        keys = np.unique(np.concatenate(
+        keys = _sorted_unique(np.concatenate(
             [_pair_keys(p, p, n).ravel() for p in pos] + [np.arange(n) * (n + 1)]))
         keys = keys[keys < n * n]
         heads = tuple((np.searchsorted(keys, _pair_keys(f, p, n)).astype(np.int32),
                        np.repeat(np.arange(len(b.dims)), b.dims),
-                       np.concatenate([np.arange(d) for d in b.dims]))
+                       np.concatenate([np.arange(d, dtype=np.int32) for d in b.dims]))
                       for b, f, p in zip(batches, firsts, pos))
         diagonal = np.searchsorted(keys, np.arange(n) * (n + 1)).astype(np.int32)
         return cls(*_csc_arrays(keys, n), diagonal, heads, order.astype(np.int32))
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)``, sorting ``keys`` in place: a sort and a neighbour
+    mask, where ``np.unique`` would take its hash path on integer keys, slower
+    here and leaving its hash nodes resident."""
+    keys.sort()
+    keep = np.empty(len(keys), dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _pair_keys(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:

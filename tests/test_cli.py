@@ -185,7 +185,8 @@ class TestBoundaryErrors:
                    "--output", str(tmp_path / "r.csv")])
         assert rc == 2
         name = flag[2:].replace("-", "_")
-        assert capsys.readouterr().err.splitlines() == [f"error: {name} must be >= 1"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {name} must be an int >= 1, got 0"]
 
     @settings(max_examples=150, deadline=None)
     @given(invalid_settings())

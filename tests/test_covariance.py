@@ -92,6 +92,24 @@ class TestModeMatching:
             sol = solve_inner_unconstrained(M)
             np.testing.assert_allclose(sol.covariance, blend, atol=1e-12)
 
+    def test_stores_the_exact_inverse_scale(self):
+        # V^-1 = w k sigma0 is stored; V is inverted from it on first access
+        sigma0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.5, 0.2], [0.1, 0.2, 1.0]])
+        prior = mode_match_prior(sigma0, 0.1, 37)
+        np.testing.assert_array_equal(prior.scale_inv, 0.1 * 37 * sigma0)
+        np.testing.assert_array_equal(prior.scale, spd_inverse(prior.scale_inv))
+        assert prior.m == 3
+
+    @pytest.mark.parametrize("sigma0, w_prior, k", [
+        (np.diag([1.0, np.nan]), 0.1, 10),
+        (np.diag([1.0, np.inf]), 0.1, 10),
+        (1e300 * np.eye(2), 1e10, 10),
+    ], ids=["nan", "inf", "overflow"])
+    def test_rejects_non_finite_scale_inverse(self, sigma0, w_prior, k):
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match=r"^w_prior \* k \* sigma0 must be finite$"):
+            mode_match_prior(sigma0, w_prior, k)
+
     def test_rejects_indefinite_sigma0(self):
         with pytest.raises(NotPositiveDefiniteError):
             mode_match_prior(np.diag([1.0, -1.0]), 0.1, 10)
@@ -119,8 +137,9 @@ class TestWishartPrior:
 
     def test_scale_inverse_computed_when_not_given(self):
         scale = np.array([[2.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(WishartPrior(scale, 3.0).scale_inv @ scale, np.eye(2),
-                                   atol=1e-15)
+        prior = WishartPrior(scale, 3.0)
+        np.testing.assert_allclose(prior.scale_inv @ scale, np.eye(2), atol=1e-15)
+        np.testing.assert_array_equal(prior.scale, scale)  # kept as given
 
 
 class TestAssembleM:

@@ -1,10 +1,14 @@
 import csv
 import json
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from conftest import one_row_sets, origin
 
+import jointcov
 from jointcov import joint
 from jointcov.covariance import UnboundedProblem
 from jointcov.harness import (
@@ -174,6 +178,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize("name", ["trials", "state_dim", "num_measurements", "residual_dim",
+                                      "outer_iterations", "baseline_iterations",
+                                      "bcd_iterations", "elimination_iterations"])
+    def test_integer_settings_must_be_ints(self, name, value):
+        # caught at construction, not by the first solver that reads it
+        with pytest.raises(ValueError, match=f"^{name} must be an int >= 1, got {value!r}$"):
+            ExperimentConfig(**{name: value})
+
     def test_base_covariance_fixed_by_seed(self):
         a = base_covariance(3, 5)
         b = base_covariance(3, 5)
@@ -328,3 +341,50 @@ class TestTrialFailures:
         monkeypatch.setattr(joint, solver, unbounded)
         (record,) = run(cfg)
         assert record.status == "error: UnboundedProblem: singular"
+
+
+_SCIPY_PROBE = """
+import json, sys
+sys.path.insert(0, {src!r})
+
+def scipy_modules():
+    return sorted(m for m in ("scipy", "scipy.linalg", "scipy.sparse") if m in sys.modules)
+
+import numpy as np
+import jointcov
+from jointcov import harness, io_pgo, joint
+from jointcov.covariance import mode_match_prior, spd_inverse
+from jointcov.problem import NoiseGroup
+
+loaded = {{"import": scipy_modules()}}
+noise = io_pgo.SyntheticNoiseSpec({{io_pgo.ODOMETRY: np.diag([1000.0, 1000.0, 800.0]),
+                                   io_pgo.LOOP: np.diag([100.0, 200.0, 150.0])}}, seed=3)
+graph, _ = io_pgo.generate_manhattan_like(60, "nearby", noise, trajectory_seed=1)
+groups = [NoiseGroup(kind, 3, "map-eig", bounds=(1e-4, 1e4),
+                     prior=mode_match_prior(0.002 * np.eye(3), 0.1,
+                                            len(graph.edges_of_kind(kind))))
+          for kind in (io_pgo.ODOMETRY, io_pgo.LOOP)]
+result = joint.run_elimination(
+    io_pgo.pose_graph_problem(graph, groups), io_pgo.spanning_tree_init(graph),
+    joint.JointConfig(algorithm=joint.ELIMINATION, max_outer_iterations=5))
+assert result.iterations >= 1 and np.isfinite(result.objective)
+loaded["elimination"] = scipy_modules()
+records = harness.run_linear_mc(harness.ExperimentConfig(trials=1, noise_grid=(1.0,)))
+assert records and all(r.status == "ok" for r in records)
+loaded["linear-mc"] = scipy_modules()
+prior = groups[0].prior  # V, inverted from the stored V^-1 on first access
+loaded["scale"] = prior.scale.tobytes() == spd_inverse(prior.scale_inv).tobytes()
+print(json.dumps(loaded))
+"""
+
+
+def test_scipy_loads_only_where_a_solve_factorizes():
+    # a fresh interpreter: importing the library, and a MAP elimination
+    # (eigenvalue-bounded P updates, no factorization) load no scipy; a
+    # linear-mc trial factorizes dense normal equations only; a mode-matched
+    # prior's V is the one spd_inverse gives
+    src = str(pathlib.Path(jointcov.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", _SCIPY_PROBE.format(src=src)],
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"import": [], "elimination": [],
+                               "linear-mc": ["scipy", "scipy.linalg"], "scale": True}
