@@ -30,6 +30,7 @@ _INT_KEYS = _keys_of_type("int")
 _FLOAT_KEYS = _keys_of_type("float")
 _BOOL_KEYS = _keys_of_type("bool")
 _CONFIG_KEYS = {f.name for f in dataclasses.fields(ExperimentConfig)}
+_ESTIMATED_VARIANTS = sorted(set(VARIANTS) - {"fixed"})
 _BOOL_WORDS = {"1": True, "true": True, "yes": True,
                "0": False, "false": False, "no": False}
 
@@ -157,8 +158,7 @@ def _build_parser():
     p = sub.add_parser("solve", help="jointly solve one SE(2) g2o dataset")
     p.add_argument("--input", required=True, help="g2o file")
     p.add_argument("--classes", help="edge-class override file (i j odometry|loop)")
-    p.add_argument("--variant", default="ml-eig",
-                   choices=sorted(set(VARIANTS) - {"fixed"}))
+    p.add_argument("--variant", default="ml-eig", choices=_ESTIMATED_VARIANTS)
     p.add_argument("--algorithm", default=joint.HYBRID_BCD,
                    choices=joint.ALGORITHMS)
     _add_prior_and_bounds(p)
@@ -172,7 +172,7 @@ def _build_parser():
     p.add_argument("--ground-truth", required=True,
                    help="g2o file whose vertices are the true poses")
     p.add_argument("--classes", help="edge-class override file")
-    p.add_argument("--variant", default="ml")
+    p.add_argument("--variant", default="ml", choices=_ESTIMATED_VARIANTS)
     _add_prior_and_bounds(p)
     p.add_argument("--output", help="write covariance estimates as JSON")
     return parser

@@ -169,20 +169,18 @@ class WishartPrior:
         return self.scale_inv.shape[0]
 
 
-def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
-                     m: int | None = None) -> WishartPrior:
+def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int) -> WishartPrior:
     """Build a Wishart prior whose mode equals ``sigma0^-1``.
 
-    ``V = (w_prior * k * sigma0)^-1`` and ``nu = w_prior * k + m + 1``; the
-    resulting unconstrained optimum blends prior and sample covariance as
-    ``sigma* = w/(w+1) * sigma0 + 1/(w+1) * S``.  ``V^-1`` is exact and
-    nothing is inverted.
+    ``V = (w_prior * k * sigma0)^-1`` and ``nu = w_prior * k + m + 1`` for
+    the m x m ``sigma0``; the resulting unconstrained optimum blends prior
+    and sample covariance as ``sigma* = w/(w+1) * sigma0 + 1/(w+1) * S``.
+    ``V^-1`` is exact and nothing is inverted.
     """
+    sigma0 = np.asarray(sigma0, dtype=float)
+    if sigma0.ndim != 2 or sigma0.shape[0] != sigma0.shape[1]:
+        raise ValueError(f"sigma0 must be a square matrix, got shape {sigma0.shape}")
     sigma0 = symmetrize(sigma0)
-    if m is None:
-        m = sigma0.shape[0]
-    elif sigma0.shape != (m, m):
-        raise ValueError("sigma0 shape does not match m")
     if not 0.0 < w_prior < np.inf:  # also rejects NaN
         raise ValueError(f"w_prior must be finite and > 0, got {w_prior!r}")
     if k < 1:
@@ -192,22 +190,19 @@ def mode_match_prior(sigma0: np.ndarray, w_prior: float, k: int,
     scale_inv = w_prior * k * sigma0
     if not np.isfinite(scale_inv).all():  # a NaN sigma0 can pass the Cholesky
         raise ValueError("w_prior * k * sigma0 must be finite")
-    return WishartPrior._from_scale_inv(scale_inv, w_prior * k + m + 1)
+    return WishartPrior._from_scale_inv(scale_inv, w_prior * k + len(sigma0) + 1)
 
 
-def assemble_M(S: np.ndarray, k: int, prior: WishartPrior | None,
-               m: int | None = None) -> np.ndarray:
+def assemble_M(S: np.ndarray, k: int, prior: WishartPrior | None) -> np.ndarray:
     """Prior-blended second moment ``M = (k S + V^-1) / (k + nu - m - 1)``.
 
     Without a prior this is the pure likelihood case and ``M = S`` (possibly
-    singular).  ``gamma = k + nu - m - 1`` must be positive.
+    singular).  ``gamma = k + nu - m - 1``, with m x m ``S``, must be > 0.
     """
     S = symmetrize(S)
-    if m is None:
-        m = S.shape[0]
     if prior is None:
         return S
-    gamma = k + prior.dof - m - 1
+    gamma = k + prior.dof - S.shape[0] - 1
     if gamma <= 0.0:
         raise ValueError(f"normalization k + nu - m - 1 = {gamma} must be > 0")
     return symmetrize((k * S + prior.scale_inv) / gamma)

@@ -42,7 +42,7 @@ from .covariance import (
 )
 from .io_pgo import LOOP, ODOMETRY, SyntheticNoiseSpec, counter_rng
 from .manifold import CutLocusError, ManifoldPoint, ManifoldSpec, euclidean_block
-from .problem import JointProblem, NoiseGroup, linear_set
+from .problem import JointProblem, NoiseGroup, check_cap, linear_set
 
 RESULT_COLUMNS = (
     "experiment", "trial", "seed", "algorithm", "noise_level",
@@ -115,7 +115,7 @@ class ExperimentConfig:
         for name in ("trials", "state_dim", "num_measurements", "residual_dim",
                      "outer_iterations", "baseline_iterations", "bcd_iterations",
                      "elimination_iterations"):
-            nls.check_cap(name, getattr(self, name))
+            check_cap(name, getattr(self, name))
         self.noise_grid = tuple(self.noise_grid)
         if not self.noise_grid:
             raise ValueError("noise grid must be non-empty")
@@ -355,14 +355,14 @@ def _pgo_noise_spec(config: ExperimentConfig, alpha: float, seed: int,
 
 
 def pose_graph_setup(graph, config: ExperimentConfig, variant: str,
-                     algorithm: str = joint.HYBRID_BCD, fixed_info=None):
+                     algorithm: str = joint.HYBRID_BCD):
     """The pose-graph problem, with ``config``'s noise model, and the
     :class:`joint.JointConfig` of ``algorithm`` at its outer iteration cap.
 
     One group per edge class when heteroscedastic, else one for all edges,
-    each of ``variant`` with ``config``'s eigenvalue bounds and, for MAP
-    variants, a Wishart prior; ``fixed_info(name)``, if given, fixes each
-    group's information instead.
+    each an estimated ``variant`` with ``config``'s eigenvalue bounds and,
+    for MAP variants, a Wishart prior.  A fixed-weight baseline solves the
+    ``ml`` problem with its weights passed explicitly.
     """
     if config.heteroscedastic:
         class_counts = {ODOMETRY: len(graph.edges_of_kind(ODOMETRY)),
@@ -371,9 +371,6 @@ def pose_graph_setup(graph, config: ExperimentConfig, variant: str,
         class_counts = {"all": len(graph.edges)}
     groups = []
     for name, count in class_counts.items():
-        if fixed_info is not None:
-            groups.append(NoiseGroup(name, 3, "fixed", information=fixed_info(name)))
-            continue
         prior = None
         if variant.startswith("map"):
             prior = mode_match_prior(config.sigma0 * np.eye(3), config.w_prior, count)
@@ -454,10 +451,9 @@ def _run_pgo_algorithm(config, algorithm, graph, truth, x_init, noise,
                        trial, alpha) -> TrialRecord:
     def solve():
         if algorithm in BASELINES:
-            fixed_info = (noise.information_for if algorithm == "fixed-true"
-                          else lambda name: np.eye(3))
-            problem, _ = pose_graph_setup(graph, config, "fixed", fixed_info=fixed_info)
-            weights = {g.group_id: g.information for g in problem.groups}
+            problem, _ = pose_graph_setup(graph, config, "ml")
+            weights = {g.group_id: noise.information_for(g.group_id)
+                       if algorithm == "fixed-true" else np.eye(3) for g in problem.groups}
             return _solve_fixed(problem, x_init, weights, config.baseline_iterations)
         problem, jcfg = pose_graph_setup(graph, config, _PGO_VARIANTS[algorithm])
         return _solve_joint(problem, x_init, jcfg)

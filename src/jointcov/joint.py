@@ -52,7 +52,7 @@ from .covariance import (
 )
 from .manifold import CutLocusError, ManifoldPoint, boxplus
 from .nls import NlsConfig
-from .problem import JointProblem, NoiseGroup, residual_covariance, sample_covariance
+from .problem import JointProblem, NoiseGroup, check_cap, residual_covariance, sample_covariance
 
 ELIMINATION = "elimination"
 HYBRID_BCD = "hybrid-bcd"
@@ -76,7 +76,7 @@ class JointConfig:
     f_tol: float = 1e-9  # relative change of F, two consecutive iterations
 
     def __post_init__(self):
-        nls.check_cap("max_outer_iterations", self.max_outer_iterations)
+        check_cap("max_outer_iterations", self.max_outer_iterations)
         if not 0 <= self.f_tol < np.inf:  # also rejects NaN
             raise ValueError(f"f_tol must be finite and >= 0, got {self.f_tol!r}")
         if self.algorithm not in ALGORITHMS:
@@ -129,8 +129,8 @@ def second_moments(problem: JointProblem, x: ManifoldPoint,
     for g in problem.groups:
         S = (sample_covariance(problem, x, g.group_id) if residuals is None
              else residual_covariance(problem, g.group_id, residuals[g.group_id]))
-        M[g.group_id] = (assemble_M(S, problem.group_sizes[g.group_id],
-                                    g.prior, g.m) if g.estimator == "map" else S)
+        M[g.group_id] = (assemble_M(S, problem.group_sizes[g.group_id], g.prior)
+                         if g.estimator == "map" else S)
     return M
 
 
@@ -242,9 +242,13 @@ def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
             if res.lm_failure:
                 flags.add(FLAG_LM_FAILURE)
         elif config.nls.step_mode == nls.RIEMANNIAN_GD:
-            x, grad_proxy = nls.step_once(problem, x, weights)
+            x, grad_proxy, stalled = nls.step_once(problem, x, weights)
+            if stalled:
+                flags.add(FLAG_LINE_SEARCH_FAILURE)
         else:
             x, grad_proxy, accepted, residuals = nls._lm_step(problem, x, weights, damping)
+            if accepted is None:
+                flags.add(FLAG_LM_FAILURE)
             damping = 0.0 if accepted == 0.0 else nls.DAMPING_INIT
 
         x_done = clock()
@@ -285,6 +289,8 @@ def run_hybrid_bcd(problem: JointProblem, x_init: ManifoldPoint,
     iteration (the default) or a backtracking Riemannian gradient step.  An
     LM x-step tries the undamped step first only if the previous one accepted
     it (the first always does), else starts at :data:`nls.DAMPING_INIT`.
+    A stalled x-step keeps x and sets :data:`FLAG_LM_FAILURE` or
+    :data:`FLAG_LINE_SEARCH_FAILURE`.
     """
     config = config or JointConfig(algorithm=HYBRID_BCD)
     return _run_bcd(problem, x_init, config, exact=False)

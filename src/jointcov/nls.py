@@ -52,7 +52,7 @@ from typing import Mapping
 import numpy as np
 
 from .manifold import ActiveIndex, CutLocusError, ManifoldPoint, boxplus
-from .problem import HessianPattern, JointProblem, group_residuals
+from .problem import HessianPattern, JointProblem, check_cap, group_residuals
 
 SINGLE_ITERATION = "single-iteration"
 RIEMANNIAN_GD = "riemannian-gd"
@@ -85,12 +85,6 @@ _LU_RELAX = 1
 def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm: ``np.linalg.norm``'s formula, without its overhead."""
     return math.sqrt(v @ v)
-
-
-def check_cap(name: str, value) -> None:
-    """Reject an iteration cap that is not an int >= 1 (a bool is not one)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
 
 
 @dataclass
@@ -333,25 +327,26 @@ def solve_fixed_P(problem: JointProblem, x_init: ManifoldPoint,
 
 
 def step_once(problem: JointProblem, x: ManifoldPoint,
-              weights: Mapping) -> tuple[ManifoldPoint, float]:
+              weights: Mapping) -> tuple[ManifoldPoint, float, bool]:
     """One Riemannian gradient-descent step on x at fixed weights: a step
     along the negative gradient in the local chart, with Armijo
     backtracking from step 1.
 
-    Returns the new point (x itself on stall) and the gradient norm at x.
+    Returns the new point (x itself on stall), the gradient norm at x, and
+    whether the Armijo search ran out.
     """
     system = build_system(problem, x, weights, with_hessian=False)
     g = system.gradient
     g_sq = float(g @ g)
     if g_sq == 0.0:
-        return x, 0.0
+        return x, 0.0, False
     t = 1.0
     while t > 1e-20:
         x_new = boxplus(x, system.index.scatter(-t * g))
         if _try_cost(problem, x_new, weights) <= system.cost - _ARMIJO_C * t * g_sq:
-            return x_new, system.gradient_norm
+            return x_new, system.gradient_norm, False
         t *= _ARMIJO_SHRINK
-    return x, system.gradient_norm
+    return x, system.gradient_norm, True
 
 
 def _lm_step(problem: JointProblem, x: ManifoldPoint, weights: Mapping, damping: float):

@@ -80,6 +80,12 @@ def variant_parts(variant: str) -> tuple[str, str]:
     return estimator, constraint
 
 
+def check_cap(name: str, value) -> None:
+    """Reject a count that is not an int >= 1 (a bool is not one)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+
+
 def _read_only(values, dtype, shape=None) -> np.ndarray:
     """``values`` as a read-only array (of ``shape``); writable input is copied."""
     out = np.asarray(values, dtype=dtype)
@@ -214,11 +220,11 @@ def relative_se2_set(a, b, z, group_id, preprocess_jacobian=None) -> FactorSet:
 class NoiseGroup:
     """One measurement type: residual dimension, variant, prior, bounds.
 
-    ``information`` is the group's current information matrix: the fixed
-    weight for the ``fixed`` variant and the initial value otherwise
-    (defaults to identity).  Eigenvalue-constrained variants require
-    ``bounds = (lam_min, lam_max)`` with ``lam_max >= lam_min > 0``; MAP
-    variants require a Wishart prior.
+    ``m`` is an int >= 1.  ``information`` is the ``fixed`` variant's weight
+    (defaults to identity); an estimated group takes none, since every
+    driver starts from the P update at its start.  Eigenvalue-constrained
+    variants require ``bounds = (lam_min, lam_max)`` with ``lam_max >=
+    lam_min > 0``; MAP variants require a Wishart prior.
     """
 
     group_id: Hashable
@@ -231,6 +237,7 @@ class NoiseGroup:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown noise-group variant {self.variant!r}")
+        check_cap(f"group {self.group_id!r}: m", self.m)
         estimator, constraint = variant_parts(self.variant)
         if estimator == "map" and self.prior is None:
             raise ValueError(f"group {self.group_id!r}: MAP variants need a prior")
@@ -244,21 +251,18 @@ class NoiseGroup:
             lam_min, lam_max = self.bounds
             if not (0.0 < lam_min <= lam_max):
                 raise ValueError("bounds must satisfy 0 < lam_min <= lam_max")
-        P = self.information
-        if P is None:
-            P = np.eye(self.m)
-        P = symmetrize(np.asarray(P, dtype=float))
+        if estimator != "fixed":
+            if self.information is not None:
+                raise ValueError(f"group {self.group_id!r}: only the fixed variant takes "
+                                 f"an information matrix, not {self.variant!r}")
+            return
+        P = symmetrize(np.eye(self.m) if self.information is None else self.information)
         if P.shape != (self.m, self.m):
             raise ValueError("information matrix shape does not match m")
         if not np.all(np.isfinite(P)):
             raise ValueError(f"group {self.group_id!r}: information matrix is not finite")
         if cholesky_or_none(P) is None:
             raise ValueError("information matrix must be positive definite")
-        if self.bounds is not None and self.variant != "fixed":
-            lam_min, lam_max = self.bounds
-            sigma_eigs = 1.0 / np.linalg.eigvalsh(P)
-            if sigma_eigs.min() < lam_min * (1 - 1e-9) or sigma_eigs.max() > lam_max * (1 + 1e-9):
-                raise ValueError("initial covariance eigenvalues violate the bounds")
         object.__setattr__(self, "information", P)
 
     @property

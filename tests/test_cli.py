@@ -116,6 +116,14 @@ class TestPgoCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: line 2: information takes a class")
 
+    def test_bounds_below_one(self, tmp_path):
+        out = tmp_path / "pgo.csv"
+        assert main(["pgo", "--trials", "1", "--num-poses", "40", "--alpha-grid", "5",
+                     "--lam-max", "0.5", "--output", str(out)]) == 0
+        records = read_rows(out)
+        assert len(records) == len(harness.PGO_ALGORITHMS)
+        assert all(r["status"] == "ok" for r in records)
+
     def test_dataset_input(self, small_graph_files, tmp_path):
         noisy, gt = small_graph_files
         out = tmp_path / "pgo.csv"
@@ -248,6 +256,21 @@ class TestSolveCommand:
         edges = [line for line in noisy.read_text().splitlines() if line.startswith("EDGE_SE2")]
         assert out_graph.read_text() == "\n".join(vertices + edges) + "\n"
 
+    @pytest.mark.parametrize("bounds", [["--lam-max", "0.5"],
+                                        ["--lam-min", "2", "--lam-max", "100"]],
+                             ids=["below-one", "above-one"])
+    def test_bounds_that_exclude_one(self, small_graph_files, tmp_path, capsys, bounds):
+        """No group starts from the identity, so its eigenvalue 1 need not
+        lie in the bounds; the estimate's eigenvalues do."""
+        noisy, _ = small_graph_files
+        out_cov = tmp_path / "cov.json"
+        assert main(["solve", "--input", str(noisy), *bounds,
+                     "--output-covariance", str(out_cov)]) == 0
+        cov = np.asarray(json.loads(out_cov.read_text())["all"]["covariance"])
+        lam_min = float(bounds[1]) if bounds[0] == "--lam-min" else 1e-4
+        eigs = np.linalg.eigvalsh(cov)
+        assert lam_min * (1 - 1e-9) <= eigs.min() and eigs.max() <= float(bounds[-1]) * (1 + 1e-9)
+
 
 @pytest.fixture
 def noise_free_graph(tmp_path):
@@ -285,6 +308,17 @@ class TestCalibrateCommand:
         true_cov = np.linalg.inv(np.diag([100.0, 200.0, 150.0]))
         # calibration at the exact ground truth: close in relative terms
         assert np.abs(np.diag(cov) - np.diag(true_cov)).max() <= 0.5 * true_cov.max()
+
+    @pytest.mark.parametrize("command", ["solve", "calibrate"])
+    @pytest.mark.parametrize("variant", ["fixed", "ml-eigg"])
+    def test_variant_takes_the_estimated_choices(self, small_graph_files, capsys,
+                                                 command, variant):
+        noisy, gt = small_graph_files
+        truth = ["--ground-truth", str(gt)] if command == "calibrate" else []
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--input", str(noisy), *truth, "--variant", variant])
+        assert exit_info.value.code == 2
+        assert f"--variant: invalid choice: '{variant}'" in capsys.readouterr().err
 
     def test_vertex_count_mismatch_fails(self, small_graph_files, tmp_path):
         noisy, _ = small_graph_files

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -113,6 +115,13 @@ class TestModeMatching:
     def test_rejects_indefinite_sigma0(self):
         with pytest.raises(NotPositiveDefiniteError):
             mode_match_prior(np.diag([1.0, -1.0]), 0.1, 10)
+
+    @pytest.mark.parametrize("sigma0", [np.ones((2, 3)), np.ones(3), 1.0])
+    def test_rejects_non_square_sigma0(self, sigma0):
+        shape = np.shape(sigma0)
+        with pytest.raises(ValueError, match=f"^sigma0 must be a square matrix, got shape "
+                                             f"{re.escape(str(shape))}$"):
+            mode_match_prior(sigma0, 0.1, 10)
 
     @pytest.mark.parametrize("w_prior", [np.nan, np.inf, 0.0, -1.0])
     def test_rejects_bad_w_prior(self, w_prior):

@@ -18,7 +18,13 @@ from jointcov.joint import (
     run_elimination,
     run_hybrid_bcd,
 )
-from jointcov.manifold import ManifoldPoint, ManifoldSpec, boxplus, euclidean_block
+from jointcov.manifold import (
+    CutLocusError,
+    ManifoldPoint,
+    ManifoldSpec,
+    boxplus,
+    euclidean_block,
+)
 from jointcov.nls import RIEMANNIAN_GD, NlsConfig
 from jointcov.problem import JointProblem, NoiseGroup, linear_set, sample_covariance
 
@@ -336,6 +342,100 @@ class TestHybridBcd:
             sigma_eigs = 1.0 / eigs
             assert sigma_eigs.min() >= 1e-4 - 1e-12
             assert sigma_eigs.max() <= 1e4 + 1e-12
+
+
+class TestStalledXSteps:
+    """An x-step that finds no acceptable point keeps x and flags the run."""
+
+    @pytest.mark.parametrize("run, config", [
+        (run_hybrid_bcd, JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4)),
+        (run_block_exact_bcd, JointConfig(max_outer_iterations=4)),
+    ], ids=["hybrid", "block-exact"])
+    def test_lm_stall_is_flagged(self, monkeypatch, run, config):
+        rng = np.random.default_rng(40)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        monkeypatch.setattr(nls.LinearizedSystem, "solve_damped", lambda system, d: None)
+        res = run(pb, x0, config)
+        assert res.flags == {joint_module.FLAG_LM_FAILURE}
+        np.testing.assert_array_equal(res.x.vector, x0.vector)
+
+    def test_armijo_stall_is_flagged(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        monkeypatch.setattr(nls, "_try_cost", lambda *args: np.inf)
+        res = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4,
+                                                 nls=NlsConfig(step_mode=RIEMANNIAN_GD)))
+        assert res.flags == {joint_module.FLAG_LINE_SEARCH_FAILURE}
+        np.testing.assert_array_equal(res.x.vector, x0.vector)
+
+    def test_accepted_steps_raise_no_flag(self):
+        rng = np.random.default_rng(42)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        for step_mode in (nls.SINGLE_ITERATION, RIEMANNIAN_GD):
+            res = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD,
+                                                     max_outer_iterations=4,
+                                                     nls=NlsConfig(step_mode=step_mode)))
+            assert res.flags == frozenset()
+
+
+def failing_boxplus(monkeypatch, failures):
+    """Patch the retraction elimination's line search takes so that its first
+    ``failures`` calls raise CutLocusError; returns the tangent of every call."""
+    tangents = []
+
+    def retract(x, tangent):
+        tangents.append(tangent)
+        if len(tangents) <= failures:
+            raise CutLocusError("trial at the cut locus")
+        return boxplus(x, tangent)
+
+    monkeypatch.setattr(joint_module, "boxplus", retract)
+    return tangents
+
+
+class TestEliminationLineSearch:
+    def test_non_descent_direction_resets_to_steepest_descent(self, monkeypatch):
+        # an ascent direction clears the curvature pairs and steps along -g
+        rng = np.random.default_rng(43)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        kept = []
+
+        def ascent(memory, g):
+            kept.append(len(memory))
+            return g.copy()
+
+        monkeypatch.setattr(joint_module, "_two_loop_direction", ascent)
+        res = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                  max_outer_iterations=5))
+        assert res.iterations == 5 and not res.flags
+        # cleared at every iteration, so at most the last step's pair is kept
+        assert len(kept) == 5 and max(kept) == 1
+        values = [t.objective for t in res.trace]
+        assert all(b < a for a, b in zip(values, values[1:]))
+
+    def test_cut_locus_trial_halves_the_step(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        reference = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                        max_outer_iterations=1))
+        tangents = failing_boxplus(monkeypatch, failures=1)
+        res = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                  max_outer_iterations=1))
+        np.testing.assert_array_equal(tangents[1], 0.5 * tangents[0])
+        assert res.iterations == 1 and not res.flags
+        assert res.objective < res.trace[0].objective
+        assert not np.array_equal(res.x.vector, reference.x.vector)
+
+    def test_exhausted_line_search_is_flagged(self, monkeypatch):
+        rng = np.random.default_rng(45)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        tangents = failing_boxplus(monkeypatch, failures=np.inf)
+        res = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                  max_outer_iterations=5))
+        assert len(tangents) == 60
+        assert res.flags == {joint_module.FLAG_LINE_SEARCH_FAILURE}
+        assert res.iterations == 1 and not res.converged and len(res.trace) == 1
+        np.testing.assert_array_equal(res.x.vector, x0.vector)
 
 
 class TestElimination:

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jointcov.manifold import (
+    CutLocusError,
     ManifoldPoint,
     ManifoldSpec,
     euclidean_block,
@@ -455,3 +456,59 @@ class TestCompiledSparseSolve:
             result = solve_fixed_P(pb, x0, W)
             assert result.iterations > 1
             assert compile_.call_count == order.call_count == 1
+
+
+class TestFailurePaths:
+    """Stalls and rejected trials, forced by patching what they guard."""
+
+    def test_non_finite_sparse_step_gives_none(self):
+        pb, _ = chain_problem(n=30, noise=0.05)
+        with patch.object(nls, "DENSE_THRESHOLD", 1):
+            system = build_system(pb, origin(pb.manifold), {"g": np.eye(3)})
+        assert system.pattern is not None
+        assert system.solve_damped(1.0) is not None
+        system.gradient = system.gradient.copy()
+        system.gradient[4] = np.nan
+        assert system.solve_damped(1.0) is None
+
+    def test_cut_locus_trials_cost_inf_and_stall_the_solve(self):
+        # every trial's residuals land on the cut locus: each costs +inf,
+        # no damping is accepted, and the solve returns its start
+        pb, _ = chain_problem(noise=0.1)
+        x0 = origin(pb.manifold)
+        W = {"g": np.eye(3)}
+
+        def on_cut_locus(*args):
+            raise CutLocusError("trial at the cut locus")
+
+        with patch.object(nls, "group_residuals", on_cut_locus):
+            assert nls._try_cost(pb, x0, W) == np.inf
+            result = solve_fixed_P(pb, x0, W)
+        assert result.lm_failure and not result.converged
+        assert result.iterations == 1
+        np.testing.assert_array_equal(result.x.poses, x0.poses)
+
+    def test_lm_stall_keeps_the_point(self, monkeypatch):
+        pb, _ = chain_problem(noise=0.1)
+        x0 = origin(pb.manifold)
+        W = {"g": np.eye(3)}
+        dampings = []
+
+        def fails(system, damping):
+            dampings.append(damping)
+
+        monkeypatch.setattr(nls.LinearizedSystem, "solve_damped", fails)
+        x1, grad_norm, accepted, residuals = nls._lm_step(pb, x0, W, 0.0)
+        assert x1 is x0 and accepted is None and residuals is None
+        assert grad_norm > 0
+        # 0, then DAMPING_INIT times DAMPING_FACTOR**i up to DAMPING_MAX
+        assert dampings[:2] == [0.0, nls.DAMPING_INIT] and dampings[-1] <= nls.DAMPING_MAX
+        assert dampings[-1] * nls.DAMPING_FACTOR > nls.DAMPING_MAX
+
+    def test_exhausted_armijo_search_is_reported(self, monkeypatch):
+        pb, _ = chain_problem(noise=0.1)
+        x0 = origin(pb.manifold)
+        assert step_once(pb, x0, {"g": np.eye(3)})[2] is False
+        monkeypatch.setattr(nls, "_try_cost", lambda *args: np.inf)
+        x1, grad_norm, stalled = step_once(pb, x0, {"g": np.eye(3)})
+        assert x1 is x0 and grad_norm > 0 and stalled

@@ -1,3 +1,4 @@
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -25,6 +26,7 @@ from jointcov.nls import build_system, weighted_cost
 from jointcov.problem import (
     _DALPHA_SERIES_ANGLE,
     RELATIVE_SE2,
+    VARIANTS,
     JointProblem,
     LinearBatch,
     NoiseGroup,
@@ -638,9 +640,45 @@ class TestValidation:
         {"bounds": (np.nan, 1.0)},
     ], ids=["information-nan", "information-inf", "bounds-inf", "bounds-nan"])
     def test_non_finite_group_rejected(self, kwargs):
-        variant = "ml-eig" if "bounds" in kwargs else "ml"
+        variant = "ml-eig" if "bounds" in kwargs else "fixed"
         with pytest.raises(ValueError, match="finite"):
             NoiseGroup("g", 3, variant, **kwargs)
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "fixed"])
+    def test_estimated_group_takes_no_information(self, variant):
+        kwargs = {"prior": mode_match_prior(np.eye(3), 0.1, 10)} if "map" in variant else {}
+        with pytest.raises(ValueError, match="^group 'g': only the fixed variant takes "
+                                             f"an information matrix, not '{variant}'$"):
+            NoiseGroup("g", 3, variant, bounds=(1e-4, 1e4), information=np.eye(3), **kwargs)
+
+    @pytest.mark.parametrize("m", [0, -1, 2.5, True, np.float64(3.0)])
+    @pytest.mark.parametrize("variant", ["ml", "fixed"])
+    def test_group_dimension_must_be_a_positive_int(self, m, variant):
+        message = f"group 'g': m must be an int >= 1, got {m!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            NoiseGroup("g", m, variant)
+
+    def test_fixed_group_defaults_to_identity(self):
+        g = NoiseGroup("g", 3, "fixed")
+        np.testing.assert_array_equal(g.information, np.eye(3))
+        assert NoiseGroup("g", 2, "ml").information is None
+
+    @pytest.mark.parametrize("information, message", [
+        (np.eye(2), "information matrix shape does not match m"),
+        (np.diag([1.0, -1.0, 1.0]), "information matrix must be positive definite"),
+    ], ids=["shape", "not-pd"])
+    def test_fixed_group_information_checked(self, information, message):
+        with pytest.raises(ValueError, match=message):
+            NoiseGroup("g", 3, "fixed", information=information)
+
+    @pytest.mark.parametrize("bounds", [(1e-4, 0.5), (2.0, 100.0), (3.0, 3.0)])
+    @pytest.mark.parametrize("variant", ["ml-eig", "ml-diag-eig", "map-eig"])
+    def test_bounds_need_not_contain_one(self, bounds, variant):
+        """The identity is no start of any driver, so bounds that exclude
+        its eigenvalue 1 are accepted."""
+        prior = mode_match_prior(np.eye(3), 0.1, 10) if variant.startswith("map") else None
+        g = NoiseGroup("g", 3, variant, prior=prior, bounds=bounds)
+        assert g.bounds == bounds and g.information is None
 
     @pytest.mark.parametrize("make_set, message", [
         (lambda: linear_set("x", np.ones((1, 3, 2)), np.zeros((1, 3)), "g"),
