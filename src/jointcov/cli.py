@@ -251,6 +251,8 @@ def _dispatch(args) -> int:
               f"{len(graph.edges)} edges")
         print(f"objective {result.objective:.6f} after {result.iterations} "
               f"iterations (converged: {result.converged})")
+        if result.flags:
+            print(f"flags: {', '.join(sorted(result.flags))}")
         for gid, P in result.information.items():
             sigma = np.linalg.inv(P)
             print(f"group {gid}: estimated covariance diag "

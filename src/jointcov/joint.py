@@ -26,7 +26,7 @@ residuals of the linearization its gradient uses.
 per half-step, with F after it, the latest gradient norm and the wall time
 the half-step took.  A BCD ``p-step`` entry's time covers ``M_g`` at the new
 x, the P update and F at the new P; its ``x-step`` entry takes the rest of
-the iteration.
+the iteration.  A :class:`_Run` keeps a driver's trace, flags and stop rule.
 
 The x-dependent part of F is ``sum_g s_g sum_{i in g} ||r_i||^2_{P_g}`` with
 ``s_g = 1/(k_g + nu_g - m_g - 1)`` for MAP groups and ``1/k_g`` otherwise,
@@ -95,6 +95,11 @@ class TracePoint(NamedTuple):
 
 @dataclass
 class JointResult:
+    """x, P and F where a driver stopped.  ``converged``: the stop rule of
+    :class:`_Run` ended the run, not the cap or a stall.  ``flags``: a P
+    update met an eigenvalue bound (:data:`FLAG_BOUND_HIT`), or an x-step's
+    search ran out (``FLAG_LM_FAILURE``, ``FLAG_LINE_SEARCH_FAILURE``)."""
+
     x: ManifoldPoint
     information: dict
     objective: float
@@ -190,92 +195,107 @@ def calibrate(problem: JointProblem, x_true_cal: ManifoldPoint) -> dict:
     return P
 
 
-class _Convergence:
-    """Declares convergence after two consecutive small relative F changes."""
+class _Run:
+    """One driver run's clock, trace, flags and stop rule.
 
-    def __init__(self, f_tol: float):
-        self.f_tol = f_tol
-        self.prev = None
-        self.streak = 0
+    The run converges once two consecutive iterations each change F by at
+    most ``f_tol * (1 + |F|)``, or the traced gradient norm is at most
+    ``grad_tol`` (elimination's exit; BCD traces only a proxy).  It ends
+    unconverged at the cap, or where its driver breaks off at a stall: an
+    x-step that accepts no point, counted as an iteration but not traced.
+    """
 
-    def update(self, value: float) -> bool:
-        if self.prev is not None:
-            if abs(value - self.prev) <= self.f_tol * (1.0 + abs(value)):
-                self.streak += 1
-            else:
-                self.streak = 0
-        self.prev = value
-        return self.streak >= 2
+    def __init__(self, config: JointConfig, grad_tol: float = -np.inf):
+        self.cap, self.f_tol, self.grad_tol = config.max_outer_iterations, config.f_tol, grad_tol
+        self.last = time.perf_counter()
+        self.trace: list[TracePoint] = []
+        self.flags: set = set()
+        self.iterations = self.streak = 0
+        self.previous = np.nan  # the first F compares with nothing
+        self.converged = False
+
+    def lap(self) -> float:
+        """Milliseconds since the previous lap, or since the run began."""
+        now = time.perf_counter()
+        elapsed, self.last = (now - self.last) * 1e3, now
+        return elapsed
+
+    def record(self, phase: str, objective: float, gradient_norm: float, wall_ms: float,
+               bound_hit: bool = False):
+        self.trace.append(TracePoint(self.iterations, phase, objective, gradient_norm, wall_ms))
+        if bound_hit:
+            self.flags.add(FLAG_BOUND_HIT)
+
+    def advance(self) -> bool:
+        """Apply the stop rule to the last trace entry; if the run goes on,
+        start its next iteration."""
+        last = self.trace[-1]
+        small = abs(last.objective - self.previous) <= self.f_tol * (1.0 + abs(last.objective))
+        self.streak = self.streak + 1 if small else 0
+        self.previous = last.objective
+        self.converged = self.streak >= 2 or last.gradient_norm <= self.grad_tol
+        if self.converged or self.iterations == self.cap:
+            return False
+        self.iterations += 1
+        return True
+
+    def result(self, x: ManifoldPoint, P: dict) -> JointResult:
+        return JointResult(x, P, self.trace[-1].objective, self.iterations, self.converged,
+                           tuple(self.trace), frozenset(self.flags))
 
 
 def _run_bcd(problem: JointProblem, x_init: ManifoldPoint, config: JointConfig,
              exact: bool) -> JointResult:
-    clock = time.perf_counter
-    start = clock()
-    flags = set()
+    run = _Run(config)
 
     def p_step(x, residuals=None):
-        """M at x from ``residuals`` or one residual pass, then the P update."""
+        """M at x (from ``residuals`` or one residual pass), P and a bound hit."""
         M = second_moments(problem, x, residuals)
         P, solutions = information_update(problem, x, M)
-        if any(s.any_bound_active for s in solutions.values()):
-            flags.add(FLAG_BOUND_HIT)
-        return M, P
+        return M, P, any(s.any_bound_active for s in solutions.values())
 
     x = problem.check_start(x_init)
-    M, P = p_step(x)
-    f = joint_objective(problem, x, P, M)
-    last = clock()
-    trace = [TracePoint(0, "init", f, np.nan, (last - start) * 1e3)]
-    conv = _Convergence(config.f_tol)
-    conv.update(f)
-    converged = False
-    iterations = 0
+    M, P, bound_hit = p_step(x)
+    run.record("init", joint_objective(problem, x, P, M), np.nan, run.lap(), bound_hit)
     damping = 0.0  # the LM x-step's first trial
-    for iterations in range(1, config.max_outer_iterations + 1):
+    while run.advance():
         weights = _scaled_weights(problem, P)
         residuals = None
         if exact:
             res = nls.solve_fixed_P(problem, x, weights, config.nls)
-            x = res.x
-            grad_proxy = res.gradient_norm
-            if res.lm_failure:
-                flags.add(FLAG_LM_FAILURE)
+            x, grad_proxy = res.x, res.gradient_norm
+            failure = FLAG_LM_FAILURE if res.lm_failure else None
+            stalled = res.lm_failure and res.iterations == 1  # no step accepted
         elif config.nls.step_mode == nls.RIEMANNIAN_GD:
             x, grad_proxy, stalled = nls.step_once(problem, x, weights)
-            if stalled:
-                flags.add(FLAG_LINE_SEARCH_FAILURE)
+            failure = FLAG_LINE_SEARCH_FAILURE if stalled else None
         else:
             x, grad_proxy, accepted, residuals = nls._lm_step(problem, x, weights, damping)
-            if accepted is None:
-                flags.add(FLAG_LM_FAILURE)
+            stalled = accepted is None
+            failure = FLAG_LM_FAILURE if stalled else None
             damping = 0.0 if accepted == 0.0 else nls.DAMPING_INIT
-
-        x_done = clock()
-        M, P_new = p_step(x, residuals)
-        f = joint_objective(problem, x, P_new, M)
-        p_done = clock()
-        f_x = joint_objective(problem, x, P, M)  # the x-step's F, at the old P
-        now = clock()
-        P = P_new
-        trace.append(TracePoint(iterations, "x-step", f_x, grad_proxy,
-                                (x_done - last + now - p_done) * 1e3))
-        trace.append(TracePoint(iterations, "p-step", f, grad_proxy,
-                                (p_done - x_done) * 1e3))
-        last = now
-        if conv.update(f):
-            converged = True
+        if failure:
+            run.flags.add(failure)
+        if stalled:
             break
-    return JointResult(x, P, f, iterations, converged, tuple(trace),
-                       frozenset(flags))
+        x_ms = run.lap()
+        M, P_new, bound_hit = p_step(x, residuals)
+        f = joint_objective(problem, x, P_new, M)
+        p_ms = run.lap()
+        f_x = joint_objective(problem, x, P, M)  # the x-step's F, at the old P
+        run.record("x-step", f_x, grad_proxy, x_ms + run.lap())
+        run.record("p-step", f, grad_proxy, p_ms, bound_hit)
+        P = P_new
+    return run.result(x, P)
 
 
 def run_block_exact_bcd(problem: JointProblem, x_init: ManifoldPoint,
                         config: JointConfig | None = None) -> JointResult:
     """Alternate a full weighted-NLS solve on x with the analytic P update.
 
-    F is non-increasing across both half-steps; terminates on a small
-    relative F change (twice in a row) or the outer iteration cap.
+    F is non-increasing across both half-steps.  An inner solve that
+    accepts no step stalls the run, which ends unconverged; one that runs
+    out later sets :data:`FLAG_LM_FAILURE`, and the run goes on.
     """
     config = config or JointConfig(algorithm=BLOCK_EXACT_BCD)
     return _run_bcd(problem, x_init, config, exact=True)
@@ -289,8 +309,8 @@ def run_hybrid_bcd(problem: JointProblem, x_init: ManifoldPoint,
     iteration (the default) or a backtracking Riemannian gradient step.  An
     LM x-step tries the undamped step first only if the previous one accepted
     it (the first always does), else starts at :data:`nls.DAMPING_INIT`.
-    A stalled x-step keeps x and sets :data:`FLAG_LM_FAILURE` or
-    :data:`FLAG_LINE_SEARCH_FAILURE`.
+    A stalled x-step keeps x, sets :data:`FLAG_LM_FAILURE` or
+    :data:`FLAG_LINE_SEARCH_FAILURE` and ends the run unconverged.
     """
     config = config or JointConfig(algorithm=HYBRID_BCD)
     return _run_bcd(problem, x_init, config, exact=False)
@@ -330,31 +350,19 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
     singularity-monitored at every evaluation and raise
     :class:`UnboundedProblem` when their second moment degenerates.
     """
-    clock = time.perf_counter
-    start = clock()
     config = config or JointConfig(algorithm=ELIMINATION)
+    run = _Run(config, grad_tol=nls.GRAD_TOL)
     x = problem.check_start(x_init)
     f, g, P, bound_hit, index = _reduced_value_and_grad(problem, x)
-    flags = {FLAG_BOUND_HIT} if bound_hit else set()
     gnorm = nls.vector_norm(g)
-    last = clock()
-    trace = [TracePoint(0, "init", f, gnorm, (last - start) * 1e3)]
+    run.record("init", f, gnorm, run.lap(), bound_hit)
     memory: deque = deque(maxlen=LBFGS_MEMORY)
-    conv = _Convergence(config.f_tol)
-    conv.update(f)
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_outer_iterations + 1):
-        if gnorm <= nls.GRAD_TOL:
-            converged = True
-            iterations -= 1
-            break
+    while run.advance():
         d = _two_loop_direction(memory, g)
         if float(d @ g) >= 0.0:  # not a descent direction: reset to steepest
             memory.clear()
             d = -g
         alpha = 1.0 if memory else min(1.0, 1.0 / max(gnorm, 1.0))
-        accepted = False
         dg = float(d @ g)
         for _ in range(60):
             try:
@@ -365,11 +373,10 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
                 alpha *= 0.5
                 continue
             if np.isfinite(f_trial) and f_trial <= f + 1e-4 * alpha * dg:
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
-            flags.add(FLAG_LINE_SEARCH_FAILURE)
+        else:  # no trial accepted: a stall
+            run.flags.add(FLAG_LINE_SEARCH_FAILURE)
             break
         s = alpha * d
         y = g_trial - g
@@ -377,17 +384,9 @@ def run_elimination(problem: JointProblem, x_init: ManifoldPoint,
         if sy > 1e-10 * nls.vector_norm(s) * nls.vector_norm(y):
             memory.append((s, y, 1.0 / sy))
         x, f, g, P, index = x_trial, f_trial, g_trial, P_trial, index_trial
-        if bound_hit:
-            flags.add(FLAG_BOUND_HIT)
         gnorm = nls.vector_norm(g)
-        now = clock()
-        trace.append(TracePoint(iterations, "x-step", f, gnorm, (now - last) * 1e3))
-        last = now
-        if conv.update(f):
-            converged = True
-            break
-    return JointResult(x, P, f, iterations, converged, tuple(trace),
-                       frozenset(flags))
+        run.record("x-step", f, gnorm, run.lap(), bound_hit)
+    return run.result(x, P)
 
 
 def _two_loop_direction(memory, g: np.ndarray) -> np.ndarray:

@@ -271,6 +271,19 @@ class TestSolveCommand:
         eigs = np.linalg.eigvalsh(cov)
         assert lam_min * (1 - 1e-9) <= eigs.min() and eigs.max() <= float(bounds[-1]) * (1 + 1e-9)
 
+    def test_flags_are_printed(self, tmp_path, capsys):
+        # one edge: every eigenvalue of the estimate sits at lam_min
+        graph = tmp_path / "one_edge.g2o"
+        graph.write_text("VERTEX_SE2 0 0 0 0\nVERTEX_SE2 1 1 0 0\n"
+                         "EDGE_SE2 0 1 1.0 0.1 0.05 100 0 0 100 0 100\n")
+        assert main(["solve", "--input", str(graph)]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"solved {graph}: 2 poses, 1 edges",
+            "objective -27.631021 after 2 iterations (converged: True)",
+            "flags: eigenvalue_bound_hit",
+            "group all: estimated covariance diag [0.0001, 0.0001, 0.0001]",
+        ]
+
 
 @pytest.fixture
 def noise_free_graph(tmp_path):

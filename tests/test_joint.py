@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from conftest import one_row_sets
 
-from jointcov import io_pgo, nls
+from jointcov import harness, io_pgo, nls
 from jointcov import joint as joint_module
 from jointcov.covariance import UnboundedProblem, mode_match_prior
 from jointcov.joint import (
@@ -345,7 +345,17 @@ class TestHybridBcd:
 
 
 class TestStalledXSteps:
-    """An x-step that finds no acceptable point keeps x and flags the run."""
+    """An x-step that finds no acceptable point keeps x, flags the run and
+    ends it unconverged: the stalled attempt counts as an iteration and gets
+    no trace entry, as in elimination's exhausted line search."""
+
+    @staticmethod
+    def assert_stalled(res, x0, flag):
+        assert res.flags == {flag}
+        assert res.converged is False
+        assert res.iterations == 1 and len(res.trace) == 1
+        assert res.objective == res.trace[0].objective
+        np.testing.assert_array_equal(res.x.vector, x0.vector)
 
     @pytest.mark.parametrize("run, config", [
         (run_hybrid_bcd, JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4)),
@@ -356,8 +366,7 @@ class TestStalledXSteps:
         pb, x0, _, _ = linear_joint_problem(rng)
         monkeypatch.setattr(nls.LinearizedSystem, "solve_damped", lambda system, d: None)
         res = run(pb, x0, config)
-        assert res.flags == {joint_module.FLAG_LM_FAILURE}
-        np.testing.assert_array_equal(res.x.vector, x0.vector)
+        self.assert_stalled(res, x0, joint_module.FLAG_LM_FAILURE)
 
     def test_armijo_stall_is_flagged(self, monkeypatch):
         rng = np.random.default_rng(41)
@@ -365,8 +374,25 @@ class TestStalledXSteps:
         monkeypatch.setattr(nls, "_try_cost", lambda *args: np.inf)
         res = run_hybrid_bcd(pb, x0, JointConfig(algorithm=HYBRID_BCD, max_outer_iterations=4,
                                                  nls=NlsConfig(step_mode=RIEMANNIAN_GD)))
-        assert res.flags == {joint_module.FLAG_LINE_SEARCH_FAILURE}
-        np.testing.assert_array_equal(res.x.vector, x0.vector)
+        self.assert_stalled(res, x0, joint_module.FLAG_LINE_SEARCH_FAILURE)
+
+    def test_late_inner_stall_is_not_a_stall(self, monkeypatch):
+        # In this linear study, the last trial's 13th inner solve accepts a
+        # step and then runs out of damping; block-exact BCD keeps the flag,
+        # goes on and converges.  Ending the run there would stop it at 13.
+        results = []
+
+        def recorded(*args):
+            results.append(run_block_exact_bcd(*args))
+            return results[-1]
+
+        monkeypatch.setattr(joint_module, "run_block_exact_bcd", recorded)
+        harness.run_linear_mc(harness.ExperimentConfig(
+            seed=43, trials=18, noise_grid=(0.01,), algorithms=("bcd",)))
+        res = results[-1]
+        assert res.flags == {joint_module.FLAG_LM_FAILURE}
+        assert res.converged and res.iterations == 23
+        assert res.objective == 1.9266611925068449
 
     def test_accepted_steps_raise_no_flag(self):
         rng = np.random.default_rng(42)
@@ -446,6 +472,15 @@ class TestElimination:
         elim = run_elimination(pb, x0, JointConfig(
             algorithm=ELIMINATION, max_outer_iterations=400, f_tol=1e-12))
         assert abs(bcd.objective - elim.objective) <= 1e-6
+
+    def test_gradient_exit_on_the_last_iteration_converges(self):
+        # the stop rule reads the gradient after every iteration, the last too
+        rng = np.random.default_rng(2)
+        pb, x0, _, _ = linear_joint_problem(rng)
+        res = run_elimination(pb, x0, JointConfig(algorithm=ELIMINATION,
+                                                  max_outer_iterations=17, f_tol=1e-15))
+        assert res.iterations == 17 and res.converged
+        assert res.trace[-1].gradient_norm <= nls.GRAD_TOL
 
     def test_reduced_gradient_matches_finite_differences(self):
         from jointcov.joint import _reduced_value_and_grad
